@@ -9,6 +9,7 @@ from .partitions import (
     add_rectangle,
     enumerate_partitions,
     hook_lengths,
+    multiset_permutations,
     parse_partition,
     rectangle,
 )
@@ -37,16 +38,19 @@ from .pushforward import (
     degree_grassmann_bundle,
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
+    monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
     pushforward_schur_class,
     rational_form_coefficients,
+    schur_coefficients,
 )
 from .oracles import (
     box_pieri_degree,
     localization_pushforward,
     run_suites,
     schur_form_at_roots,
+    schur_form_pushforward,
     suite_degrees,
     suite_remark,
     suite_theorem,
@@ -61,6 +65,7 @@ __all__ = [
     "add_rectangle",
     "enumerate_partitions",
     "hook_lengths",
+    "multiset_permutations",
     "parse_partition",
     "rectangle",
     "ENUMERATION_CAP",
@@ -86,14 +91,17 @@ __all__ = [
     "degree_grassmann_bundle",
     "degree_grassmann_bundle_terms",
     "degree_grassmannian_classical",
+    "monomial_coefficients",
     "pushforward_plucker_power",
     "pushforward_rational_form",
     "pushforward_schur_class",
     "rational_form_coefficients",
+    "schur_coefficients",
     "box_pieri_degree",
     "localization_pushforward",
     "run_suites",
     "schur_form_at_roots",
+    "schur_form_pushforward",
     "suite_degrees",
     "suite_remark",
     "suite_theorem",

@@ -15,11 +15,12 @@ from fractions import Fraction
 
 from .chowring import BundleModel, FormalBundle, SplitBundle, render_terms
 from .oracles import run_suites
-from .partitions import Partition, add_rectangle, enumerate_partitions, parse_partition
+from .partitions import parse_partition
 from .pushforward import (
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     pushforward_plucker_power,
+    schur_coefficients,
 )
 from .tableaux import syt_count_hook, syt_count_product, syt_enumerate
 
@@ -70,22 +71,12 @@ def _model_json(model: BundleModel) -> dict[str, object]:
     return {"type": "split", "base_dim": model.base_dim, "twists": list(model.twists)}
 
 
-def _schur_pairs(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
-    fiber_dim = d * (r - d)
-    if N < fiber_dim:
-        return []
-    return [
-        (lam, syt_count_hook(add_rectangle(lam, d, r - d)))
-        for lam in enumerate_partitions(N - fiber_dim, d)
-    ]
-
-
 def cmd_pushforward(args: argparse.Namespace) -> int:
     if args.d > args.r:
         raise UsageError(f"need d <= r, got d={args.d}, r={args.r}")
     model = _build_model(args, args.r)
     image = pushforward_plucker_power(args.N, args.d, args.r, model)
-    schur_pairs = _schur_pairs(args.N, args.d, args.r)
+    schur_pairs = schur_coefficients(args.N, args.d, args.r)
     schur_terms = [(str(lam), str(coeff)) for lam, coeff in schur_pairs]
     class_terms = image.terms()
     data = {
@@ -252,6 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact answers can run past the interpreter's int/str digit limit; lift
+    # it for this call and give in-process callers their own setting back.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -263,6 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Independent verification machinery.
 
-Three oracles that share no code with the production formulas:
+Four oracles, none of which shares code with the production formula it checks:
 
   * ``localization_pushforward``: the Gysin image of a power of the Pluecker
     class over a point with split Chern roots y_1..y_r, as the symmetrized sum
@@ -10,6 +10,9 @@ Three oracles that share no code with the production formulas:
     Exact rational arithmetic; the roots must be pairwise distinct.
   * ``schur_form_at_roots``: the Schur-polynomial formula specialized to the
     same roots through complete homogeneous values, with no truncation.
+  * ``schur_form_pushforward``: the same formula in a model's graded ring,
+    one Jacobi-Trudi determinant of Segre classes per shape; the oracle of the
+    monomial table behind ``pushforward_plucker_power``.
   * ``box_pieri_degree``: a box-truncated Pieri walk that computes Grassmannian
     degrees without factorials or determinants.
 
@@ -26,14 +29,14 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .partitions import add_rectangle, enumerate_partitions, rectangle
+from .partitions import rectangle
 from .pushforward import (
     degree_grassmannian_classical,
-    pushforward_plucker_power,
     pushforward_rational_form,
     rational_form_coefficients,
+    schur_coefficients,
 )
-from .chowring import FormalBundle
+from .chowring import BundleModel, FormalBundle, GradedPoly, ring_of, segre_classes
 from .rng import SplitMix64
 from .schur import complete_homogeneous_values, schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
@@ -70,15 +73,34 @@ def schur_form_at_roots(N: int, d: int, roots: Sequence[Fraction | int]) -> Frac
     r = len(roots)
     if r < d:
         raise ValueError(f"need at least d={d} roots, got {r}")
-    fiber_dim = d * (r - d)
-    if N < fiber_dim:
+    terms = schur_coefficients(N, d, r)
+    if not terms:
         return Fraction(0)
-    weight = N - fiber_dim
-    h_values = complete_homogeneous_values(roots, weight + d)
+    h_values = complete_homogeneous_values(roots, N - d * (r - d) + d)
     total = Fraction(0)
-    for lam in enumerate_partitions(weight, d):
-        count = syt_count_hook(add_rectangle(lam, d, r - d))
+    for lam, count in terms:
         total += count * schur_via_jacobi_trudi(lam, h_values, size=d)
+    return total
+
+
+def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
+    """The tableau-weighted Schur sum in the model's graded ring.
+
+    Each Delta_lam is a Jacobi-Trudi determinant of the model's Segre classes,
+    expanded with ring multiplications; the monomial table of the production
+    path is checked against this sum.
+    """
+    if model.rank != r:
+        raise ValueError(f"model has rank {model.rank}, expected {r}")
+    if N < 0:
+        raise ValueError(f"power must be nonnegative, got {N}")
+    terms = schur_coefficients(N, d, r)
+    total = ring_of(model).zero()
+    if not terms:
+        return total
+    segre = segre_classes(model, N - d * (r - d) + d)
+    for lam, count in terms:
+        total = total + count * schur_via_jacobi_trudi(lam, segre, size=d)
     return total
 
 
@@ -269,7 +291,8 @@ def suite_theorem(
 def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> SuiteReport:
     """Decide which denominator variant of the rational form is correct.
 
-    Compares both variants against the Schur form symbolically, over formal
+    Compares both variants against the Jacobi-Trudi Schur form
+    (``schur_form_pushforward``) symbolically, over formal
     bundles with base dimension equal to the output degree.  Passes only if
     exactly one variant matches on every instance; also records whether the
     matching variant's coefficients were integers throughout.
@@ -286,7 +309,7 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
             for N in range(fiber_dim, fiber_dim + extra_powers + 1):
                 instances += 1
                 model = FormalBundle(base_dim=N - fiber_dim, rank=r)
-                expected = pushforward_plucker_power(N, d, r, model)
+                expected = schur_form_pushforward(N, d, r, model)
                 for variant in variants:
                     try:
                         candidate = pushforward_rational_form(N, d, r, model, variant)

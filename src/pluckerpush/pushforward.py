@@ -10,6 +10,12 @@ of Schur polynomials in the Segre classes of E:
 where eps is the d x (r-d) rectangle, f counts standard Young tableaux, and
 Delta_lam is the Jacobi-Trudi determinant det[s_{lam_i + j - i}].  Below the
 critical power d(r-d) the push-forward vanishes for degree reasons.
+
+The production path does not expand those determinants.  It reads the same
+class off an integer table, one coefficient per monomial in the Segre classes
+(``monomial_coefficients``), built from the composition-sum form with
+factorial denominators.  The Jacobi-Trudi sum in the graded ring is kept as
+its oracle, ``oracles.schur_form_pushforward``.
 """
 
 from __future__ import annotations
@@ -20,14 +26,15 @@ from typing import Iterator, Literal
 
 from .chowring import (
     BundleModel,
+    FormalBundle,
     GradedPoly,
     SplitBundle,
     integrate_over_pm,
     ring_of,
     segre_classes,
 )
-from .partitions import Partition, add_rectangle, enumerate_partitions
-from .schur import jacobi_trudi_det, schur_via_jacobi_trudi
+from .partitions import Partition, add_rectangle, enumerate_partitions, multiset_permutations
+from .schur import complete_homogeneous_values, jacobi_trudi_det, schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
 
 DenominatorVariant = Literal["linear", "factorial"]
@@ -60,27 +67,108 @@ def pushforward_schur_class(
     return jacobi_trudi_det([mu.part(i) - shift for i in range(d)], segre)
 
 
+def schur_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
+    """The Schur-form terms (lam, f(lam + eps)) of the push-forward of theta^N.
+
+    One pair per partition lam of N - d(r-d) with at most d parts, in
+    reverse-lexicographic order; empty below the fiber dimension, where the
+    push-forward vanishes.
+    """
+    _check_d_r(d, r)
+    fiber_dim = d * (r - d)
+    if N < fiber_dim:
+        return []
+    return [
+        (lam, syt_count_hook(add_rectangle(lam, d, r - d)))
+        for lam in enumerate_partitions(N - fiber_dim, d)
+    ]
+
+
+def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:
+    """D(t) for t = 0..top: t for the linear variant, t! for the factorial one."""
+    return [factorial(t) if denominator == "factorial" else t for t in range(top + 1)]
+
+
+def _composition_term(
+    n_fact: int, k: tuple[int, ...], r: int, denominators: list[int]
+) -> tuple[int, int]:
+    """Numerator N! * prod_{i<j} (k_i - k_j - i + j) and denominator prod_i D(r + k_i - i)
+    of the k-th term of the composition-sum form (i counted from 1).
+
+    A vanishing term, one where two of the k_i - i coincide, comes back as
+    (0, 1) without its denominator.
+    """
+    shifted = [part - i for i, part in enumerate(k)]
+    if len(set(shifted)) < len(shifted):
+        return 0, 1
+    difference = 1
+    for i, a in enumerate(shifted):
+        for b in shifted[i + 1 :]:
+            difference *= a - b
+    denominator = prod(denominators[r + part - i - 1] for i, part in enumerate(k))
+    return n_fact * difference, denominator
+
+
+def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
+    """The push-forward of theta^N as integers on monomials in the Segre classes.
+
+    Grouping the ``factorial`` composition-sum form by the sorted exponent
+    vector gives one coefficient per partition mu of N - d(r-d) with at most
+    d parts: the sum over the distinct permutations k of mu, padded with zeros
+    to length d, of N! * prod_{i<j} (k_i - k_j - i + j) / prod_i (r + k_i - i)!.
+    Each such term is plus or minus a standard-tableau count, so every
+    division is exact, and asserted to be.  The pair (mu, c) stands for
+    c * s_{mu_1} * ... * s_{mu_l}.  Empty below the fiber dimension.
+    """
+    _check_d_r(d, r)
+    fiber_dim = d * (r - d)
+    if N < fiber_dim:
+        return []
+    weight = N - fiber_dim
+    n_fact = factorial(N)
+    factorials = _denominator_table("factorial", r + weight)
+    table = []
+    for mu in enumerate_partitions(weight, d):
+        total = 0
+        for k in multiset_permutations(mu.part(i) for i in range(d)):
+            numerator, denominator = _composition_term(n_fact, k, r, factorials)
+            term, rem = divmod(numerator, denominator)
+            assert rem == 0, f"composition term not integral at k={k} for d={d}, r={r}"
+            total += term
+        table.append((mu, total))
+    return table
+
+
 def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
     """Push the N-th power of the Pluecker class down to the base of the model.
 
     Homogeneous of degree N - d(r-d); the zero class when N is below the
-    fiber dimension d(r-d).
+    fiber dimension d(r-d), or when that degree exceeds the base dimension.
+    Reads ``monomial_coefficients``: over a formal base each entry (mu, c) is
+    the monomial c * s_{mu_1} * ... * s_{mu_l}, over P^m it contributes
+    c * h_{mu_1}(a) * ... * h_{mu_l}(a) to the coefficient of h^w, with a the
+    twists.
     """
     _check_d_r(d, r)
     _check_model(r, model)
     if N < 0:
         raise ValueError(f"power must be nonnegative, got {N}")
     ring = ring_of(model)
-    fiber_dim = d * (r - d)
-    if N < fiber_dim:
+    weight = N - d * (r - d)
+    if not 0 <= weight <= model.base_dim:
         return ring.zero()
-    weight = N - fiber_dim
-    segre = segre_classes(model, weight + d)
-    total = ring.zero()
-    for lam in enumerate_partitions(weight, d):
-        count = syt_count_hook(add_rectangle(lam, d, r - d))
-        total = total + count * schur_via_jacobi_trudi(lam, segre, size=d)
-    return total
+    table = monomial_coefficients(N, d, r)
+    if isinstance(model, FormalBundle):
+        monomials = {}
+        for mu, coeff in table:
+            exps = [0] * model.base_dim
+            for part in mu:
+                exps[part - 1] += 1
+            monomials[tuple(exps)] = coeff
+        return ring.element(monomials)
+    h = complete_homogeneous_values(model.twists, weight)
+    value = sum((coeff * prod(h[part] for part in mu) for mu, coeff in table), Fraction(0))
+    return ring.element({(weight,): value})
 
 
 def degree_grassmann_bundle_terms(
@@ -91,12 +179,10 @@ def degree_grassmann_bundle_terms(
     _check_d_r(d, r)
     m = model.base_dim
     segre = segre_classes(model, m + d)
-    rows = []
-    for lam in enumerate_partitions(m, d):
-        count = syt_count_hook(add_rectangle(lam, d, r - d))
-        integral = integrate_over_pm(schur_via_jacobi_trudi(lam, segre, size=d), m)
-        rows.append((lam, count, integral))
-    return rows
+    return [
+        (lam, count, integrate_over_pm(schur_via_jacobi_trudi(lam, segre, size=d), m))
+        for lam, count in schur_coefficients(d * (r - d) + m, d, r)
+    ]
 
 
 def degree_grassmann_bundle(d: int, model: SplitBundle) -> Fraction:
@@ -161,22 +247,16 @@ def rational_form_coefficients(
         raise ValueError(f"power {N} is below the fiber dimension {fiber_dim}")
     weight = N - fiber_dim
     n_fact = factorial(N)
+    denominators = _denominator_table(denominator, r + weight)
     out = []
     for k in compositions(weight, d):
-        numerator = n_fact
-        for i in range(d):
-            for j in range(i + 1, d):
-                numerator *= k[i] - k[j] + (j - i)
+        numerator, denom = _composition_term(n_fact, k, r, denominators)
         if numerator == 0:
             continue
-        if denominator == "factorial":
-            denom = prod(factorial(r + k[i] - (i + 1)) for i in range(d))
-        else:
-            denom = prod(r + k[i] - (i + 1) for i in range(d))
-            if denom == 0:
-                raise ZeroDivisionError(
-                    f"linear denominator vanishes at k={k} for d={d}, r={r}"
-                )
+        if denom == 0:
+            raise ZeroDivisionError(
+                f"{denominator} denominator vanishes at k={k} for d={d}, r={r}"
+            )
         out.append((k, Fraction(numerator, denom)))
     return out
 
@@ -187,8 +267,8 @@ def pushforward_rational_form(
     """Composition-sum form of the push-forward, with rational coefficients.
 
     Evaluates the ``rational_form_coefficients`` sum on products of Segre
-    classes of the model.  The test suite determines empirically which
-    denominator variant agrees with ``pushforward_plucker_power``.
+    classes of the model.  The remark suite determines empirically which
+    denominator variant agrees with the Jacobi-Trudi Schur form.
     """
     _check_model(r, model)
     coefficients = rational_form_coefficients(N, d, r, denominator)

@@ -13,11 +13,6 @@ from typing import Any, Mapping, Sequence
 
 from .partitions import Partition
 
-#: Above this size the determinant switches from plain recursive cofactor
-#: expansion to minor expansion cached over column subsets.  Both are
-#: division-free, which matters because the truncated ring has zero divisors.
-_COFACTOR_LIMIT = 6
-
 
 @dataclass(frozen=True)
 class SchurExpansion:
@@ -93,26 +88,19 @@ def h1_power_expansion(power: int, num_variables: int) -> SchurExpansion:
     return expansion
 
 
-def _det_cofactor(matrix: list[list[Any]]) -> Any:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * _det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+def det(matrix: list[list[Any]]) -> Any:
+    """Exact determinant over any commutative ring.
 
-
-def _det_subsets(matrix: list[list[Any]]) -> Any:
-    # minors[mask] = det of rows 0..popcount(mask)-1 on the columns in mask,
-    # grown one row at a time; division-free, so safe in any commutative ring.
+    Minor expansion cached over column subsets: minors[mask] is the
+    determinant of the first popcount(mask) rows on the columns in mask,
+    grown one row at a time, about n * 2^(n-1) products in all.  Division-free,
+    which matters because the truncated ring has zero divisors.
+    """
+    if not matrix:
+        raise ValueError("empty matrix has no well-defined element type; handle size 0 upstream")
     n = len(matrix)
-    minors: dict[int, Any] = {0: 1}
-    for row in range(n):
+    minors: dict[int, Any] = {1 << j: value for j, value in enumerate(matrix[0])}
+    for row in range(1, n):
         grown: dict[int, Any] = {}
         for mask, value in minors.items():
             for j in range(n):
@@ -127,15 +115,6 @@ def _det_subsets(matrix: list[list[Any]]) -> Any:
                 grown[key] = term if key not in grown else grown[key] + term
         minors = grown
     return minors[(1 << n) - 1]
-
-
-def det(matrix: list[list[Any]]) -> Any:
-    """Exact determinant over any commutative ring with 1."""
-    if not matrix:
-        raise ValueError("empty matrix has no well-defined element type; handle size 0 upstream")
-    if len(matrix) <= _COFACTOR_LIMIT:
-        return _det_cofactor(matrix)
-    return _det_subsets(matrix)
 
 
 def jacobi_trudi_det(indices: Sequence[int], values: Sequence[Any]) -> Any:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pluckerpush import rectangle, syt_count_hook
 from pluckerpush.chowring import render_terms
 from pluckerpush.cli import main, render_schur_terms
 
@@ -139,6 +140,19 @@ class TestDegreeClassicalCommand:
     def test_rejects_d_above_r(self, capsys):
         code, _ = run_cli(capsys, "degree-classical", "--d", "3", "--r", "2")
         assert code == 2
+
+    def test_prints_answers_past_the_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out = run_cli(capsys, "degree-classical", "--d", "96", "--r", "194")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # restored for in-process callers
+        expected = syt_count_hook(rectangle(96, 98))
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{expected}\n"
+            assert len(out.strip()) == 15073
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSytCommand:

@@ -167,6 +167,11 @@ class TestVerifyDrivers:
         assert report.payload["matching_variant"] == "factorial"
         assert report.payload["matching_variant_integral"] is True
 
+    def test_remark_suite_rejects_linear_variant(self):
+        report = suite_remark(max_d=2, max_r=4, extra_powers=2)
+        assert report.payload["matches"]["linear"] < report.payload["instances"]
+        assert any(line.endswith("linear: mismatch") for line in report.verbose_lines)
+
     def test_degrees_suite(self):
         report = suite_degrees(max_r=8)
         assert report.passed

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from pluckerpush import (
     add_rectangle,
     enumerate_partitions,
     hook_lengths,
+    multiset_permutations,
     parse_partition,
     rectangle,
 )
@@ -108,6 +111,19 @@ class TestEnumeration:
             enumerate_partitions(-1, 2)
         with pytest.raises(ValueError):
             enumerate_partitions(3, 0)
+
+
+class TestMultisetPermutations:
+    def test_examples(self):
+        assert list(multiset_permutations([2, 0, 0])) == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
+        assert list(multiset_permutations([1, 1])) == [(1, 1)]
+        assert list(multiset_permutations([])) == [()]
+
+    @given(st.lists(st.integers(0, 3), min_size=0, max_size=6))
+    def test_matches_deduplicated_permutations(self, items):
+        # oracle: every ordering, with repeats removed by a set
+        expected = sorted(set(itertools.permutations(items)))
+        assert list(multiset_permutations(items)) == expected
 
 
 class TestRectangleShift:

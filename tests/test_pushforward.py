@@ -11,14 +11,18 @@ from pluckerpush import (
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     enumerate_partitions,
+    monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
     pushforward_schur_class,
     rational_form_coefficients,
     rectangle,
     ring_of,
+    schur_coefficients,
+    schur_form_pushforward,
     segre_classes,
     syt_count_hook,
+    syt_count_product,
 )
 
 
@@ -115,6 +119,52 @@ class TestPluckerPowerPushforward:
     def test_rejects_d_above_r(self):
         with pytest.raises(ValueError):
             pushforward_plucker_power(4, 3, 2, FormalBundle(base_dim=1, rank=2))
+
+
+class TestMonomialTable:
+    def test_example(self):
+        # d=2, r=3, N=4 over a surface: the class s2 + 2*s1^2 of the README
+        assert monomial_coefficients(4, 2, 3) == [(Partition((2,)), 1), (Partition((1, 1)), 2)]
+        model = FormalBundle(base_dim=2, rank=3)
+        assert str(pushforward_plucker_power(4, 2, 3, model)) == "s2 + 2*s1^2"
+
+    def test_empty_below_fiber_dimension(self):
+        assert monomial_coefficients(3, 2, 4) == []
+        assert schur_coefficients(3, 2, 4) == []
+
+    def test_schur_coefficients_are_shifted_tableau_counts(self):
+        for d in range(1, 4):
+            for r in range(d, 7):
+                for w in range(5):
+                    pairs = schur_coefficients(d * (r - d) + w, d, r)
+                    assert [lam for lam, _ in pairs] == enumerate_partitions(w, d)
+                    assert all(c == syt_count_product(lam, d, r) for lam, c in pairs)
+
+    def test_formal_grid_matches_jacobi_trudi_oracle(self):
+        # the base dimension runs one below, at and one above the output degree
+        for d in range(1, 7):
+            for r in sorted({d, d + 1, 2 * d + 1}):
+                for w in range(0, 13, 1 if d <= 3 else 3):
+                    N = d * (r - d) + w
+                    for base_dim in sorted({max(w - 1, 0), w, w + 1}):
+                        model = FormalBundle(base_dim=base_dim, rank=r)
+                        table = pushforward_plucker_power(N, d, r, model)
+                        oracle = schur_form_pushforward(N, d, r, model)
+                        assert table == oracle
+                        assert str(table) == str(oracle)
+
+    def test_split_grid_matches_jacobi_trudi_oracle(self):
+        for twists in [(0, -1), (2, -3, 1), (-2, -1, 0, 3), (1, -4, 2, -1, 3)]:
+            r = len(twists)
+            for d in range(1, r + 1):
+                for w in range(6):
+                    N = d * (r - d) + w
+                    for m in sorted({max(w - 1, 0), w, w + 2}):
+                        model = SplitBundle(base_dim=m, twists=twists)
+                        table = pushforward_plucker_power(N, d, r, model)
+                        oracle = schur_form_pushforward(N, d, r, model)
+                        assert table == oracle
+                        assert str(table) == str(oracle)
 
 
 class TestDegrees:

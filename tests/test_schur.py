@@ -16,7 +16,7 @@ from pluckerpush import (
     schur_via_jacobi_trudi,
     syt_count_hook,
 )
-from pluckerpush.schur import _det_cofactor, _det_subsets, det
+from pluckerpush.schur import det
 
 
 def field_det(matrix):
@@ -155,11 +155,11 @@ class TestJacobiTrudi:
 class TestDeterminants:
     @settings(max_examples=40)
     @given(st.integers(1, 5), st.data())
-    def test_cofactor_matches_field_elimination(self, n, data):
+    def test_small_det_matches_field_elimination(self, n, data):
         matrix = [
             [Fraction(data.draw(st.integers(-6, 6))) for _ in range(n)] for _ in range(n)
         ]
-        assert _det_cofactor(matrix) == field_det(matrix)
+        assert det(matrix) == field_det(matrix)
 
     @settings(max_examples=30)
     @given(st.integers(1, 8), st.data())
@@ -167,9 +167,9 @@ class TestDeterminants:
         matrix = [
             [Fraction(data.draw(st.integers(-4, 4))) for _ in range(n)] for _ in range(n)
         ]
-        assert _det_subsets(matrix) == field_det(matrix)
+        assert det(matrix) == field_det(matrix)
 
-    def test_dispatch_boundary(self):
+    def test_fixed_seven_by_seven(self):
         matrix = [[Fraction((i * 7 + j * 3) % 5 - 2) for j in range(7)] for i in range(7)]
         assert det(matrix) == field_det(matrix)
 
