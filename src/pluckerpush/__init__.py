@@ -31,7 +31,6 @@ from .chowring import (
     integrate_over_pm,
     ring_of,
     segre_classes,
-    truncate,
 )
 from .pushforward import (
     compositions,
@@ -86,7 +85,6 @@ __all__ = [
     "integrate_over_pm",
     "ring_of",
     "segre_classes",
-    "truncate",
     "compositions",
     "degree_grassmann_bundle",
     "degree_grassmann_bundle_terms",

@@ -14,10 +14,9 @@ package computes with:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .schur import complete_homogeneous_values
 
@@ -298,16 +297,3 @@ def integrate_over_pm(element: GradedPoly, m: int) -> Fraction:
         raise ValueError(f"element lives over P^{ring.top_degree}, not P^{m}")
     return element.coefficient((m,))
 
-
-def truncate(element: GradedPoly, top_degree: int) -> GradedPoly:
-    """Image of an element in the same ring truncated at a lower top degree."""
-    ring = dataclasses.replace(element.ring, top_degree=top_degree)
-    return GradedPoly(ring, element.monomials)
-
-
-def chern_dual_classes(twists: Iterable[int], ring: GradedRing) -> GradedPoly:
-    """Total Chern class of the dual of a split bundle: the product of (1 - a h)."""
-    total = ring.one()
-    for a in twists:
-        total = total * (ring.one() - a * ring.generator(0))
-    return total

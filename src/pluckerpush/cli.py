@@ -1,8 +1,9 @@
 """Command-line surface: pushforward, degree, degree-classical, syt, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-invariant violation.  All stdout is deterministic for a given invocation and
-seed; timing goes to stderr only.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a caller's
+mistake, caught here before any computation), 3 internal error (a broken
+invariant, or a ValueError raised inside the engine).  All stdout is
+deterministic for a given invocation and seed; timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def _build_model(args: argparse.Namespace, r: int) -> BundleModel:
         return FormalBundle(base_dim=args.base_dim, rank=r)
     if args.pm is None or args.twists is None:
         raise UsageError("the split model needs both --pm and --twists")
+    if args.pm < 0:
+        raise UsageError("--pm must be nonnegative")
     twists = _parse_twists(args.twists)
     if len(twists) != r:
         raise UsageError(f"--twists lists {len(twists)} values, expected r={r}")
@@ -72,8 +75,10 @@ def _model_json(model: BundleModel) -> dict[str, object]:
 
 
 def cmd_pushforward(args: argparse.Namespace) -> int:
-    if args.d > args.r:
-        raise UsageError(f"need d <= r, got d={args.d}, r={args.r}")
+    if args.N < 0:
+        raise UsageError(f"--N must be nonnegative, got {args.N}")
+    if not 1 <= args.d <= args.r:
+        raise UsageError(f"need 1 <= d <= r, got d={args.d}, r={args.r}")
     model = _build_model(args, args.r)
     image = pushforward_plucker_power(args.N, args.d, args.r, model)
     schur_pairs = schur_coefficients(args.N, args.d, args.r)
@@ -100,8 +105,8 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
 
 def cmd_degree(args: argparse.Namespace) -> int:
     twists = _parse_twists(args.twists)
-    if args.d > len(twists):
-        raise UsageError(f"need d <= r, got d={args.d} with {len(twists)} twists")
+    if not 1 <= args.d <= len(twists):
+        raise UsageError(f"need 1 <= d <= r, got d={args.d} with {len(twists)} twists")
     if args.pm < 0:
         raise UsageError("--pm must be nonnegative")
     model = SplitBundle(base_dim=args.pm, twists=twists)
@@ -161,6 +166,14 @@ def cmd_syt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, value, least in (
+        ("--trials", args.trials, 1),
+        ("--max-d", args.max_d, 1),
+        ("--max-r", args.max_r, 1),
+        ("--extra-N", args.extra_N, 0),
+    ):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     started = time.monotonic()
     kwargs: dict[str, object] = {"seed": args.seed, "trials": args.trials}
     if args.max_d is not None:
@@ -253,8 +266,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # every caller mistake is a UsageError by now, so this is the engine's
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -7,7 +7,9 @@ Four oracles, none of which shares code with the production formula it checks:
 
         sum over d-subsets I of  (sum_{i in I} y_i)^N / prod_{i in I, j not in I} (y_i - y_j)
 
-    Exact rational arithmetic; the roots must be pairwise distinct.
+    The roots must be pairwise distinct.  The terms are summed in integers
+    over one common denominator, the Vandermonde product of the roots scaled
+    to integers, and the total is reduced to a Fraction once.
   * ``schur_form_at_roots``: the Schur-polynomial formula specialized to the
     same roots through complete homogeneous values, with no truncation.
   * ``schur_form_pushforward``: the same formula in a model's graded ring,
@@ -26,7 +28,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .partitions import rectangle
@@ -43,8 +45,18 @@ from .tableaux import syt_count_hook
 
 
 def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) -> Fraction:
-    """Symmetrized fixed-point sum over all d-subsets of the roots."""
-    values = [Fraction(y) for y in roots]
+    """Symmetrized fixed-point sum over all d-subsets of the roots.
+
+    Integer roots are used as given, others are read as Fractions.  The roots
+    are scaled to integers z = q*y, q the lcm of their denominators.
+    Every subset term then shares the Vandermonde denominator
+    V = prod_{i<j} (z_i - z_j): the subset's own denominator D_I is, up to
+    sign, the part of V that pairs I with its complement, so V / D_I is an
+    exact integer.  The integer sum of e_I^N * V / D_I, with e_I the sum of
+    the z_i in I, is reduced once, the scaling undone:
+    q^{d(r-d)} * sum / (q^N * V).
+    """
+    values = [y if isinstance(y, int) else Fraction(y) for y in roots]
     if len(set(values)) != len(values):
         raise ValueError("roots must be pairwise distinct")
     r = len(values)
@@ -52,16 +64,17 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
         raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
     if N < 0:
         raise ValueError(f"power must be nonnegative, got {N}")
-    total = Fraction(0)
+    q = lcm(*(y.denominator for y in values))
+    z = [y.numerator * (q // y.denominator) for y in values]
+    vandermonde = prod(z[i] - z[j] for i, j in itertools.combinations(range(r), 2))
+    total = 0
     for subset in itertools.combinations(range(r), d):
-        inside = set(subset)
-        numerator = sum(values[i] for i in subset) ** N
-        denominator = prod(
-            (values[i] - values[j] for i in subset for j in range(r) if j not in inside),
-            start=Fraction(1),
-        )
-        total += numerator / denominator
-    return total
+        outside = [z[j] for j in range(r) if j not in subset]
+        denominator = prod(z[i] - y for i in subset for y in outside)
+        quotient, rem = divmod(vandermonde, denominator)
+        assert rem == 0, f"subset denominator does not divide the Vandermonde product at {subset}"
+        total += sum(z[i] for i in subset) ** N * quotient
+    return Fraction(total * q ** (d * (r - d)), vandermonde * q**N)
 
 
 def schur_form_at_roots(N: int, d: int, roots: Sequence[Fraction | int]) -> Fraction:

@@ -153,18 +153,18 @@ def schur_via_jacobi_trudi(lam: Partition, values: Sequence[Any], size: int | No
     return jacobi_trudi_det([lam.part(i) for i in range(size)], values)
 
 
-def complete_homogeneous_values(roots: Sequence[Fraction | int], top: int) -> list[Fraction]:
+def complete_homogeneous_values(roots: Sequence[Fraction | int], top: int) -> list[int | Fraction]:
     """h_0..h_top of the roots, by the product of geometric series.
 
     Multiplying the truncated series by 1/(1 - y t) one root at a time gives
-    the recurrence h_k += y * h_{k-1} with k ascending.
+    the recurrence h_k += y * h_{k-1} with k ascending.  The values keep the
+    type of the arithmetic: integer roots give ints, and a rational root makes
+    h_1..h_top Fractions; h_0 is always the integer 1.
     """
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
-    h = [Fraction(0)] * (top + 1)
-    h[0] = Fraction(1)
-    for root in roots:
-        y = Fraction(root)
+    h: list[int | Fraction] = [1] + [0] * top
+    for y in roots:
         for k in range(1, top + 1):
             h[k] += y * h[k - 1]
     return h

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,24 @@ from pluckerpush import (
     integrate_over_pm,
     ring_of,
     segre_classes,
-    truncate,
 )
-from pluckerpush.chowring import chern_dual_classes, render_terms
+from pluckerpush.chowring import render_terms
 
 RING = GradedRing(names=("s1", "s2", "s3"), weights=(1, 2, 3), top_degree=6)
+
+
+def truncate(element, top_degree):
+    """Image of an element in the same ring truncated at a lower top degree."""
+    ring = dataclasses.replace(element.ring, top_degree=top_degree)
+    return GradedPoly(ring, element.monomials)
+
+
+def chern_dual_classes(twists, ring):
+    """Total Chern class of the dual of a split bundle: the product of (1 - a h)."""
+    total = ring.one()
+    for a in twists:
+        total = total * (ring.one() - a * ring.generator(0))
+    return total
 
 
 @st.composite

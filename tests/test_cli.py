@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pluckerpush
 from pluckerpush import rectangle, syt_count_hook
 from pluckerpush.chowring import render_terms
 from pluckerpush.cli import main, render_schur_terms
@@ -226,6 +229,57 @@ class TestVerifyCommand:
         assert data["reports"][0]["suite"] == "degrees"
 
 
+PUSH = ("pushforward", "--N", "3", "--d", "1", "--r", "2")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pushforward", "--N", "-1", "--d", "1", "--r", "2", "--base-dim", "1"),
+            ("pushforward", "--N", "3", "--d", "0", "--r", "2", "--base-dim", "1"),
+            ("pushforward", "--N", "3", "--d", "0", "--r", "0", "--base-dim", "1"),
+            PUSH + ("--pm=-1", "--twists", "1,2"),
+            ("degree", "--d", "0", "--pm", "1", "--twists", "1,2"),
+            ("verify", "--suite", "theorem", "--trials", "0"),
+            ("verify", "--suite", "degrees", "--trials", "-3"),
+            ("verify", "--suite", "theorem", "--max-d", "0"),
+            ("verify", "--suite", "remark", "--max-r", "0"),
+            ("verify", "--suite", "theorem", "--extra-N", "-1"),
+        ],
+    )
+    def test_caller_mistakes_exit_2_before_any_output(self, capsys, argv):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_boundary_values_are_accepted(self, capsys):
+        assert main(["pushforward", "--N", "0", "--d", "1", "--r", "2", "--base-dim", "0"]) == 0
+        assert main(list(PUSH + ("--pm", "0", "--twists", "1,2"))) == 0
+        args = ("verify", "--suite", "theorem", "--max-d", "1", "--max-r", "1")
+        assert main([*args, "--extra-N", "0", "--trials", "1"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("pushforward_plucker_power", PUSH + ("--base-dim", "1")),
+            ("degree_grassmann_bundle_terms", ("degree", "--d", "1", "--pm", "1", "--twists", "1,2")),
+            ("run_suites", ("verify", "--suite", "degrees")),
+        ],
+    )
+    def test_value_error_inside_the_engine_exits_3(self, capsys, monkeypatch, name, argv):
+        def broken(*args, **kwargs):
+            raise ValueError("planted engine fault")
+
+        monkeypatch.setattr(f"pluckerpush.cli.{name}", broken)
+        assert main(list(argv)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: planted engine fault\n"
+
+
 class TestEntryPoints:
     def test_missing_subcommand_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -233,10 +287,14 @@ class TestEntryPoints:
         assert excinfo.value.code == 2
 
     def test_module_invocation(self):
+        # the child imports the package these tests import, installed or not
+        package_root = str(Path(pluckerpush.__file__).resolve().parent.parent)
+        path = [package_root, os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
             [sys.executable, "-m", "pluckerpush", "degree-classical", "--d", "3", "--r", "6"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "42"

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,34 @@ from pluckerpush import (
     syt_count_hook,
     verify_pushforward,
 )
+from pluckerpush import oracles
 
 distinct_roots = st.lists(st.integers(-30, 30), min_size=2, max_size=5, unique=True)
+non_integral = st.builds(Fraction, st.integers(-30, 30), st.integers(2, 7)).filter(
+    lambda y: y.denominator != 1
+)
+
+
+@st.composite
+def mixed_roots(draw):
+    """Pairwise distinct roots with at least one int and one non-integral Fraction."""
+    ints = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=3, unique=True))
+    fractions = draw(st.lists(non_integral, min_size=1, max_size=3, unique=True))
+    return draw(st.permutations(ints + fractions))
+
+
+def reference_localization(N, d, roots):
+    """The localization sum as the formula reads, one Fraction term per subset."""
+    values = [Fraction(y) for y in roots]
+    r = len(values)
+    total = Fraction(0)
+    for subset in itertools.combinations(range(r), d):
+        numerator = sum(values[i] for i in subset) ** N
+        denominator = prod(
+            values[i] - values[j] for i in subset for j in range(r) if j not in subset
+        )
+        total += numerator / denominator
+    return total
 
 
 class TestLocalization:
@@ -35,6 +63,40 @@ class TestLocalization:
     def test_rejects_repeated_roots(self):
         with pytest.raises(ValueError):
             localization_pushforward(2, 1, [1, 1])
+
+    def test_rejects_roots_repeated_across_types(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            localization_pushforward(2, 1, [2, Fraction(4, 2)])
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            localization_pushforward(2, 1, [Fraction(1, 2), 3, Fraction(2, 4)])
+
+    @settings(max_examples=100)
+    @given(st.one_of(distinct_roots, mixed_roots()), st.integers(1, 6), st.integers(0, 10))
+    def test_matches_the_per_subset_fraction_sum(self, roots, d, N):
+        d = min(d, len(roots))
+        value = localization_pushforward(N, d, roots)
+        assert type(value) is Fraction
+        assert value == reference_localization(N, d, roots)
+
+    @settings(max_examples=40)
+    @given(
+        st.one_of(distinct_roots, mixed_roots()),
+        st.integers(1, 4),
+        st.integers(0, 9),
+        st.integers(-5, 5).filter(bool),
+    )
+    def test_homogeneous_of_degree_N_minus_fiber_dimension(self, roots, d, N, c):
+        d = min(d, len(roots))
+        r = len(roots)
+        scaled = localization_pushforward(N, d, [c * y for y in roots])
+        assert scaled == Fraction(c) ** (N - d * (r - d)) * localization_pushforward(N, d, roots)
+
+    def test_result_is_a_fraction(self):
+        assert type(localization_pushforward(0, 1, [5])) is Fraction
+        assert type(localization_pushforward(4, 2, [0, 1, 2, 3])) is Fraction
+        assert type(localization_pushforward(1, 2, [0, 1, 2, 3])) is Fraction
+        # d = 1, r = 2: the value is h_2(y) = 1/4 + 1/6 + 1/9
+        assert localization_pushforward(3, 1, [Fraction(1, 2), Fraction(1, 3)]) == Fraction(19, 36)
 
     @settings(max_examples=50)
     @given(distinct_roots, st.integers(1, 3), st.integers(0, 8), st.randoms())
@@ -182,3 +244,44 @@ class TestVerifyDrivers:
         assert [rep.suite for rep in reports] == ["theorem", "remark", "degrees"]
         with pytest.raises(ValueError):
             run_suites("nonsense")
+
+
+# The unpatched functions, which the planted faults below wrap.
+_schur_coefficients = oracles.schur_coefficients
+_complete_homogeneous_values = oracles.complete_homogeneous_values
+_localization_pushforward = oracles.localization_pushforward
+
+
+def _off_by_one_coefficient(N, d, r):
+    terms = _schur_coefficients(N, d, r)
+    if terms:
+        lam, count = terms[0]
+        terms[0] = (lam, count + 1)
+    return terms
+
+
+def _odd_h_flipped(roots, top):
+    return [-v if k % 2 else v for k, v in enumerate(_complete_homogeneous_values(roots, top))]
+
+
+def _roots_negated(N, d, roots):
+    return _localization_pushforward(N, d, [-y for y in roots])
+
+
+class TestTheoremSuiteCatchesPlantedFaults:
+    """Each fault planted in the oracles namespace makes the theorem suite fail."""
+
+    def test_unpatched_suite_passes(self):
+        assert suite_theorem(max_d=2, max_r=4, trials=2).failures == 0
+
+    @pytest.mark.parametrize(
+        "name,fault",
+        [
+            ("schur_coefficients", _off_by_one_coefficient),
+            ("complete_homogeneous_values", _odd_h_flipped),
+            ("localization_pushforward", _roots_negated),
+        ],
+    )
+    def test_fault_is_caught(self, monkeypatch, name, fault):
+        monkeypatch.setattr(oracles, name, fault)
+        assert suite_theorem(max_d=2, max_r=4, trials=2).failures > 0

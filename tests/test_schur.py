@@ -185,6 +185,16 @@ class TestCompleteHomogeneous:
         assert complete_homogeneous_values([1, 1], 2) == [1, 2, 3]
         assert complete_homogeneous_values([2, 3], 1) == [1, 5]
 
+    def test_value_type_follows_the_roots(self):
+        ints = complete_homogeneous_values([2, -3, 5], 4)
+        assert all(type(v) is int for v in ints)
+        rationals = complete_homogeneous_values([Fraction(2), Fraction(-3), Fraction(5)], 4)
+        assert all(type(v) is Fraction for v in rationals[1:])
+        assert rationals == ints
+        mixed = complete_homogeneous_values([2, Fraction(1, 3)], 3)
+        assert all(type(v) is Fraction for v in mixed[1:])
+        assert mixed[0] == 1
+
     def test_one_repeated_root_gives_binomials(self):
         d = 4
         values = complete_homogeneous_values([1] * d, 6)
