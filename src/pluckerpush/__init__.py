@@ -34,7 +34,6 @@ from .chowring import (
 )
 from .pushforward import (
     compositions,
-    degree_grassmann_bundle,
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     monomial_coefficients,
@@ -43,6 +42,7 @@ from .pushforward import (
     pushforward_schur_class,
     rational_form_coefficients,
     schur_coefficients,
+    schur_form_terms,
 )
 from .oracles import (
     box_pieri_degree,
@@ -86,7 +86,6 @@ __all__ = [
     "ring_of",
     "segre_classes",
     "compositions",
-    "degree_grassmann_bundle",
     "degree_grassmann_bundle_terms",
     "degree_grassmannian_classical",
     "monomial_coefficients",
@@ -95,6 +94,7 @@ __all__ = [
     "pushforward_schur_class",
     "rational_form_coefficients",
     "schur_coefficients",
+    "schur_form_terms",
     "box_pieri_degree",
     "localization_pushforward",
     "run_suites",

@@ -245,7 +245,13 @@ class SplitBundle:
             raise ValueError(f"base_dim must be nonnegative, got {self.base_dim}")
         if len(self.twists) < 1:
             raise ValueError("twists must be nonempty")
-        object.__setattr__(self, "twists", tuple(int(a) for a in self.twists))
+        try:
+            twists = tuple(int(a) for a in self.twists)
+        except (OverflowError, ValueError):  # infinite or NaN floats
+            twists = None
+        if twists != tuple(self.twists):
+            raise ValueError(f"twists must be integers, got {tuple(self.twists)}")
+        object.__setattr__(self, "twists", twists)
 
     @property
     def rank(self) -> int:

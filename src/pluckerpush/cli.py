@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .chowring import BundleModel, FormalBundle, SplitBundle, render_terms
 from .oracles import run_suites
@@ -111,16 +110,13 @@ def cmd_degree(args: argparse.Namespace) -> int:
         raise UsageError("--pm must be nonnegative")
     model = SplitBundle(base_dim=args.pm, twists=twists)
     rows = degree_grassmann_bundle_terms(args.d, model)
-    degree = sum((count * integral for _, count, integral in rows), Fraction(0))
-    if degree.denominator != 1:
-        print(f"internal error: degree {degree} is not an integer", file=sys.stderr)
-        return EXIT_INTERNAL
+    degree = sum(count * integral for _, count, integral in rows)
     data = {
         "schema": SCHEMA_VERSION,
         "command": "degree",
         "d": args.d,
         "model": _model_json(model),
-        "degree": str(degree.numerator),
+        "degree": str(degree),
         "table": [
             {"shape": str(lam), "syt_count": str(count), "integral": str(integral)}
             for lam, count, integral in rows
@@ -129,7 +125,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(data, indent=2))
     else:
-        print(f"degree: {degree.numerator}")
+        print(f"degree: {degree}")
         for lam, count, integral in rows:
             print(f"{lam}: f={count} integral={integral}")
     return EXIT_OK

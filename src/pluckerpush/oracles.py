@@ -1,6 +1,6 @@
 """Independent verification machinery.
 
-Four oracles, none of which shares code with the production formula it checks:
+Three oracles, none of which shares code with the production formula it checks:
 
   * ``localization_pushforward``: the Gysin image of a power of the Pluecker
     class over a point with split Chern roots y_1..y_r, as the symmetrized sum
@@ -9,10 +9,10 @@ Four oracles, none of which shares code with the production formula it checks:
 
     The roots must be pairwise distinct.  The terms are summed in integers
     over one common denominator, the Vandermonde product of the roots scaled
-    to integers, and the total is reduced to a Fraction once.
-  * ``schur_form_at_roots``: the Schur-polynomial formula specialized to the
-    same roots through complete homogeneous values, with no truncation.
-  * ``schur_form_pushforward``: the same formula in a model's graded ring,
+    to integers, and the total is reduced to a Fraction once.  It checks
+    ``schur_form_at_roots``, the exact sum of the production rows
+    ``pushforward.schur_form_terms`` that the ``degree`` command also reads.
+  * ``schur_form_pushforward``: the Schur-form sum in a model's graded ring,
     one Jacobi-Trudi determinant of Segre classes per shape; the oracle of the
     monomial table behind ``pushforward_plucker_power``.
   * ``box_pieri_degree``: a box-truncated Pieri walk that computes Grassmannian
@@ -37,10 +37,11 @@ from .pushforward import (
     pushforward_rational_form,
     rational_form_coefficients,
     schur_coefficients,
+    schur_form_terms,
 )
 from .chowring import BundleModel, FormalBundle, GradedPoly, ring_of, segre_classes
 from .rng import SplitMix64
-from .schur import complete_homogeneous_values, schur_via_jacobi_trudi
+from .schur import schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
 
 
@@ -80,20 +81,11 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
 def schur_form_at_roots(N: int, d: int, roots: Sequence[Fraction | int]) -> Fraction:
     """The tableau-weighted Schur sum specialized at explicit Chern roots.
 
-    Segre classes become complete homogeneous values of the roots; nothing is
-    truncated, so this is a scalar identity check against localization.
+    The exact sum of the production rows ``schur_form_terms``, the code the
+    ``degree`` command runs; nothing is truncated, so this is the production
+    side of the scalar identity check against localization.
     """
-    r = len(roots)
-    if r < d:
-        raise ValueError(f"need at least d={d} roots, got {r}")
-    terms = schur_coefficients(N, d, r)
-    if not terms:
-        return Fraction(0)
-    h_values = complete_homogeneous_values(roots, N - d * (r - d) + d)
-    total = Fraction(0)
-    for lam, count in terms:
-        total += count * schur_via_jacobi_trudi(lam, h_values, size=d)
-    return total
+    return sum((count * value for _, count, value in schur_form_terms(N, d, roots)), Fraction(0))
 
 
 def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:

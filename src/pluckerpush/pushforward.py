@@ -16,23 +16,19 @@ class off an integer table, one coefficient per monomial in the Segre classes
 (``monomial_coefficients``), built from the composition-sum form with
 factorial denominators.  The Jacobi-Trudi sum in the graded ring is kept as
 its oracle, ``oracles.schur_form_pushforward``.
+
+At explicit Chern roots each Delta_lam is a scalar determinant of complete
+homogeneous values (``schur_form_terms``); at the twists of a split bundle
+over P^m these are the per-shape integrals of the Grassmann bundle's degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
-from .chowring import (
-    BundleModel,
-    FormalBundle,
-    GradedPoly,
-    SplitBundle,
-    integrate_over_pm,
-    ring_of,
-    segre_classes,
-)
+from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of, segre_classes
 from .partitions import Partition, add_rectangle, enumerate_partitions, multiset_permutations
 from .schur import complete_homogeneous_values, jacobi_trudi_det, schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
@@ -171,32 +167,33 @@ def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> Gra
     return ring.element({(weight,): value})
 
 
-def degree_grassmann_bundle_terms(
-    d: int, model: SplitBundle
-) -> list[tuple[Partition, int, Fraction]]:
-    """Per-shape contributions (shape, tableau count, integral) to the degree."""
-    r = model.rank
-    _check_d_r(d, r)
-    m = model.base_dim
-    segre = segre_classes(model, m + d)
-    return [
-        (lam, count, integrate_over_pm(schur_via_jacobi_trudi(lam, segre, size=d), m))
-        for lam, count in schur_coefficients(d * (r - d) + m, d, r)
-    ]
+def schur_form_terms(
+    N: int, d: int, roots: Sequence[int | Fraction]
+) -> list[tuple[Partition, int, int | Fraction]]:
+    """The rows (lam, f(lam + eps), Delta_lam(h(roots))) of the Schur form at Chern roots.
 
-
-def degree_grassmann_bundle(d: int, model: SplitBundle) -> Fraction:
-    """Degree of the Grassmann bundle of a split bundle over P^m.
-
-    Integrates the push-forward of the top power of the Pluecker class over
-    the base; always an integer when the twists make the embedding exist, but
-    returned exact and unreduced so callers can assert integrality.
+    r is the number of roots.  Each Segre class becomes the complete
+    homogeneous value of the roots, so every Delta_lam is a scalar
+    Jacobi-Trudi determinant and nothing is truncated; the push-forward of
+    theta^N at the roots is the sum of count * value.  Integer roots give
+    integer values.  Empty below the fiber dimension.
     """
-    r = model.rank
-    _check_d_r(d, r)
-    m = model.base_dim
-    top = pushforward_plucker_power(d * (r - d) + m, d, r, model)
-    return integrate_over_pm(top, m)
+    r = len(roots)
+    terms = schur_coefficients(N, d, r)
+    if not terms:
+        return []
+    h = complete_homogeneous_values(roots, N - d * (r - d) + d)
+    return [(lam, count, schur_via_jacobi_trudi(lam, h, size=d)) for lam, count in terms]
+
+
+def degree_grassmann_bundle_terms(d: int, model: SplitBundle) -> list[tuple[Partition, int, int]]:
+    """Per-shape contributions (shape, tableau count, integral) to the degree.
+
+    The integral of Delta_lam(s(E)) over P^m is Delta_lam(h(twists)), so the
+    rows are ``schur_form_terms`` at the twists; the degree is the sum of
+    count * integral.
+    """
+    return schur_form_terms(d * (model.rank - d) + model.base_dim, d, model.twists)
 
 
 def degree_grassmannian_classical(d: int, r: int) -> int:

@@ -157,6 +157,16 @@ class TestModels:
         with pytest.raises(ValueError):
             SplitBundle(base_dim=1, twists=())
 
+    def test_split_twists_must_be_integers(self):
+        # values int() would truncate, or fail on with another error
+        bad = [(Fraction(3, 2), 2), (1, 2.7), (Fraction(-1, 3),), (float("inf"),), (0, float("nan"))]
+        for twists in bad:
+            with pytest.raises(ValueError, match="twists must be integers"):
+                SplitBundle(base_dim=1, twists=twists)
+        assert SplitBundle(base_dim=1, twists=(-2, 0, 5)).twists == (-2, 0, 5)
+        model = SplitBundle(base_dim=1, twists=(Fraction(4, 2), 3.0))
+        assert model.twists == (2, 3) and all(type(a) is int for a in model.twists)
+
 
 class TestIntegration:
     def test_examples(self):

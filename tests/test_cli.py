@@ -131,6 +131,46 @@ class TestDegreeCommand:
         assert data["table"] == [{"shape": "(1)", "syt_count": "1", "integral": "3"}]
 
 
+# Degree output pinned from the graded-ring implementation that the scalar
+# determinants replaced: integer integrals, negative ones included, must keep
+# rendering as before ("-2", never "-2/1").
+DEGREE_GOLDEN = [
+    (
+        ("--d", "2", "--pm", "3", "--twists=-1,0,0,2"),
+        "degree: 42\n(3): f=14 integral=5\n(2,1): f=14 integral=-2\n",
+        {
+            "schema": 1,
+            "command": "degree",
+            "d": 2,
+            "model": {"type": "split", "base_dim": 3, "twists": [-1, 0, 0, 2]},
+            "degree": "42",
+            "table": [
+                {"shape": "(3)", "syt_count": "14", "integral": "5"},
+                {"shape": "(2,1)", "syt_count": "14", "integral": "-2"},
+            ],
+        },
+    ),
+    (
+        ("--d", "1", "--pm", "3", "--twists=-2,-1,0"),
+        "degree: -15\n(3): f=1 integral=-15\n",
+        {
+            "schema": 1,
+            "command": "degree",
+            "d": 1,
+            "model": {"type": "split", "base_dim": 3, "twists": [-2, -1, 0]},
+            "degree": "-15",
+            "table": [{"shape": "(3)", "syt_count": "1", "integral": "-15"}],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("args,text,payload", DEGREE_GOLDEN, ids=["negative-term", "negative-degree"])
+def test_degree_output_is_pinned(capsys, args, text, payload):
+    assert run_cli(capsys, "degree", *args) == (0, text)
+    assert run_cli(capsys, "degree", *args, "--json") == (0, json.dumps(payload, indent=2) + "\n")
+
+
 class TestDegreeClassicalCommand:
     @pytest.mark.parametrize(
         "d,r,expected", [(2, 4, "2"), (3, 6, "42"), (1, 9, "1"), (2, 5, "5")]

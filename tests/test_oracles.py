@@ -20,7 +20,8 @@ from pluckerpush import (
     syt_count_hook,
     verify_pushforward,
 )
-from pluckerpush import oracles
+from pluckerpush import oracles, pushforward
+from pluckerpush.cli import main
 
 distinct_roots = st.lists(st.integers(-30, 30), min_size=2, max_size=5, unique=True)
 non_integral = st.builds(Fraction, st.integers(-30, 30), st.integers(2, 7)).filter(
@@ -246,9 +247,12 @@ class TestVerifyDrivers:
             run_suites("nonsense")
 
 
-# The unpatched functions, which the planted faults below wrap.
-_schur_coefficients = oracles.schur_coefficients
-_complete_homogeneous_values = oracles.complete_homogeneous_values
+# The unpatched functions, which the planted faults below wrap.  The Schur
+# side of the theorem suite is the production evaluator, which looks its
+# helpers up in ``pushforward``, so its faults are planted there; the
+# localization fault is planted in ``oracles``.
+_schur_coefficients = pushforward.schur_coefficients
+_complete_homogeneous_values = pushforward.complete_homogeneous_values
 _localization_pushforward = oracles.localization_pushforward
 
 
@@ -268,20 +272,31 @@ def _roots_negated(N, d, roots):
     return _localization_pushforward(N, d, [-y for y in roots])
 
 
+SCHUR_SIDE_FAULTS = [
+    ("schur_coefficients", _off_by_one_coefficient),
+    ("complete_homogeneous_values", _odd_h_flipped),
+]
+
+
 class TestTheoremSuiteCatchesPlantedFaults:
-    """Each fault planted in the oracles namespace makes the theorem suite fail."""
+    """Each planted fault makes the theorem suite fail; the Schur-side ones
+    also change what the ``degree`` command prints."""
 
     def test_unpatched_suite_passes(self):
         assert suite_theorem(max_d=2, max_r=4, trials=2).failures == 0
 
     @pytest.mark.parametrize(
-        "name,fault",
-        [
-            ("schur_coefficients", _off_by_one_coefficient),
-            ("complete_homogeneous_values", _odd_h_flipped),
-            ("localization_pushforward", _roots_negated),
-        ],
+        "name,fault", SCHUR_SIDE_FAULTS + [("localization_pushforward", _roots_negated)]
     )
     def test_fault_is_caught(self, monkeypatch, name, fault):
-        monkeypatch.setattr(oracles, name, fault)
+        monkeypatch.setattr(oracles if name == "localization_pushforward" else pushforward, name, fault)
         assert suite_theorem(max_d=2, max_r=4, trials=2).failures > 0
+
+    @pytest.mark.parametrize("name,fault", SCHUR_SIDE_FAULTS)
+    def test_schur_side_fault_changes_degree(self, monkeypatch, capsys, name, fault):
+        argv = ["degree", "--d", "2", "--pm", "3", "--twists=-1,0,0,2"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.setattr(pushforward, name, fault)
+        assert main(argv) == 0
+        assert capsys.readouterr().out != clean

@@ -7,10 +7,10 @@ from pluckerpush import (
     Partition,
     SplitBundle,
     compositions,
-    degree_grassmann_bundle,
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     enumerate_partitions,
+    integrate_over_pm,
     monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
@@ -20,6 +20,7 @@ from pluckerpush import (
     ring_of,
     schur_coefficients,
     schur_form_pushforward,
+    schur_via_jacobi_trudi,
     segre_classes,
     syt_count_hook,
     syt_count_product,
@@ -167,22 +168,53 @@ class TestMonomialTable:
                         assert str(table) == str(oracle)
 
 
+# Twists with repeats, zeros and negatives, ranks 1 to 5.
+DEGREE_TWISTS = [
+    (0,), (-3,), (0, 0), (2, -1), (-2, -2), (1, 1, 1), (0, -1, 2), (-3, 0, 0),
+    (-1, 0, 0, 2), (2, 2, -1, -1), (0, 0, 0, 0), (1, -4, 2, -1, 3), (0, 0, 1, 1, -2),
+]
+
+
+def _degree(d, model):
+    return sum(count * integral for _, count, integral in degree_grassmann_bundle_terms(d, model))
+
+
+def _degree_grid():
+    for twists in DEGREE_TWISTS:
+        for d in range(1, len(twists) + 1):
+            for m in range(9):
+                yield d, SplitBundle(base_dim=m, twists=twists)
+
+
 class TestDegrees:
     def test_scroll_degree(self):
-        assert degree_grassmann_bundle(1, SplitBundle(base_dim=1, twists=(1, 2))) == 3
+        assert _degree(1, SplitBundle(base_dim=1, twists=(1, 2))) == 3
 
     def test_rank_three_example(self):
-        assert degree_grassmann_bundle(2, SplitBundle(base_dim=1, twists=(1, 1, 1))) == 6
+        assert _degree(2, SplitBundle(base_dim=1, twists=(1, 1, 1))) == 6
 
     def test_point_base_reduces_to_grassmannian(self):
-        assert degree_grassmann_bundle(1, SplitBundle(base_dim=0, twists=(0, 0))) == 1
-        assert degree_grassmann_bundle(2, SplitBundle(base_dim=0, twists=(0, 0, 0, 0))) == 2
+        assert _degree(1, SplitBundle(base_dim=0, twists=(0, 0))) == 1
+        assert _degree(2, SplitBundle(base_dim=0, twists=(0, 0, 0, 0))) == 2
+
+    def test_terms_match_graded_ring_reference(self):
+        # reference: each Delta_lam a Jacobi-Trudi determinant of Segre classes
+        # in the truncated ring of P^m, read off at h^m
+        for d, model in _degree_grid():
+            m = model.base_dim
+            rows = degree_grassmann_bundle_terms(d, model)
+            assert [lam for lam, _, _ in rows] == enumerate_partitions(m, d)
+            segre = segre_classes(model, m + d)
+            for lam, _, integral in rows:
+                assert type(integral) is int
+                assert integral == integrate_over_pm(schur_via_jacobi_trudi(lam, segre, size=d), m)
 
     def test_terms_table_sums_to_degree(self):
-        model = SplitBundle(base_dim=2, twists=(1, 2, 3))
-        rows = degree_grassmann_bundle_terms(2, model)
-        total = sum((count * integral for _, count, integral in rows), Fraction(0))
-        assert total == degree_grassmann_bundle(2, model)
+        # the top power pushed through the monomial table, integrated over P^m
+        for d, model in _degree_grid():
+            r, m = model.rank, model.base_dim
+            top = pushforward_plucker_power(d * (r - d) + m, d, r, model)
+            assert _degree(d, model) == integrate_over_pm(top, m)
 
     def test_classical_examples(self):
         assert degree_grassmannian_classical(2, 4) == 2
