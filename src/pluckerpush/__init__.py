@@ -15,11 +15,8 @@ from .partitions import (
 )
 from .tableaux import ENUMERATION_CAP, syt_count_hook, syt_count_product, syt_enumerate
 from .schur import (
-    SchurExpansion,
     complete_homogeneous_values,
-    h1_power_expansion,
     jacobi_trudi_det,
-    pieri_multiply,
     schur_via_jacobi_trudi,
 )
 from .chowring import (
@@ -33,7 +30,6 @@ from .chowring import (
     segre_classes,
 )
 from .pushforward import (
-    compositions,
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     monomial_coefficients,
@@ -47,6 +43,7 @@ from .pushforward import (
 from .oracles import (
     box_pieri_degree,
     localization_pushforward,
+    pieri_walk,
     run_suites,
     schur_form_at_roots,
     schur_form_pushforward,
@@ -71,11 +68,8 @@ __all__ = [
     "syt_count_hook",
     "syt_count_product",
     "syt_enumerate",
-    "SchurExpansion",
     "complete_homogeneous_values",
-    "h1_power_expansion",
     "jacobi_trudi_det",
-    "pieri_multiply",
     "schur_via_jacobi_trudi",
     "BundleModel",
     "FormalBundle",
@@ -85,7 +79,6 @@ __all__ = [
     "integrate_over_pm",
     "ring_of",
     "segre_classes",
-    "compositions",
     "degree_grassmann_bundle_terms",
     "degree_grassmannian_classical",
     "monomial_coefficients",
@@ -97,6 +90,7 @@ __all__ = [
     "schur_form_terms",
     "box_pieri_degree",
     "localization_pushforward",
+    "pieri_walk",
     "run_suites",
     "schur_form_at_roots",
     "schur_form_pushforward",

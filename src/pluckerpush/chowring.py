@@ -276,6 +276,9 @@ def ring_of(model: BundleModel) -> GradedRing:
 def segre_classes(model: BundleModel, top: int) -> list[GradedPoly]:
     """The classes s_0..s_top of the model, as ring elements.
 
+    Only the ring oracle ``oracles.schur_form_pushforward`` and the tests
+    multiply these; the production push-forward reads a monomial table.
+
     Sign convention: the total Segre class is the inverse of the total Chern
     class of the dual bundle, so for a split bundle s_k is h^k times the
     degree-k complete homogeneous value of the twists.

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a caller's
 mistake, caught here before any computation), 3 internal error (a broken
-invariant, or a ValueError raised inside the engine).  All stdout is
-deterministic for a given invocation and seed; timing goes to stderr only.
+invariant, or a ValueError raised inside the engine), 141 (128 + SIGPIPE)
+when the reader closes stdout before the output is written, with nothing on
+stderr.  All stdout is deterministic for a given invocation and seed; timing
+goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -257,7 +261,16 @@ def main(argv: list[str] | None = None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); point the descriptor at
+        # /dev/null so the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

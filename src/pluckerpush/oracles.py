@@ -14,9 +14,12 @@ Three oracles, none of which shares code with the production formula it checks:
     ``pushforward.schur_form_terms`` that the ``degree`` command also reads.
   * ``schur_form_pushforward``: the Schur-form sum in a model's graded ring,
     one Jacobi-Trudi determinant of Segre classes per shape; the oracle of the
-    monomial table behind ``pushforward_plucker_power``.
-  * ``box_pieri_degree``: a box-truncated Pieri walk that computes Grassmannian
-    degrees without factorials or determinants.
+    monomial table behind ``pushforward_plucker_power`` and of the rational
+    form, which share one walk over the exponent vectors.
+  * ``pieri_walk``: theta^N as a sum of Schur classes by repeated Pieri
+    steps, whose counts are the hook-length tableau counts the production
+    formulas read; ``box_pieri_degree`` truncates it to the d x (r-d) box and
+    computes Grassmannian degrees without factorials or determinants.
 
 The suite drivers compare these against the production code over seeded random
 grids and return reports that are byte-reproducible from the seed.
@@ -109,20 +112,21 @@ def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> Graded
     return total
 
 
-def box_pieri_degree(d: int, r: int) -> int:
-    """Grassmannian degree by walking Pieri steps inside the d x (r-d) box.
+def pieri_walk(steps: int, rows: int, width: int) -> dict[tuple[int, ...], int]:
+    """Multiply by the sum of ``rows`` variables ``steps`` times, by Pieri steps.
 
-    Self-contained on purpose: shares no code with the Schur expansion module
-    it cross-checks.
+    Each step adds one box to every shape in every way that keeps it a
+    partition with at most ``rows`` rows and at most ``width`` columns.  The
+    count of a shape (a tuple of positive parts) is the number of ways to
+    reach it, its standard-tableau count when ``width`` does not truncate
+    the walk.  Self-contained on purpose: shares no code with the tableau
+    counts and the Schur algebra it cross-checks.
     """
-    if not 1 <= d <= r:
-        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
-    width = r - d
     state: dict[tuple[int, ...], int] = {(): 1}
-    for _ in range(d * width):
+    for _ in range(steps):
         grown: dict[tuple[int, ...], int] = {}
         for shape, count in state.items():
-            for i in range(min(len(shape) + 1, d)):
+            for i in range(min(len(shape) + 1, rows)):
                 current = shape[i] if i < len(shape) else 0
                 if current + 1 > width:
                     continue
@@ -133,7 +137,16 @@ def box_pieri_degree(d: int, r: int) -> int:
                 key = tuple(p for p in new_shape if p)
                 grown[key] = grown.get(key, 0) + count
         state = grown
-    return state.get(tuple([width] * d) if width else (), 0)
+    return state
+
+
+def box_pieri_degree(d: int, r: int) -> int:
+    """Grassmannian degree as the count of the full d x (r-d) box in the Pieri
+    walk truncated to that box."""
+    if not 1 <= d <= r:
+        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
+    width = r - d
+    return pieri_walk(d * width, d, width).get(tuple([width] * d) if width else (), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +311,9 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
 
     Compares both variants against the Jacobi-Trudi Schur form
     (``schur_form_pushforward``) symbolically, over formal
-    bundles with base dimension equal to the output degree.  Passes only if
+    bundles with base dimension equal to the output degree.  Both variants
+    walk the exponent vectors the production monomial table walks, so the
+    suite checks that walk against the ring oracle too.  Passes only if
     exactly one variant matches on every instance; also records whether the
     matching variant's coefficients were integers throughout.
     """
@@ -394,36 +409,20 @@ def suite_degrees(max_r: int = 8) -> SuiteReport:
     )
 
 
-def run_suites(
-    suite: str,
-    seed: int = 42,
-    max_d: int = 3,
-    max_r: int | None = None,
-    extra_powers: int | None = None,
-    trials: int = 20,
-) -> list[SuiteReport]:
-    """Run one named suite, or all three; grid bounds fall back per suite."""
+def run_suites(suite: str, seed: int = 42, trials: int = 20, **bounds: int) -> list[SuiteReport]:
+    """Run one named suite, or all three.
+
+    ``bounds`` holds the grid bounds the caller gave (max_d, max_r,
+    extra_powers); each suite keeps its own defaults for the rest, and the
+    degrees suite takes only max_r.
+    """
     reports = []
     if suite in ("theorem", "all"):
-        reports.append(
-            suite_theorem(
-                max_d=max_d,
-                max_r=max_r if max_r is not None else 6,
-                extra_powers=extra_powers if extra_powers is not None else 4,
-                trials=trials,
-                seed=seed,
-            )
-        )
+        reports.append(suite_theorem(trials=trials, seed=seed, **bounds))
     if suite in ("remark", "all"):
-        reports.append(
-            suite_remark(
-                max_d=max_d,
-                max_r=max_r if max_r is not None else 6,
-                extra_powers=extra_powers if extra_powers is not None else 3,
-            )
-        )
+        reports.append(suite_remark(**bounds))
     if suite in ("degrees", "all"):
-        reports.append(suite_degrees(max_r=max_r if max_r is not None else 8))
+        reports.append(suite_degrees(max_r=bounds["max_r"]) if "max_r" in bounds else suite_degrees())
     if not reports:
         raise ValueError(f"unknown suite {suite!r}")
     return reports

@@ -14,8 +14,10 @@ critical power d(r-d) the push-forward vanishes for degree reasons.
 The production path does not expand those determinants.  It reads the same
 class off an integer table, one coefficient per monomial in the Segre classes
 (``monomial_coefficients``), built from the composition-sum form with
-factorial denominators.  The Jacobi-Trudi sum in the graded ring is kept as
-its oracle, ``oracles.schur_form_pushforward``.
+factorial denominators.  One walk over the exponent vectors, partition by
+partition, feeds that table and the rational form of either denominator
+variant, and one helper turns a table into a class; the Jacobi-Trudi sum in
+the graded ring is their oracle, ``oracles.schur_form_pushforward``.
 
 At explicit Chern roots each Delta_lam is a scalar determinant of complete
 homogeneous values (``schur_form_terms``); at the twists of a split bundle
@@ -28,7 +30,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterator, Literal, Sequence
 
-from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of, segre_classes
+from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
 from .partitions import Partition, add_rectangle, enumerate_partitions, multiset_permutations
 from .schur import complete_homogeneous_values, jacobi_trudi_det, schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
@@ -85,24 +87,30 @@ def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:
     return [factorial(t) if denominator == "factorial" else t for t in range(top + 1)]
 
 
-def _composition_term(
-    n_fact: int, k: tuple[int, ...], r: int, denominators: list[int]
-) -> tuple[int, int]:
-    """Numerator N! * prod_{i<j} (k_i - k_j - i + j) and denominator prod_i D(r + k_i - i)
-    of the k-th term of the composition-sum form (i counted from 1).
+def _composition_terms(
+    N: int, d: int, r: int, denominator: DenominatorVariant
+) -> Iterator[tuple[Partition, tuple[int, ...], int, int]]:
+    """Every nonvanishing term (mu, k, numerator, denominator) of the composition sum.
 
-    A vanishing term, one where two of the k_i - i coincide, comes back as
-    (0, 1) without its denominator.
+    The exponent vectors k, d nonnegative integers with |k| = N - d(r-d),
+    come partition by partition: for each mu in reverse-lexicographic order,
+    the distinct permutations of mu padded with zeros.  The k-th term is
+    N! * prod_{i<j} (k_i - k_j - i + j) over prod_i D(r + k_i - i) (i counted
+    from 1); a term where two of the k_i - i coincide vanishes and is skipped.
+    Requires N at or above the fiber dimension.
     """
-    shifted = [part - i for i, part in enumerate(k)]
-    if len(set(shifted)) < len(shifted):
-        return 0, 1
-    difference = 1
-    for i, a in enumerate(shifted):
-        for b in shifted[i + 1 :]:
-            difference *= a - b
-    denominator = prod(denominators[r + part - i - 1] for i, part in enumerate(k))
-    return n_fact * difference, denominator
+    n_fact = factorial(N)
+    weight = N - d * (r - d)
+    denominators = _denominator_table(denominator, r + weight)
+    for mu in enumerate_partitions(weight, d):
+        for k in multiset_permutations(mu.part(i) for i in range(d)):
+            shifted = [part - i for i, part in enumerate(k)]
+            if len(set(shifted)) < d:
+                continue
+            difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
+            yield mu, k, n_fact * difference, prod(
+                denominators[r + part - i - 1] for i, part in enumerate(k)
+            )
 
 
 def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
@@ -117,43 +125,29 @@ def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]
     c * s_{mu_1} * ... * s_{mu_l}.  Empty below the fiber dimension.
     """
     _check_d_r(d, r)
-    fiber_dim = d * (r - d)
-    if N < fiber_dim:
+    if N < d * (r - d):
         return []
-    weight = N - fiber_dim
-    n_fact = factorial(N)
-    factorials = _denominator_table("factorial", r + weight)
-    table = []
-    for mu in enumerate_partitions(weight, d):
-        total = 0
-        for k in multiset_permutations(mu.part(i) for i in range(d)):
-            numerator, denominator = _composition_term(n_fact, k, r, factorials)
-            term, rem = divmod(numerator, denominator)
-            assert rem == 0, f"composition term not integral at k={k} for d={d}, r={r}"
-            total += term
-        table.append((mu, total))
-    return table
+    table: dict[Partition, int] = {}
+    for mu, k, numerator, denominator in _composition_terms(N, d, r, "factorial"):
+        term, rem = divmod(numerator, denominator)
+        assert rem == 0, f"composition term not integral at k={k} for d={d}, r={r}"
+        table[mu] = table.get(mu, 0) + term
+    return list(table.items())
 
 
-def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
-    """Push the N-th power of the Pluecker class down to the base of the model.
+def _class_of_table(
+    table: list[tuple[Partition, int | Fraction]], weight: int, model: BundleModel
+) -> GradedPoly:
+    """The class of degree ``weight`` that a monomial table stands for in the model.
 
-    Homogeneous of degree N - d(r-d); the zero class when N is below the
-    fiber dimension d(r-d), or when that degree exceeds the base dimension.
-    Reads ``monomial_coefficients``: over a formal base each entry (mu, c) is
-    the monomial c * s_{mu_1} * ... * s_{mu_l}, over P^m it contributes
-    c * h_{mu_1}(a) * ... * h_{mu_l}(a) to the coefficient of h^w, with a the
-    twists.
+    Over a formal base each entry (mu, c) is the monomial c * s_{mu_1} * ...
+    * s_{mu_l}; over P^m it contributes c * h_{mu_1}(a) * ... * h_{mu_l}(a) to
+    the coefficient of h^weight, with a the twists.  The zero class when the
+    weight is negative or exceeds the base dimension.
     """
-    _check_d_r(d, r)
-    _check_model(r, model)
-    if N < 0:
-        raise ValueError(f"power must be nonnegative, got {N}")
     ring = ring_of(model)
-    weight = N - d * (r - d)
     if not 0 <= weight <= model.base_dim:
         return ring.zero()
-    table = monomial_coefficients(N, d, r)
     if isinstance(model, FormalBundle):
         monomials = {}
         for mu, coeff in table:
@@ -165,6 +159,23 @@ def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> Gra
     h = complete_homogeneous_values(model.twists, weight)
     value = sum((coeff * prod(h[part] for part in mu) for mu, coeff in table), Fraction(0))
     return ring.element({(weight,): value})
+
+
+def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
+    """Push the N-th power of the Pluecker class down to the base of the model.
+
+    Homogeneous of degree N - d(r-d); the zero class when N is below the
+    fiber dimension d(r-d), or when that degree exceeds the base dimension.
+    The class of the ``monomial_coefficients`` table in the model.
+    """
+    _check_d_r(d, r)
+    _check_model(r, model)
+    if N < 0:
+        raise ValueError(f"power must be nonnegative, got {N}")
+    weight = N - d * (r - d)
+    # a base too small for the output degree needs no table
+    table = monomial_coefficients(N, d, r) if weight <= model.base_dim else []
+    return _class_of_table(table, weight, model)
 
 
 def schur_form_terms(
@@ -210,24 +221,14 @@ def degree_grassmannian_classical(d: int, r: int) -> int:
     return degree
 
 
-def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All vectors of ``length`` nonnegative integers summing to ``total``,
-    first coordinate descending (lexicographically largest first)."""
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, length - 1):
-            yield (first,) + rest
-
-
 def rational_form_coefficients(
     N: int, d: int, r: int, denominator: DenominatorVariant
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Coefficients of the composition-sum form of the push-forward.
 
     The sum runs over all vectors k of d nonnegative integers with
-    |k| = N - d(r-d); the k-th coefficient is
+    |k| = N - d(r-d), partition by partition as the monomial table walks
+    them; the k-th coefficient is
 
         N! * prod_{i<j} (k_i - k_j - i + j) / prod_i D_i
 
@@ -242,14 +243,8 @@ def rational_form_coefficients(
     fiber_dim = d * (r - d)
     if N < fiber_dim:
         raise ValueError(f"power {N} is below the fiber dimension {fiber_dim}")
-    weight = N - fiber_dim
-    n_fact = factorial(N)
-    denominators = _denominator_table(denominator, r + weight)
     out = []
-    for k in compositions(weight, d):
-        numerator, denom = _composition_term(n_fact, k, r, denominators)
-        if numerator == 0:
-            continue
+    for _, k, numerator, denom in _composition_terms(N, d, r, denominator):
         if denom == 0:
             raise ZeroDivisionError(
                 f"{denominator} denominator vanishes at k={k} for d={d}, r={r}"
@@ -263,19 +258,15 @@ def pushforward_rational_form(
 ) -> GradedPoly:
     """Composition-sum form of the push-forward, with rational coefficients.
 
-    Evaluates the ``rational_form_coefficients`` sum on products of Segre
-    classes of the model.  The remark suite determines empirically which
-    denominator variant agrees with the Jacobi-Trudi Schur form.
+    Groups the ``rational_form_coefficients`` by the sorted exponent vector
+    into a monomial table and reads its class in the model, as the
+    production path does; no Segre classes are multiplied.  The remark suite
+    determines empirically which denominator variant agrees with the
+    Jacobi-Trudi Schur form.
     """
     _check_model(r, model)
-    coefficients = rational_form_coefficients(N, d, r, denominator)
-    ring = ring_of(model)
-    weight = N - d * (r - d)
-    segre = segre_classes(model, weight)
-    total = ring.zero()
-    for k, coeff in coefficients:
-        term = ring.scalar(coeff)
-        for exponent in k:
-            term = term * segre[exponent]
-        total = total + term
-    return total
+    table: dict[Partition, Fraction] = {}
+    for k, coeff in rational_form_coefficients(N, d, r, denominator):
+        mu = Partition(sorted(k, reverse=True))
+        table[mu] = table.get(mu, 0) + coeff
+    return _class_of_table(list(table.items()), N - d * (r - d), model)

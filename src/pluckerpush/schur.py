@@ -1,91 +1,18 @@
-"""Schur-basis expansions via Pieri steps, and Jacobi-Trudi determinants.
+"""Jacobi-Trudi determinants and complete homogeneous values.
 
 The determinant evaluator is generic over the coefficient domain: it only
-needs +, -, * and an identity element, so the same code serves exact rationals
-and truncated graded ring elements.
+needs +, -, * and an identity element, so the same code serves exact integers
+and rationals and truncated graded ring elements.  The Schur expansion of a
+power of the Pluecker class by Pieri steps is an oracle,
+``oracles.pieri_walk``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .partitions import Partition
-
-
-@dataclass(frozen=True)
-class SchurExpansion:
-    """A homogeneous integer combination of Schur polynomials in d variables.
-
-    Keys are partitions with at most ``num_variables`` parts, values are
-    nonzero integers, and all keys share one weight.
-    """
-
-    terms: Mapping[Partition, int]
-    num_variables: int
-
-    def __post_init__(self) -> None:
-        if self.num_variables < 1:
-            raise ValueError(f"num_variables must be positive, got {self.num_variables}")
-        weights = set()
-        for lam, coeff in self.terms.items():
-            if len(lam) > self.num_variables:
-                raise ValueError(f"key {lam} exceeds {self.num_variables} parts")
-            if coeff == 0:
-                raise ValueError(f"zero coefficient stored for {lam}")
-            weights.add(lam.weight)
-        if len(weights) > 1:
-            raise ValueError(f"expansion is not homogeneous, weights {sorted(weights)}")
-
-    def coefficient(self, lam: Partition) -> int:
-        return self.terms.get(lam, 0)
-
-    def sorted_terms(self) -> list[tuple[Partition, int]]:
-        """Terms in reverse-lexicographic key order, the canonical output order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
-    def weight(self) -> int:
-        """Common weight of the keys (0 for the empty expansion)."""
-        for lam in self.terms:
-            return lam.weight
-        return 0
-
-
-def pieri_multiply(expansion: SchurExpansion) -> SchurExpansion:
-    """Multiply by the sum of the variables: each shape grows by one box.
-
-    A box can go at the end of any row that stays weakly decreasing, or start
-    a new row while the number of rows stays within ``num_variables``.
-    """
-    d = expansion.num_variables
-    out: dict[Partition, int] = {}
-    for lam, coeff in expansion.terms.items():
-        for i in range(min(len(lam) + 1, d)):
-            if i > 0 and lam.part(i) + 1 > lam[i - 1]:
-                continue
-            grown = list(lam)
-            if i == len(grown):
-                grown.append(1)
-            else:
-                grown[i] += 1
-            mu = Partition(grown)
-            out[mu] = out.get(mu, 0) + coeff
-    return SchurExpansion({k: v for k, v in out.items() if v}, d)
-
-
-def h1_power_expansion(power: int, num_variables: int) -> SchurExpansion:
-    """Expand (x_1 + ... + x_d)^power in the Schur basis by iterated Pieri steps.
-
-    The coefficient of each shape equals its standard-tableau count, which the
-    test suite checks against the hook-length formula.
-    """
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
-    expansion = SchurExpansion({Partition(): 1}, num_variables)
-    for _ in range(power):
-        expansion = pieri_multiply(expansion)
-    return expansion
 
 
 def det(matrix: list[list[Any]]) -> Any:

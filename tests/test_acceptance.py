@@ -13,6 +13,7 @@ import pytest
 from pluckerpush import (
     ENUMERATION_CAP,
     FormalBundle,
+    Partition,
     SplitBundle,
     SplitMix64,
     add_rectangle,
@@ -20,9 +21,9 @@ from pluckerpush import (
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     enumerate_partitions,
-    h1_power_expansion,
     integrate_over_pm,
     localization_pushforward,
+    pieri_walk,
     pushforward_plucker_power,
     pushforward_rational_form,
     pushforward_schur_class,
@@ -92,14 +93,15 @@ def test_criterion_04_pieri_coefficients_and_specialization():
     with criterion(4, "Pieri coefficients are tableau counts; specialization sums to d^N", 10.0):
         for d in range(1, 5):
             for N in range(11):
-                expansion = h1_power_expansion(N, d)
-                assert dict(expansion.terms) == {
+                # width N: the walk is not truncated
+                expansion = pieri_walk(N, d, N)
+                assert expansion == {
                     lam: syt_count_hook(lam) for lam in enumerate_partitions(N, d)
                 }
                 h = [Fraction(comb(k + d - 1, k)) for k in range(N + 1)]
                 total = sum(
-                    coeff * schur_via_jacobi_trudi(lam, h)
-                    for lam, coeff in expansion.terms.items()
+                    coeff * schur_via_jacobi_trudi(Partition(shape), h)
+                    for shape, coeff in expansion.items()
                 )
                 assert total == d**N
 

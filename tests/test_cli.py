@@ -327,14 +327,38 @@ class TestEntryPoints:
         assert excinfo.value.code == 2
 
     def test_module_invocation(self):
-        # the child imports the package these tests import, installed or not
-        package_root = str(Path(pluckerpush.__file__).resolve().parent.parent)
-        path = [package_root, os.environ.get("PYTHONPATH", "")]
         result = subprocess.run(
             [sys.executable, "-m", "pluckerpush", "degree-classical", "--d", "3", "--r", "6"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            env=_child_env(),
         )
         assert result.returncode == 0
         assert result.stdout.strip() == "42"
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # about 128 kB of rows, twice a pipe buffer: the writes after the
+        # reader closes its end must fail, as under ``| head -1``
+        argv = ["degree", "--d", "6", "--pm", "30", "--twists=1,2,3,4,5,6,7,8,9,10,11,12"]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "pluckerpush", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_child_env(),
+        )
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 141
+        assert first.startswith(b"degree: ")
+        assert b"Traceback" not in err
+        assert err == b""
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child that imports the package these tests import,
+    installed or not."""
+    package_root = str(Path(pluckerpush.__file__).resolve().parent.parent)
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

@@ -300,3 +300,44 @@ class TestTheoremSuiteCatchesPlantedFaults:
         monkeypatch.setattr(pushforward, name, fault)
         assert main(argv) == 0
         assert capsys.readouterr().out != clean
+
+
+# Faults in the walk over exponent vectors that the monomial table and the
+# rational form share; both are looked up in ``pushforward``.
+_multiset_permutations = pushforward.multiset_permutations
+_denominator_table = pushforward._denominator_table
+
+
+def _last_ordering_dropped(items):
+    return list(_multiset_permutations(items))[:-1]
+
+
+def _always_linear(denominator, top):
+    return _denominator_table("linear", top)
+
+
+ENUMERATOR_FAULTS = [
+    ("multiset_permutations", _last_ordering_dropped),
+    ("_denominator_table", _always_linear),
+]
+
+
+class TestRemarkSuiteCatchesPlantedFaults:
+    """Each planted fault in the shared enumerator makes the remark suite fail
+    and changes what a formal ``pushforward`` call prints or returns."""
+
+    def test_unpatched_suite_passes(self):
+        assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures == 0
+
+    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS)
+    def test_fault_is_caught(self, monkeypatch, name, fault):
+        monkeypatch.setattr(pushforward, name, fault)
+        assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures > 0
+
+    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS)
+    def test_fault_changes_formal_pushforward(self, monkeypatch, capsys, name, fault):
+        argv = ["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]
+        clean = main(argv), capsys.readouterr().out
+        assert clean[0] == 0
+        monkeypatch.setattr(pushforward, name, fault)
+        assert (main(argv), capsys.readouterr().out) != clean

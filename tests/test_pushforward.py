@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -6,11 +7,13 @@ from pluckerpush import (
     FormalBundle,
     Partition,
     SplitBundle,
-    compositions,
+    SplitMix64,
+    complete_homogeneous_values,
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     enumerate_partitions,
     integrate_over_pm,
+    localization_pushforward,
     monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
@@ -154,6 +157,26 @@ class TestMonomialTable:
                         assert table == oracle
                         assert str(table) == str(oracle)
 
+    def test_formal_class_at_roots_matches_localization(self):
+        # an oracle that shares no code with the table: substitute s_i -> h_i(y)
+        # into the formal class at seeded distinct integer roots y; with the
+        # base dimension at the output degree nothing is truncated, so the
+        # value is the Gysin localization sum over the same roots
+        gen = SplitMix64(2015)
+        for d in range(1, 4):
+            for r in range(d, 7):
+                for w in range(6):
+                    N = d * (r - d) + w
+                    image = pushforward_plucker_power(N, d, r, FormalBundle(base_dim=w, rank=r))
+                    for _ in range(2):
+                        roots = gen.distinct_integers(r, -3 * r, 3 * r)
+                        h = complete_homogeneous_values(roots, w)
+                        value = sum(
+                            coeff * prod(h[i + 1] ** e for i, e in enumerate(exps))
+                            for exps, coeff in image.monomials.items()
+                        )
+                        assert value == localization_pushforward(N, d, roots)
+
     def test_split_grid_matches_jacobi_trudi_oracle(self):
         for twists in [(0, -1), (2, -3, 1), (-2, -1, 0, 3), (1, -4, 2, -1, 3)]:
             r = len(twists)
@@ -231,10 +254,6 @@ class TestDegrees:
 
 
 class TestRationalForm:
-    def test_compositions_order(self):
-        assert list(compositions(2, 2)) == [(2, 0), (1, 1), (0, 2)]
-        assert list(compositions(0, 3)) == [(0, 0, 0)]
-
     def test_single_row_coefficients_are_one(self):
         # with a rank-1 quotient the factorial variant reduces to plain Segre classes
         for r in range(1, 6):

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from pluckerpush import (
     Partition,
-    SchurExpansion,
     complete_homogeneous_values,
     enumerate_partitions,
-    h1_power_expansion,
     jacobi_trudi_det,
-    pieri_multiply,
+    pieri_walk,
     schur_via_jacobi_trudi,
     syt_count_hook,
 )
@@ -48,41 +46,27 @@ def bialternant(lam: Partition, roots: list[Fraction]) -> Fraction:
     return numerator / denominator
 
 
-class TestSchurExpansion:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SchurExpansion({Partition((1,)): 0}, 2)
-        with pytest.raises(ValueError):
-            SchurExpansion({Partition((1, 1, 1)): 1}, 2)
-        with pytest.raises(ValueError):
-            SchurExpansion({Partition((2,)): 1, Partition((1,)): 1}, 2)
-
-    def test_sorted_terms_reverse_lex(self):
-        e = h1_power_expansion(4, 2)
-        keys = [lam for lam, _ in e.sorted_terms()]
-        assert keys == [Partition((4,)), Partition((3, 1)), Partition((2, 2))]
-
-
 class TestPieri:
     def test_examples(self):
-        start = SchurExpansion({Partition(): 1}, 2)
-        assert pieri_multiply(start).terms == {Partition((1,)): 1}
-        one_box = SchurExpansion({Partition((1,)): 1}, 2)
-        assert pieri_multiply(one_box).terms == {Partition((2,)): 1, Partition((1, 1)): 1}
-        single_row = SchurExpansion({Partition((1,)): 1}, 1)
-        assert pieri_multiply(single_row).terms == {Partition((2,)): 1}
+        assert pieri_walk(0, 2, 2) == {(): 1}
+        assert pieri_walk(1, 2, 1) == {(1,): 1}
+        assert pieri_walk(2, 2, 2) == {(2,): 1, (1, 1): 1}
+        assert pieri_walk(2, 1, 2) == {(2,): 1}
+        # the width truncates: no row may pass it
+        assert pieri_walk(2, 2, 1) == {(1, 1): 1}
+        assert pieri_walk(3, 2, 2) == {(2, 1): 2}
 
     def test_weight_increases_by_one(self):
-        e = h1_power_expansion(5, 3)
-        assert pieri_multiply(e).weight() == e.weight() + 1
+        for steps in range(8):
+            assert {sum(shape) for shape in pieri_walk(steps, 3, steps)} == {steps}
 
 
 class TestPowerExpansion:
     def test_examples(self):
-        assert h1_power_expansion(0, 3).terms == {Partition(): 1}
-        assert h1_power_expansion(2, 2).terms == {Partition((2,)): 1, Partition((1, 1)): 1}
-        assert h1_power_expansion(3, 2).terms == {Partition((3,)): 1, Partition((2, 1)): 2}
-        assert h1_power_expansion(4, 2).terms == {
+        assert pieri_walk(0, 3, 0) == {(): 1}
+        assert pieri_walk(2, 2, 2) == {Partition((2,)): 1, Partition((1, 1)): 1}
+        assert pieri_walk(3, 2, 3) == {Partition((3,)): 1, Partition((2, 1)): 2}
+        assert pieri_walk(4, 2, 4) == {
             Partition((4,)): 1,
             Partition((3, 1)): 3,
             Partition((2, 2)): 2,
@@ -91,11 +75,8 @@ class TestPowerExpansion:
     def test_coefficients_are_tableau_counts(self):
         for d in range(1, 5):
             for power in range(11):
-                expansion = h1_power_expansion(power, d)
-                expected = {
-                    lam: syt_count_hook(lam) for lam in enumerate_partitions(power, d)
-                }
-                assert dict(expansion.terms) == expected
+                expected = {lam: syt_count_hook(lam) for lam in enumerate_partitions(power, d)}
+                assert pieri_walk(power, d, power) == expected
 
     def test_principal_specialization(self):
         # evaluating every Schur term at d equal values must reproduce d^power
@@ -103,8 +84,8 @@ class TestPowerExpansion:
             for power in range(11):
                 h = [Fraction(comb(k + d - 1, k)) for k in range(power + 1)]
                 total = sum(
-                    coeff * schur_via_jacobi_trudi(lam, h)
-                    for lam, coeff in h1_power_expansion(power, d).terms.items()
+                    count * schur_via_jacobi_trudi(Partition(shape), h)
+                    for shape, count in pieri_walk(power, d, power).items()
                 )
                 assert total == d**power
 
