@@ -35,7 +35,6 @@ from .pushforward import (
     monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
-    pushforward_schur_class,
     rational_form_coefficients,
     schur_coefficients,
     schur_form_terms,
@@ -84,7 +83,6 @@ __all__ = [
     "monomial_coefficients",
     "pushforward_plucker_power",
     "pushforward_rational_form",
-    "pushforward_schur_class",
     "rational_form_coefficients",
     "schur_coefficients",
     "schur_form_terms",

@@ -14,32 +14,44 @@ package computes with:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Union
 
+from .records import FrozenRecord
 from .schur import complete_homogeneous_values
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
-@dataclass(frozen=True)
-class GradedRing:
+class GradedRing(FrozenRecord):
     """Ring descriptor shared by all its elements."""
 
-    names: tuple[str, ...]
-    weights: tuple[int, ...]
-    top_degree: int
+    __slots__ = ("names", "weights", "top_degree")
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.weights):
+    def __init__(self, names: tuple[str, ...], weights: tuple[int, ...], top_degree: int) -> None:
+        if len(names) != len(weights):
             raise ValueError("names and weights must have equal length")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"generator names must be distinct, got {self.names}")
-        if any(w < 1 for w in self.weights):
-            raise ValueError(f"generator weights must be positive, got {self.weights}")
-        if self.top_degree < 0:
-            raise ValueError(f"top_degree must be nonnegative, got {self.top_degree}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"generator names must be distinct, got {names}")
+        if any(w < 1 for w in weights):
+            raise ValueError(f"generator weights must be positive, got {weights}")
+        if top_degree < 0:
+            raise ValueError(f"top_degree must be nonnegative, got {top_degree}")
+        self._freeze(names, weights, top_degree)
+
+    def __eq__(self, other: object) -> bool:
+        # every ring operation compares rings, so compare the fields directly
+        if self is other:
+            return True
+        if other.__class__ is not GradedRing:
+            return NotImplemented
+        return (
+            self.names == other.names
+            and self.weights == other.weights
+            and self.top_degree == other.top_degree
+        )
+
+    __hash__ = FrozenRecord.__hash__
 
     def monomial_weight(self, exponents: tuple[int, ...]) -> int:
         return sum(w * e for w, e in zip(self.weights, exponents))
@@ -101,11 +113,6 @@ class GradedPoly:
         """Sorted list of the distinct monomial weights present."""
         return sorted({self.ring.monomial_weight(e) for e in self.monomials})
 
-    def homogeneous_degree(self) -> int | None:
-        """The common weight of all monomials, or None if mixed or zero."""
-        degs = self.degrees()
-        return degs[0] if len(degs) == 1 else None
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other: object) -> "GradedPoly | None":
@@ -136,12 +143,6 @@ class GradedPoly:
         if rhs is None:
             return NotImplemented
         return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "GradedPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other: object) -> "GradedPoly":
         rhs = self._coerce(other)
@@ -216,49 +217,46 @@ def render_terms(terms: list[tuple[str, str]]) -> str:
     return "".join(rendered)
 
 
-@dataclass(frozen=True)
-class FormalBundle:
+class FormalBundle(FrozenRecord):
     """Rank-r bundle over a formal base of dimension n.
 
     The Segre classes are free generators up to weight n and vanish above.
     """
 
-    base_dim: int
-    rank: int
+    __slots__ = ("base_dim", "rank")
 
-    def __post_init__(self) -> None:
-        if self.base_dim < 0:
-            raise ValueError(f"base_dim must be nonnegative, got {self.base_dim}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
+    def __init__(self, base_dim: int, rank: int) -> None:
+        if base_dim < 0:
+            raise ValueError(f"base_dim must be nonnegative, got {base_dim}")
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        self._freeze(base_dim, rank)
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(FrozenRecord):
     """Direct sum of line bundles O(a_1) + ... + O(a_r) over projective space P^m."""
 
-    base_dim: int
-    twists: tuple[int, ...]
+    __slots__ = ("base_dim", "twists")
 
-    def __post_init__(self) -> None:
-        if self.base_dim < 0:
-            raise ValueError(f"base_dim must be nonnegative, got {self.base_dim}")
-        if len(self.twists) < 1:
+    def __init__(self, base_dim: int, twists: tuple[int, ...]) -> None:
+        if base_dim < 0:
+            raise ValueError(f"base_dim must be nonnegative, got {base_dim}")
+        if len(twists) < 1:
             raise ValueError("twists must be nonempty")
         try:
-            twists = tuple(int(a) for a in self.twists)
+            ints = tuple(int(a) for a in twists)
         except (OverflowError, ValueError):  # infinite or NaN floats
-            twists = None
-        if twists != tuple(self.twists):
-            raise ValueError(f"twists must be integers, got {tuple(self.twists)}")
-        object.__setattr__(self, "twists", twists)
+            ints = None
+        if ints != tuple(twists):
+            raise ValueError(f"twists must be integers, got {tuple(twists)}")
+        self._freeze(base_dim, ints)
 
     @property
     def rank(self) -> int:
         return len(self.twists)
 
 
-BundleModel = Union[FormalBundle, SplitBundle]
+BundleModel = FormalBundle | SplitBundle
 
 
 def ring_of(model: BundleModel) -> GradedRing:

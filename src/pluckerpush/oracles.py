@@ -29,20 +29,20 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
 
 from .partitions import rectangle
 from .pushforward import (
+    _rational_form_class,
     degree_grassmannian_classical,
-    pushforward_rational_form,
     rational_form_coefficients,
     schur_coefficients,
     schur_form_terms,
 )
 from .chowring import BundleModel, FormalBundle, GradedPoly, ring_of, segre_classes
+from .records import Record
 from .rng import SplitMix64
 from .schur import schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
@@ -154,26 +154,30 @@ def box_pieri_degree(d: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrialRecord:
-    roots: list[int]
-    localization: Fraction
-    schur_form: Fraction
+class TrialRecord(Record):
+    __slots__ = ("roots", "localization", "schur_form")
+
+    def __init__(self, roots: list[int], localization: Fraction, schur_form: Fraction) -> None:
+        self.roots = roots
+        self.localization = localization
+        self.schur_form = schur_form
 
     @property
     def equal(self) -> bool:
         return self.localization == self.schur_form
 
 
-@dataclass
-class CellReport:
+class CellReport(Record):
     """Randomized comparison of the two scalar oracles for one (d, r, N)."""
 
-    d: int
-    r: int
-    N: int
-    seed: int
-    trials: list[TrialRecord]
+    __slots__ = ("d", "r", "N", "seed", "trials")
+
+    def __init__(self, d: int, r: int, N: int, seed: int, trials: list[TrialRecord]) -> None:
+        self.d = d
+        self.r = r
+        self.N = N
+        self.seed = seed
+        self.trials = trials
 
     @property
     def failures(self) -> int:
@@ -209,23 +213,45 @@ def verify_pushforward(d: int, r: int, N: int, trials: int, seed: int) -> CellRe
     return CellReport(d=d, r=r, N=N, seed=seed, trials=records)
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Record):
     """Deterministic outcome of one verification suite.
 
     ``elapsed_seconds`` is deliberately excluded from both renderings so that
     identical invocations remain byte-identical; callers wanting timing read
-    the attribute (the CLI reports it on stderr).
+    the attribute (the CLI reports it on stderr).  The line lists and the
+    payload left out start empty, fresh for each report.
     """
 
-    suite: str
-    parameters: dict[str, object]
-    comparisons: int
-    failures: int
-    detail_lines: list[str] = field(default_factory=list)
-    verbose_lines: list[str] = field(default_factory=list)
-    payload: dict[str, object] = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
+    __slots__ = (
+        "suite",
+        "parameters",
+        "comparisons",
+        "failures",
+        "detail_lines",
+        "verbose_lines",
+        "payload",
+        "elapsed_seconds",
+    )
+
+    def __init__(
+        self,
+        suite: str,
+        parameters: dict[str, object],
+        comparisons: int,
+        failures: int,
+        detail_lines: list[str] | None = None,
+        verbose_lines: list[str] | None = None,
+        payload: dict[str, object] | None = None,
+        elapsed_seconds: float = 0.0,
+    ) -> None:
+        self.suite = suite
+        self.parameters = parameters
+        self.comparisons = comparisons
+        self.failures = failures
+        self.detail_lines = [] if detail_lines is None else detail_lines
+        self.verbose_lines = [] if verbose_lines is None else verbose_lines
+        self.payload = {} if payload is None else payload
+        self.elapsed_seconds = elapsed_seconds
 
     @property
     def passed(self) -> bool:
@@ -332,13 +358,14 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
                 expected = schur_form_pushforward(N, d, r, model)
                 for variant in variants:
                     try:
-                        candidate = pushforward_rational_form(N, d, r, model, variant)
+                        coeffs = rational_form_coefficients(N, d, r, variant)
                     except ZeroDivisionError:
                         verbose_lines.append(f"d={d} r={r} N={N} {variant}: divides by zero")
                         continue
-                    coeffs = rational_form_coefficients(N, d, r, variant)
                     if any(c.denominator != 1 for _, c in coeffs):
                         integral[variant] = False
+                    # the class pushforward_rational_form builds, from the same read
+                    candidate = _rational_form_class(coeffs, N - fiber_dim, model)
                     if candidate == expected:
                         matches[variant] += 1
                         verbose_lines.append(f"d={d} r={r} N={N} {variant}: match")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 
 class Partition(tuple):
@@ -37,10 +37,6 @@ class Partition(tuple):
         if not self:
             return Partition()
         return Partition(sum(1 for p in self if p > j) for j in range(self[0]))
-
-    def contains(self, other: "Partition") -> bool:
-        """Diagram containment, cell by cell."""
-        return all(other[i] <= self.part(i) for i in range(len(other)))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self) + ")"

@@ -26,16 +26,17 @@ over P^m these are the per-shape integrals of the Grassmann bundle's degree.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterator, Literal, Sequence
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
 from .partitions import Partition, add_rectangle, enumerate_partitions, multiset_permutations
-from .schur import complete_homogeneous_values, jacobi_trudi_det, schur_via_jacobi_trudi
+from .schur import complete_homogeneous_values, schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
 
-DenominatorVariant = Literal["linear", "factorial"]
+#: "linear" or "factorial", the denominator convention of the rational form.
+DenominatorVariant = str
 
 
 def _check_d_r(d: int, r: int) -> None:
@@ -46,23 +47,6 @@ def _check_d_r(d: int, r: int) -> None:
 def _check_model(r: int, model: BundleModel) -> None:
     if model.rank != r:
         raise ValueError(f"model has rank {model.rank}, expected {r}")
-
-
-def pushforward_schur_class(
-    mu: Partition, d: int, r: int, segre: list[GradedPoly]
-) -> GradedPoly:
-    """Push a single Schur class of the quotient bundle down to the base.
-
-    The image of Delta_mu(s(Q)) is the Jacobi-Trudi determinant on the shifted
-    integer vector (mu_1 - (r-d), ..., mu_d - (r-d)); entries with negative
-    subscript vanish, so shapes that do not contain the rectangle give zero.
-    ``segre`` must extend to subscript mu_1 - (r-d) + d - 1.
-    """
-    _check_d_r(d, r)
-    if len(mu) > d:
-        raise ValueError(f"partition {mu} has more than {d} parts")
-    shift = r - d
-    return jacobi_trudi_det([mu.part(i) - shift for i in range(d)], segre)
 
 
 def schur_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
@@ -258,15 +242,23 @@ def pushforward_rational_form(
 ) -> GradedPoly:
     """Composition-sum form of the push-forward, with rational coefficients.
 
-    Groups the ``rational_form_coefficients`` by the sorted exponent vector
-    into a monomial table and reads its class in the model, as the
-    production path does; no Segre classes are multiplied.  The remark suite
-    determines empirically which denominator variant agrees with the
-    Jacobi-Trudi Schur form.
+    The class of the ``rational_form_coefficients`` in the model, read as
+    the production path reads its table; no Segre classes are multiplied.
+    The remark suite determines empirically which denominator variant agrees
+    with the Jacobi-Trudi Schur form.
     """
     _check_model(r, model)
+    coefficients = rational_form_coefficients(N, d, r, denominator)
+    return _rational_form_class(coefficients, N - d * (r - d), model)
+
+
+def _rational_form_class(
+    coefficients: list[tuple[tuple[int, ...], Fraction]], weight: int, model: BundleModel
+) -> GradedPoly:
+    """Group rational-form coefficients by the sorted exponent vector into a
+    monomial table, and return the class of degree ``weight`` it stands for."""
     table: dict[Partition, Fraction] = {}
-    for k, coeff in rational_form_coefficients(N, d, r, denominator):
+    for k, coeff in coefficients:
         mu = Partition(sorted(k, reverse=True))
         table[mu] = table.get(mu, 0) + coeff
-    return _class_of_table(list(table.items()), N - d * (r - d), model)
+    return _class_of_table(list(table.items()), weight, model)

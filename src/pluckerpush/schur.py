@@ -9,13 +9,13 @@ power of the Pluecker class by Pieri steps is an oracle,
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Sequence
 
 from .partitions import Partition
 
 
-def det(matrix: list[list[Any]]) -> Any:
+def det(matrix: list[list[object]]) -> object:
     """Exact determinant over any commutative ring.
 
     Minor expansion cached over column subsets: minors[mask] is the
@@ -26,9 +26,9 @@ def det(matrix: list[list[Any]]) -> Any:
     if not matrix:
         raise ValueError("empty matrix has no well-defined element type; handle size 0 upstream")
     n = len(matrix)
-    minors: dict[int, Any] = {1 << j: value for j, value in enumerate(matrix[0])}
+    minors: dict[int, object] = {1 << j: value for j, value in enumerate(matrix[0])}
     for row in range(1, n):
-        grown: dict[int, Any] = {}
+        grown: dict[int, object] = {}
         for mask, value in minors.items():
             for j in range(n):
                 bit = 1 << j
@@ -44,7 +44,7 @@ def det(matrix: list[list[Any]]) -> Any:
     return minors[(1 << n) - 1]
 
 
-def jacobi_trudi_det(indices: Sequence[int], values: Sequence[Any]) -> Any:
+def jacobi_trudi_det(indices: Sequence[int], values: Sequence[object]) -> object:
     """det[ values[indices_i + j - i] ] for an arbitrary integer vector.
 
     Negative subscripts give the zero element, subscripts past the end of
@@ -67,7 +67,9 @@ def jacobi_trudi_det(indices: Sequence[int], values: Sequence[Any]) -> Any:
     return det(matrix)
 
 
-def schur_via_jacobi_trudi(lam: Partition, values: Sequence[Any], size: int | None = None) -> Any:
+def schur_via_jacobi_trudi(
+    lam: Partition, values: Sequence[object], size: int | None = None
+) -> object:
     """Schur polynomial of shape lam evaluated on the complete homogeneous values.
 
     ``size`` pads the shape with zero parts; the determinant is unchanged by

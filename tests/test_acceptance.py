@@ -22,11 +22,11 @@ from pluckerpush import (
     degree_grassmannian_classical,
     enumerate_partitions,
     integrate_over_pm,
+    jacobi_trudi_det,
     localization_pushforward,
     pieri_walk,
     pushforward_plucker_power,
     pushforward_rational_form,
-    pushforward_schur_class,
     rectangle,
     ring_of,
     schur_via_jacobi_trudi,
@@ -38,6 +38,12 @@ from pluckerpush import (
     verify_pushforward,
 )
 from pluckerpush.cli import main
+
+
+def pushforward_schur_class(mu, d, r, segre):
+    """The push-forward of Delta_mu(s(Q)): the Jacobi-Trudi determinant on
+    (mu_1 - (r-d), ..., mu_d - (r-d)), zero unless mu contains the rectangle."""
+    return jacobi_trudi_det([mu.part(i) - (r - d) for i in range(d)], segre)
 
 
 @contextmanager

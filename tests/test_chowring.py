@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,8 +21,14 @@ RING = GradedRing(names=("s1", "s2", "s3"), weights=(1, 2, 3), top_degree=6)
 
 def truncate(element, top_degree):
     """Image of an element in the same ring truncated at a lower top degree."""
-    ring = dataclasses.replace(element.ring, top_degree=top_degree)
+    ring = GradedRing(element.ring.names, element.ring.weights, top_degree)
     return GradedPoly(ring, element.monomials)
+
+
+def homogeneous_degree(element):
+    """The common weight of all monomials, or None if mixed or zero."""
+    degs = element.degrees()
+    return degs[0] if len(degs) == 1 else None
 
 
 def chern_dual_classes(twists, ring):
@@ -48,7 +54,7 @@ class TestRingStructure:
         assert RING.scalar(0).is_zero()
         assert RING.one() == 1
         g = RING.generator(1)
-        assert g.homogeneous_degree() == 2
+        assert homogeneous_degree(g) == 2
 
     def test_rejects_bad_descriptor(self):
         with pytest.raises(ValueError):
@@ -93,8 +99,8 @@ class TestRingStructure:
     def test_degrees_and_homogeneity(self):
         p = RING.generator(0) + RING.generator(1)
         assert p.degrees() == [1, 2]
-        assert p.homogeneous_degree() is None
-        assert RING.generator(2).homogeneous_degree() == 3
+        assert homogeneous_degree(p) is None
+        assert homogeneous_degree(RING.generator(2)) == 3
 
 
 class TestRendering:
@@ -166,6 +172,47 @@ class TestModels:
         assert SplitBundle(base_dim=1, twists=(-2, 0, 5)).twists == (-2, 0, 5)
         model = SplitBundle(base_dim=1, twists=(Fraction(4, 2), 3.0))
         assert model.twists == (2, 3) and all(type(a) is int for a in model.twists)
+
+
+class TestRecords:
+    """The ring and the two models are immutable values with constructor-form reprs."""
+
+    RECORDS = (
+        (RING, "GradedRing(names=('s1', 's2', 's3'), weights=(1, 2, 3), top_degree=6)"),
+        (FormalBundle(base_dim=3, rank=4), "FormalBundle(base_dim=3, rank=4)"),
+        (SplitBundle(base_dim=2, twists=(1, -1)), "SplitBundle(base_dim=2, twists=(1, -1))"),
+    )
+
+    def test_repr_in_keyword_form(self):
+        for record, text in self.RECORDS:
+            assert repr(record) == text
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        copies = {
+            GradedRing(names=("s1", "s2", "s3"), weights=(1, 2, 3), top_degree=6),
+            GradedRing(("s1", "s2", "s3"), (1, 2, 3), 6),
+            RING,
+        }
+        assert copies == {RING}
+        assert len({FormalBundle(base_dim=3, rank=4), FormalBundle(3, 4)}) == 1
+        split = {SplitBundle(base_dim=1, twists=(2, 3)), SplitBundle(1, (Fraction(4, 2), 3.0))}
+        assert len(split) == 1
+        assert FormalBundle(base_dim=1, rank=2) != FormalBundle(base_dim=2, rank=1)
+        assert RING != GradedRing(names=("s1", "s2", "s3"), weights=(1, 2, 3), top_degree=5)
+
+    def test_assignment_and_deletion_raise(self):
+        for record, _ in self.RECORDS:
+            for name in type(record).__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_pickle_round_trip(self):
+        for record, _ in self.RECORDS:
+            assert pickle.loads(pickle.dumps(record)) == record
 
 
 class TestIntegration:

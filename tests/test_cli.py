@@ -336,6 +336,18 @@ class TestEntryPoints:
         assert result.returncode == 0
         assert result.stdout.strip() == "42"
 
+    def test_import_loads_no_dataclasses_inspect_or_typing(self):
+        # -S skips site, whose .pth hooks may import typing themselves
+        code = (
+            "import pluckerpush, pluckerpush.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_closed_stdout_exits_141_without_a_traceback(self):
         # about 128 kB of rows, twice a pipe buffer: the writes after the
         # reader closes its end must fail, as under ``| head -1``

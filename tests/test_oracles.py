@@ -22,6 +22,7 @@ from pluckerpush import (
 )
 from pluckerpush import oracles, pushforward
 from pluckerpush.cli import main
+from pluckerpush.oracles import CellReport, SuiteReport, TrialRecord
 
 distinct_roots = st.lists(st.integers(-30, 30), min_size=2, max_size=5, unique=True)
 non_integral = st.builds(Fraction, st.integers(-30, 30), st.integers(2, 7)).filter(
@@ -245,6 +246,38 @@ class TestVerifyDrivers:
         assert [rep.suite for rep in reports] == ["theorem", "remark", "degrees"]
         with pytest.raises(ValueError):
             run_suites("nonsense")
+
+
+class TestReportRecords:
+    def test_suite_report_defaults_are_fresh(self):
+        a = SuiteReport(suite="x", parameters={}, comparisons=0, failures=0)
+        b = SuiteReport("x", {}, 0, 0)
+        a.detail_lines.append("cells: 1")
+        a.verbose_lines.append("trial")
+        a.payload["cells"] = 1
+        assert (b.detail_lines, b.verbose_lines, b.payload) == ([], [], {})
+        assert b.elapsed_seconds == 0.0 and b.passed
+
+    def test_fields_equality_and_repr(self):
+        trial = TrialRecord(roots=[1, 2], localization=Fraction(1), schur_form=Fraction(1))
+        assert trial.equal
+        assert repr(trial) == (
+            "TrialRecord(roots=[1, 2], localization=Fraction(1, 1), schur_form=Fraction(1, 1))"
+        )
+        cell = CellReport(d=1, r=2, N=1, seed=5, trials=[trial])
+        assert cell == CellReport(1, 2, 1, 5, [TrialRecord([1, 2], Fraction(1), Fraction(1))])
+        assert cell != CellReport(1, 2, 1, 6, [trial])
+        assert repr(SuiteReport("x", {}, 0, 0)) == (
+            "SuiteReport(suite='x', parameters={}, comparisons=0, failures=0, detail_lines=[], "
+            "verbose_lines=[], payload={}, elapsed_seconds=0.0)"
+        )
+
+    def test_reports_stay_mutable_and_unhashable(self):
+        report = SuiteReport("x", {}, 0, 0)
+        report.failures = 2
+        assert not report.passed
+        with pytest.raises(TypeError):
+            hash(report)
 
 
 # The unpatched functions, which the planted faults below wrap.  The Schur
