@@ -1,9 +1,10 @@
 """Truncated graded rings of Segre classes, and the two bundle models.
 
-A ``GradedRing`` is a commutative polynomial ring over the rationals whose
-generators carry positive weights; every monomial of total weight above
-``top_degree`` is identically zero.  Two instances cover everything the
-package computes with:
+A ``GradedRing`` is a commutative polynomial ring whose generators carry
+positive weights; every monomial of total weight above ``top_degree`` is
+identically zero.  Its elements hold exact coefficients: each is an ``int``
+or a ``Fraction`` exactly as given, and anything else is refused.  Two
+instances cover everything the package computes with:
 
   * the formal model, one generator per Segre class s_1..s_n of the base,
     truncated at the base dimension n;
@@ -14,11 +15,11 @@ package computes with:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .records import FrozenRecord
-from .schur import complete_homogeneous_values
+from .schur import EXACT_TYPES, complete_homogeneous_values, require_exact
 
 Scalar = int | Fraction
 
@@ -28,7 +29,8 @@ class GradedRing(FrozenRecord):
 
     __slots__ = ("names", "weights", "top_degree")
 
-    def __init__(self, names: tuple[str, ...], weights: tuple[int, ...], top_degree: int) -> None:
+    def __init__(self, names: Sequence[str], weights: Sequence[int], top_degree: int) -> None:
+        names, weights = tuple(names), tuple(weights)
         if len(names) != len(weights):
             raise ValueError("names and weights must have equal length")
         if len(set(names)) != len(names):
@@ -39,25 +41,8 @@ class GradedRing(FrozenRecord):
             raise ValueError(f"top_degree must be nonnegative, got {top_degree}")
         self._freeze(names, weights, top_degree)
 
-    def __eq__(self, other: object) -> bool:
-        # every ring operation compares rings, so compare the fields directly
-        if self is other:
-            return True
-        if other.__class__ is not GradedRing:
-            return NotImplemented
-        return (
-            self.names == other.names
-            and self.weights == other.weights
-            and self.top_degree == other.top_degree
-        )
-
-    __hash__ = FrozenRecord.__hash__
-
     def monomial_weight(self, exponents: tuple[int, ...]) -> int:
         return sum(w * e for w, e in zip(self.weights, exponents))
-
-    def element(self, monomials: Mapping[tuple[int, ...], Scalar]) -> "GradedPoly":
-        return GradedPoly(self, monomials)
 
     def zero(self) -> "GradedPoly":
         return GradedPoly(self, {})
@@ -66,35 +51,35 @@ class GradedRing(FrozenRecord):
         return self.scalar(1)
 
     def scalar(self, value: Scalar) -> "GradedPoly":
-        return GradedPoly(self, {(0,) * len(self.names): Fraction(value)})
+        return GradedPoly(self, {(0,) * len(self.names): value})
 
     def generator(self, index: int) -> "GradedPoly":
         """The index-th generator (zero if its weight already exceeds the truncation)."""
         exps = tuple(1 if i == index else 0 for i in range(len(self.names)))
-        return GradedPoly(self, {exps: Fraction(1)})
+        return GradedPoly(self, {exps: 1})
 
 
 class GradedPoly:
-    """Element of a ``GradedRing``: a finite rational combination of monomials.
+    """Element of a ``GradedRing``: a finite exact combination of monomials.
 
-    Immutable by convention; all operators return fresh elements.  Monomials
-    whose weight exceeds the ring's truncation are dropped on construction,
-    which is what makes multiplication automatically truncate.
+    Immutable by convention; all operators return fresh elements.  The
+    constructor refuses a coefficient that is not an int or a Fraction, and
+    drops zero monomials and those whose weight exceeds the ring's
+    truncation, which is what makes multiplication automatically truncate.
     """
 
     __slots__ = ("ring", "monomials")
 
     def __init__(self, ring: GradedRing, monomials: Mapping[tuple[int, ...], Scalar]):
+        require_exact(monomials.values(), "coefficients")
         width = len(ring.names)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in monomials.items():
             exps = tuple(exps)
             if len(exps) != width or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for ring with {width} generators")
-            value = Fraction(coeff)
-            if value == 0 or ring.monomial_weight(exps) > ring.top_degree:
-                continue
-            clean[exps] = value
+            if coeff and ring.monomial_weight(exps) <= ring.top_degree:
+                clean[exps] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "monomials", clean)
 
@@ -106,21 +91,18 @@ class GradedPoly:
     def is_zero(self) -> bool:
         return not self.monomials
 
-    def coefficient(self, exponents: tuple[int, ...]) -> Fraction:
-        return self.monomials.get(tuple(exponents), Fraction(0))
-
-    def degrees(self) -> list[int]:
-        """Sorted list of the distinct monomial weights present."""
-        return sorted({self.ring.monomial_weight(e) for e in self.monomials})
+    def coefficient(self, exponents: tuple[int, ...]) -> Scalar:
+        return self.monomials.get(tuple(exponents), 0)
 
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other: object) -> "GradedPoly | None":
         if isinstance(other, GradedPoly):
-            if other.ring != self.ring:
+            # identity first: most operands share one ring object
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("elements of different rings cannot be combined")
             return other
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ in EXACT_TYPES:
             return self.ring.scalar(other)
         return None
 
@@ -130,7 +112,7 @@ class GradedPoly:
             return NotImplemented
         merged = dict(self.monomials)
         for exps, coeff in rhs.monomials.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
+            merged[exps] = merged.get(exps, 0) + coeff
         return GradedPoly(self.ring, merged)
 
     __radd__ = __add__
@@ -148,13 +130,13 @@ class GradedPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        product: dict[tuple[int, ...], Fraction] = {}
+        product: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.monomials.items():
             for e2, c2 in rhs.monomials.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 if self.ring.monomial_weight(exps) > self.ring.top_degree:
                     continue
-                product[exps] = product.get(exps, Fraction(0)) + c1 * c2
+                product[exps] = product.get(exps, 0) + c1 * c2
         return GradedPoly(self.ring, product)
 
     __rmul__ = __mul__
@@ -162,7 +144,7 @@ class GradedPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, GradedPoly):
             return self.ring == other.ring and self.monomials == other.monomials
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ in EXACT_TYPES:
             return self.monomials == self.ring.scalar(other).monomials
         return NotImplemented
 
@@ -170,17 +152,13 @@ class GradedPoly:
 
     # -- rendering --------------------------------------------------------
 
-    def sorted_monomials(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Monomials by weight, then lexicographic exponents: the canonical order."""
-        return sorted(
-            self.monomials.items(),
-            key=lambda item: (self.ring.monomial_weight(item[0]), item[0]),
-        )
-
     def terms(self) -> list[tuple[str, str]]:
-        """(monomial text, coefficient text) pairs in canonical order."""
+        """(monomial text, coefficient text) pairs in the canonical order:
+        by weight, then lexicographic exponents."""
+        weight = self.ring.monomial_weight
+        ordered = sorted(self.monomials.items(), key=lambda item: (weight(item[0]), item[0]))
         out = []
-        for exps, coeff in self.sorted_monomials():
+        for exps, coeff in ordered:
             pieces = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.ring.names, exps)
@@ -291,11 +269,11 @@ def segre_classes(model: BundleModel, top: int) -> list[GradedPoly]:
         return classes
     h_values = complete_homogeneous_values(model.twists, top)
     for k in range(1, top + 1):
-        classes.append(ring.element({(k,): h_values[k]}))
+        classes.append(GradedPoly(ring, {(k,): h_values[k]}))
     return classes
 
 
-def integrate_over_pm(element: GradedPoly, m: int) -> Fraction:
+def integrate_over_pm(element: GradedPoly, m: int) -> Scalar:
     """Pair against the fundamental class of P^m: the coefficient of h^m."""
     ring = element.ring
     if len(ring.names) != 1 or ring.weights != (1,):

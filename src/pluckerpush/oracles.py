@@ -28,7 +28,6 @@ grids and return reports that are byte-reproducible from the seed.
 from __future__ import annotations
 
 import itertools
-import time
 from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm, prod
@@ -44,14 +43,14 @@ from .pushforward import (
 from .chowring import BundleModel, FormalBundle, GradedPoly, ring_of, segre_classes
 from .records import Record
 from .rng import SplitMix64
-from .schur import schur_via_jacobi_trudi
+from .schur import require_exact, schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
 
 
 def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) -> Fraction:
     """Symmetrized fixed-point sum over all d-subsets of the roots.
 
-    Integer roots are used as given, others are read as Fractions.  The roots
+    The roots must be ints or Fractions; anything else raises TypeError.  They
     are scaled to integers z = q*y, q the lcm of their denominators.
     Every subset term then shares the Vandermonde denominator
     V = prod_{i<j} (z_i - z_j): the subset's own denominator D_I is, up to
@@ -60,7 +59,8 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
     the z_i in I, is reduced once, the scaling undone:
     q^{d(r-d)} * sum / (q^N * V).
     """
-    values = [y if isinstance(y, int) else Fraction(y) for y in roots]
+    values = list(roots)
+    require_exact(values, "roots")
     if len(set(values)) != len(values):
         raise ValueError("roots must be pairwise distinct")
     r = len(values)
@@ -81,14 +81,15 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
     return Fraction(total * q ** (d * (r - d)), vandermonde * q**N)
 
 
-def schur_form_at_roots(N: int, d: int, roots: Sequence[Fraction | int]) -> Fraction:
+def schur_form_at_roots(N: int, d: int, roots: Sequence[Fraction | int]) -> int | Fraction:
     """The tableau-weighted Schur sum specialized at explicit Chern roots.
 
     The exact sum of the production rows ``schur_form_terms``, the code the
     ``degree`` command runs; nothing is truncated, so this is the production
-    side of the scalar identity check against localization.
+    side of the scalar identity check against localization.  Integer roots
+    give an int.
     """
-    return sum((count * value for _, count, value in schur_form_terms(N, d, roots)), Fraction(0))
+    return sum(count * value for _, count, value in schur_form_terms(N, d, roots))
 
 
 def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
@@ -157,7 +158,7 @@ def box_pieri_degree(d: int, r: int) -> int:
 class TrialRecord(Record):
     __slots__ = ("roots", "localization", "schur_form")
 
-    def __init__(self, roots: list[int], localization: Fraction, schur_form: Fraction) -> None:
+    def __init__(self, roots: list[int], localization: Fraction, schur_form: int | Fraction) -> None:
         self.roots = roots
         self.localization = localization
         self.schur_form = schur_form
@@ -216,10 +217,8 @@ def verify_pushforward(d: int, r: int, N: int, trials: int, seed: int) -> CellRe
 class SuiteReport(Record):
     """Deterministic outcome of one verification suite.
 
-    ``elapsed_seconds`` is deliberately excluded from both renderings so that
-    identical invocations remain byte-identical; callers wanting timing read
-    the attribute (the CLI reports it on stderr).  The line lists and the
-    payload left out start empty, fresh for each report.
+    Both renderings are byte-identical for identical invocations.  The line
+    lists and the payload left out start empty, fresh for each report.
     """
 
     __slots__ = (
@@ -230,7 +229,6 @@ class SuiteReport(Record):
         "detail_lines",
         "verbose_lines",
         "payload",
-        "elapsed_seconds",
     )
 
     def __init__(
@@ -242,7 +240,6 @@ class SuiteReport(Record):
         detail_lines: list[str] | None = None,
         verbose_lines: list[str] | None = None,
         payload: dict[str, object] | None = None,
-        elapsed_seconds: float = 0.0,
     ) -> None:
         self.suite = suite
         self.parameters = parameters
@@ -251,7 +248,6 @@ class SuiteReport(Record):
         self.detail_lines = [] if detail_lines is None else detail_lines
         self.verbose_lines = [] if verbose_lines is None else verbose_lines
         self.payload = {} if payload is None else payload
-        self.elapsed_seconds = elapsed_seconds
 
     @property
     def passed(self) -> bool:
@@ -293,7 +289,6 @@ def suite_theorem(
     vanishing check.  Cell seeds are drawn from one splitmix64 stream seeded
     as given, in grid order, so the whole run replays from the seed.
     """
-    started = time.monotonic()
     master = SplitMix64(seed)
     comparisons = 0
     failures = 0
@@ -328,7 +323,6 @@ def suite_theorem(
         detail_lines=[f"cells: {cells}"],
         verbose_lines=verbose_lines,
         payload={"cells": cells},
-        elapsed_seconds=time.monotonic() - started,
     )
 
 
@@ -343,7 +337,6 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
     exactly one variant matches on every instance; also records whether the
     matching variant's coefficients were integers throughout.
     """
-    started = time.monotonic()
     variants = ("linear", "factorial")
     matches = {v: 0 for v in variants}
     integral = {v: True for v in variants}
@@ -398,7 +391,6 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
             "matching_variant": winner,
             "matching_variant_integral": integral[winner] if winner else None,
         },
-        elapsed_seconds=time.monotonic() - started,
     )
 
 
@@ -408,7 +400,6 @@ def suite_degrees(max_r: int = 8) -> SuiteReport:
     The closed formula, the box Pieri walk, and the hook-length count of the
     rectangle must agree exactly.
     """
-    started = time.monotonic()
     comparisons = 0
     failures = 0
     verbose_lines = []
@@ -432,7 +423,6 @@ def suite_degrees(max_r: int = 8) -> SuiteReport:
         failures=failures,
         verbose_lines=verbose_lines,
         payload={},
-        elapsed_seconds=time.monotonic() - started,
     )
 
 

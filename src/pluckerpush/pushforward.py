@@ -139,10 +139,10 @@ def _class_of_table(
             for part in mu:
                 exps[part - 1] += 1
             monomials[tuple(exps)] = coeff
-        return ring.element(monomials)
+        return GradedPoly(ring, monomials)
     h = complete_homogeneous_values(model.twists, weight)
-    value = sum((coeff * prod(h[part] for part in mu) for mu, coeff in table), Fraction(0))
-    return ring.element({(weight,): value})
+    value = sum(coeff * prod(h[part] for part in mu) for mu, coeff in table)
+    return GradedPoly(ring, {(weight,): value})
 
 
 def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:

@@ -9,10 +9,20 @@ power of the Pluecker class by Pieri steps is an oracle,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .partitions import Partition
+
+#: The exact scalar types; a bool, a float or a str is neither.
+EXACT_TYPES = (int, Fraction)
+
+
+def require_exact(values: Iterable[object], what: str) -> None:
+    """Raise TypeError unless every value is an int or a Fraction."""
+    for value in values:
+        if value.__class__ not in EXACT_TYPES:
+            raise TypeError(f"{what} must be int or Fraction, got {value!r}")
 
 
 def det(matrix: list[list[object]]) -> object:
@@ -88,8 +98,10 @@ def complete_homogeneous_values(roots: Sequence[Fraction | int], top: int) -> li
     Multiplying the truncated series by 1/(1 - y t) one root at a time gives
     the recurrence h_k += y * h_{k-1} with k ascending.  The values keep the
     type of the arithmetic: integer roots give ints, and a rational root makes
-    h_1..h_top Fractions; h_0 is always the integer 1.
+    h_1..h_top Fractions; h_0 is always the integer 1.  Any other root raises
+    TypeError.
     """
+    require_exact(roots, "roots")
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
     h: list[int | Fraction] = [1] + [0] * top

@@ -25,9 +25,14 @@ def truncate(element, top_degree):
     return GradedPoly(ring, element.monomials)
 
 
+def degrees(element):
+    """Sorted list of the distinct monomial weights present."""
+    return sorted({element.ring.monomial_weight(e) for e in element.monomials})
+
+
 def homogeneous_degree(element):
     """The common weight of all monomials, or None if mixed or zero."""
-    degs = element.degrees()
+    degs = degrees(element)
     return degs[0] if len(degs) == 1 else None
 
 
@@ -96,9 +101,26 @@ class TestRingStructure:
     def test_truncation_commutes_with_multiplication(self, a, b, top):
         assert truncate(a * b, top) == truncate(a, top) * truncate(b, top)
 
+    def test_coefficients_are_stored_exactly_as_given(self):
+        p = GradedPoly(RING, {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 2), (0, 0, 1): Fraction(0)})
+        assert p.monomials == {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 2)}
+        assert type(p.coefficient((1, 0, 0))) is int
+        assert type((p * p + 2 * p).coefficient((2, 0, 0))) is int
+        assert p.coefficient((0, 0, 1)) == 0
+
+    def test_refuses_inexact_coefficients(self):
+        for bad in (0.1, 1.0, "1/2", True, None):
+            with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+                GradedPoly(RING, {(1, 0, 0): bad})
+        with pytest.raises(TypeError):
+            RING.scalar(0.5)
+        with pytest.raises(TypeError):
+            RING.one() * 0.5
+        assert (RING.one() == 1.0) is False
+
     def test_degrees_and_homogeneity(self):
         p = RING.generator(0) + RING.generator(1)
-        assert p.degrees() == [1, 2]
+        assert degrees(p) == [1, 2]
         assert homogeneous_degree(p) is None
         assert homogeneous_degree(RING.generator(2)) == 3
 
@@ -199,6 +221,14 @@ class TestRecords:
         assert len(split) == 1
         assert FormalBundle(base_dim=1, rank=2) != FormalBundle(base_dim=2, rank=1)
         assert RING != GradedRing(names=("s1", "s2", "s3"), weights=(1, 2, 3), top_degree=5)
+
+    def test_list_descriptor_is_the_tuple_descriptor(self):
+        listed = GradedRing(["h"], [1], 2)
+        tupled = GradedRing(("h",), (1,), 2)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert (listed.names, listed.weights) == (("h",), (1,))
+        total = listed.generator(0) + tupled.generator(0)
+        assert total == 2 * tupled.generator(0)
 
     def test_assignment_and_deletion_raise(self):
         for record, _ in self.RECORDS:

@@ -45,7 +45,7 @@ def pushforward_schur_class(mu, d, r, segre):
 
 def homogeneous_degree(element):
     """The common weight of all monomials, or None if mixed or zero."""
-    degs = element.degrees()
+    degs = sorted({element.ring.monomial_weight(e) for e in element.monomials})
     return degs[0] if len(degs) == 1 else None
 
 
@@ -94,6 +94,13 @@ class TestPluckerPowerPushforward:
             model = FormalBundle(base_dim=2, rank=r)
             ring = ring_of(model)
             assert pushforward_plucker_power(r + 1, 1, r, model) == ring.generator(1)
+
+    def test_coefficients_are_ints(self):
+        formal = pushforward_plucker_power(9, 2, 5, FormalBundle(base_dim=3, rank=5))
+        split = pushforward_plucker_power(9, 2, 5, SplitBundle(base_dim=3, twists=(1, -2, 0, 3, 5)))
+        for image in (formal, split):
+            assert image.monomials
+            assert all(type(c) is int for c in image.monomials.values())
 
     def test_below_critical_power_is_zero(self):
         model = FormalBundle(base_dim=2, rank=4)

@@ -11,6 +11,7 @@ from pluckerpush import (
     enumerate_partitions,
     jacobi_trudi_det,
     pieri_walk,
+    schur_form_terms,
     schur_via_jacobi_trudi,
     syt_count_hook,
 )
@@ -175,6 +176,13 @@ class TestCompleteHomogeneous:
         mixed = complete_homogeneous_values([2, Fraction(1, 3)], 3)
         assert all(type(v) is Fraction for v in mixed[1:])
         assert mixed[0] == 1
+
+    def test_refuses_inexact_roots(self):
+        for roots in ([0.5, 1.5], [1, "2"], [Fraction(1, 2), True]):
+            with pytest.raises(TypeError, match="roots must be int or Fraction"):
+                complete_homogeneous_values(roots, 3)
+        with pytest.raises(TypeError):
+            schur_form_terms(3, 1, [0.5, 1.5])
 
     def test_one_repeated_root_gives_binomials(self):
         d = 4
