@@ -3,7 +3,9 @@
 A ``GradedRing`` is a commutative polynomial ring whose generators carry
 positive weights; every monomial of total weight above ``top_degree`` is
 identically zero.  Its elements hold exact coefficients: each is an ``int``
-or a ``Fraction`` exactly as given, and anything else is refused.  Two
+or a ``Fraction`` exactly as given, and anything else is refused.  Weights,
+truncation degrees, base dimensions and ranks must be ``int``s too (a bool is
+not one); the constructors raise TypeError on anything else.  Two
 instances cover everything the package computes with:
 
   * the formal model, one generator per Segre class s_1..s_n of the base,
@@ -31,6 +33,7 @@ class GradedRing(FrozenRecord):
 
     def __init__(self, names: Sequence[str], weights: Sequence[int], top_degree: int) -> None:
         names, weights = tuple(names), tuple(weights)
+        require_exact((*weights, top_degree), "weights and top_degree", (int,))
         if len(names) != len(weights):
             raise ValueError("names and weights must have equal length")
         if len(set(names)) != len(names):
@@ -204,6 +207,7 @@ class FormalBundle(FrozenRecord):
     __slots__ = ("base_dim", "rank")
 
     def __init__(self, base_dim: int, rank: int) -> None:
+        require_exact((base_dim, rank), "base_dim and rank", (int,))
         if base_dim < 0:
             raise ValueError(f"base_dim must be nonnegative, got {base_dim}")
         if rank < 1:
@@ -217,6 +221,7 @@ class SplitBundle(FrozenRecord):
     __slots__ = ("base_dim", "twists")
 
     def __init__(self, base_dim: int, twists: tuple[int, ...]) -> None:
+        require_exact((base_dim,), "base_dim", (int,))
         if base_dim < 0:
             raise ValueError(f"base_dim must be nonnegative, got {base_dim}")
         if len(twists) < 1:

@@ -10,8 +10,9 @@ Three oracles, none of which shares code with the production formula it checks:
     The roots must be pairwise distinct.  The terms are summed in integers
     over one common denominator, the Vandermonde product of the roots scaled
     to integers, and the total is reduced to a Fraction once.  It checks
-    ``schur_form_at_roots``, the exact sum of the production rows
-    ``pushforward.schur_form_terms`` that the ``degree`` command also reads.
+    ``schur_form_at_roots``, the exact sums of the production rows
+    ``pushforward.schur_form_terms`` that the ``degree`` command also reads,
+    evaluated for all the root sets of a theorem-suite cell at once.
   * ``schur_form_pushforward``: the Schur-form sum in a model's graded ring,
     one Jacobi-Trudi determinant of Segre classes per shape; the oracle of the
     monomial table behind ``pushforward_plucker_power`` and of the rational
@@ -81,15 +82,21 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
     return Fraction(total * q ** (d * (r - d)), vandermonde * q**N)
 
 
-def schur_form_at_roots(N: int, d: int, roots: Sequence[Fraction | int]) -> int | Fraction:
-    """The tableau-weighted Schur sum specialized at explicit Chern roots.
+def schur_form_at_roots(
+    N: int, d: int, root_sets: Sequence[Sequence[Fraction | int]]
+) -> list[int | Fraction]:
+    """The tableau-weighted Schur sum specialized at each set of Chern roots.
 
-    The exact sum of the production rows ``schur_form_terms``, the code the
-    ``degree`` command runs; nothing is truncated, so this is the production
-    side of the scalar identity check against localization.  Integer roots
-    give an int.
+    One value per root set: the exact sum of its production rows from one
+    ``schur_form_terms`` call, the code the ``degree`` command runs, which
+    computes the tableau counts once for all the sets.  Nothing is
+    truncated, so this is the production side of the scalar identity check
+    against localization.  Integer roots give an int.
     """
-    return sum(count * value for _, count, value in schur_form_terms(N, d, roots))
+    return [
+        sum(count * value for _, count, value in rows)
+        for rows in schur_form_terms(N, d, root_sets)
+    ]
 
 
 def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
@@ -197,20 +204,24 @@ def verify_pushforward(d: int, r: int, N: int, trials: int, seed: int) -> CellRe
 
     Each trial draws r pairwise distinct integers in [-10r, 10r] from a
     splitmix64 stream seeded as given; equality is exact rational equality.
+    All the cell's root sets are drawn first and the Schur side evaluates
+    them in one call, so its tableau counts are computed once per cell;
+    localization draws nothing, so the stream and the trial order are those
+    of drawing and checking one trial at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     gen = SplitMix64(seed)
-    records = []
-    for _ in range(trials):
-        roots = gen.distinct_integers(r, -10 * r, 10 * r)
-        records.append(
-            TrialRecord(
-                roots=roots,
-                localization=localization_pushforward(N, d, roots),
-                schur_form=schur_form_at_roots(N, d, roots),
-            )
+    root_sets = [gen.distinct_integers(r, -10 * r, 10 * r) for _ in range(trials)]
+    schur_values = schur_form_at_roots(N, d, root_sets)
+    records = [
+        TrialRecord(
+            roots=roots,
+            localization=localization_pushforward(N, d, roots),
+            schur_form=value,
         )
+        for roots, value in zip(root_sets, schur_values)
+    ]
     return CellReport(d=d, r=r, N=N, seed=seed, trials=records)
 
 

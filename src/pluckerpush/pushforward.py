@@ -20,8 +20,10 @@ variant, and one helper turns a table into a class; the Jacobi-Trudi sum in
 the graded ring is their oracle, ``oracles.schur_form_pushforward``.
 
 At explicit Chern roots each Delta_lam is a scalar determinant of complete
-homogeneous values (``schur_form_terms``); at the twists of a split bundle
-over P^m these are the per-shape integrals of the Grassmann bundle's degree.
+homogeneous values (``schur_form_terms``, which takes a list of root sets and
+computes the tableau counts once for all of them); at the twists of a split
+bundle over P^m these are the per-shape integrals of the Grassmann bundle's
+degree.
 """
 
 from __future__ import annotations
@@ -163,32 +165,43 @@ def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> Gra
 
 
 def schur_form_terms(
-    N: int, d: int, roots: Sequence[int | Fraction]
-) -> list[tuple[Partition, int, int | Fraction]]:
+    N: int, d: int, root_sets: Sequence[Sequence[int | Fraction]]
+) -> list[list[tuple[Partition, int, int | Fraction]]]:
     """The rows (lam, f(lam + eps), Delta_lam(h(roots))) of the Schur form at Chern roots.
 
-    r is the number of roots.  Each Segre class becomes the complete
-    homogeneous value of the roots, so every Delta_lam is a scalar
-    Jacobi-Trudi determinant and nothing is truncated; the push-forward of
-    theta^N at the roots is the sum of count * value.  Integer roots give
-    integer values.  Empty below the fiber dimension.
+    One row list per root set, in order; every set holds r roots.  The
+    counts f(lam + eps) depend on (N, d, r) alone, so they are computed once
+    for all the sets.  Each Segre class becomes the complete homogeneous
+    value of the roots, so every Delta_lam is a scalar Jacobi-Trudi
+    determinant and nothing is truncated; the push-forward of theta^N at a
+    set is the sum of count * value over its rows.  Integer roots give
+    integer values.  The lists are empty below the fiber dimension.
     """
-    r = len(roots)
+    if not root_sets:
+        return []
+    r = len(root_sets[0])
+    if any(len(roots) != r for roots in root_sets):
+        sizes = [len(roots) for roots in root_sets]
+        raise ValueError(f"root sets must all have one size, got sizes {sizes}")
     terms = schur_coefficients(N, d, r)
     if not terms:
-        return []
-    h = complete_homogeneous_values(roots, N - d * (r - d) + d)
-    return [(lam, count, schur_via_jacobi_trudi(lam, h, size=d)) for lam, count in terms]
+        return [[] for _ in root_sets]
+    top = N - d * (r - d) + d
+    rows = []
+    for roots in root_sets:
+        h = complete_homogeneous_values(roots, top)
+        rows.append([(lam, count, schur_via_jacobi_trudi(lam, h, size=d)) for lam, count in terms])
+    return rows
 
 
 def degree_grassmann_bundle_terms(d: int, model: SplitBundle) -> list[tuple[Partition, int, int]]:
     """Per-shape contributions (shape, tableau count, integral) to the degree.
 
     The integral of Delta_lam(s(E)) over P^m is Delta_lam(h(twists)), so the
-    rows are ``schur_form_terms`` at the twists; the degree is the sum of
-    count * integral.
+    rows are ``schur_form_terms`` at the one root set of the twists; the
+    degree is the sum of count * integral.
     """
-    return schur_form_terms(d * (model.rank - d) + model.base_dim, d, model.twists)
+    return schur_form_terms(d * (model.rank - d) + model.base_dim, d, [model.twists])[0]
 
 
 def degree_grassmannian_classical(d: int, r: int) -> int:

@@ -40,13 +40,14 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
     def distinct_integers(self, count: int, lo: int, hi: int) -> list[int]:
-        """``count`` pairwise distinct integers in [lo, hi], by rejection."""
-        if count > hi - lo + 1:
+        """``count`` pairwise distinct ``integer_in(lo, hi)`` draws, repeats rejected."""
+        span = hi - lo + 1
+        if count > span:
             raise ValueError(f"cannot draw {count} distinct values from [{lo}, {hi}]")
         drawn: list[int] = []
         seen: set[int] = set()
         while len(drawn) < count:
-            value = self.integer_in(lo, hi)
+            value = lo + self.next_u64() % span
             if value not in seen:
                 seen.add(value)
                 drawn.append(value)

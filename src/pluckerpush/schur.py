@@ -18,11 +18,15 @@ from .partitions import Partition
 EXACT_TYPES = (int, Fraction)
 
 
-def require_exact(values: Iterable[object], what: str) -> None:
-    """Raise TypeError unless every value is an int or a Fraction."""
+def require_exact(
+    values: Iterable[object], what: str, types: tuple[type, ...] = EXACT_TYPES
+) -> None:
+    """Raise TypeError unless the class of every value is one of ``types``,
+    by default an int or a Fraction; a bool is not an int."""
     for value in values:
-        if value.__class__ not in EXACT_TYPES:
-            raise TypeError(f"{what} must be int or Fraction, got {value!r}")
+        if value.__class__ not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise TypeError(f"{what} must be {names}, got {value!r}")
 
 
 def det(matrix: list[list[object]]) -> object:

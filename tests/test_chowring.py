@@ -67,6 +67,11 @@ class TestRingStructure:
         with pytest.raises(ValueError):
             GradedRing(names=("a",), weights=(0,), top_degree=2)
 
+    def test_refuses_sizes_and_weights_that_are_not_ints(self):
+        for weights, top in [((1.5,), 2), ((1,), 2.5), ((True,), 2), ((1,), False), ((Fraction(1),), 2)]:
+            with pytest.raises(TypeError, match="must be int"):
+                GradedRing(("h",), weights, top)
+
     def test_truncation_drops_heavy_monomials(self):
         heavy = RING.generator(2) * RING.generator(2)  # weight 6, survives
         assert not heavy.is_zero()
@@ -184,6 +189,14 @@ class TestModels:
             FormalBundle(base_dim=1, rank=0)
         with pytest.raises(ValueError):
             SplitBundle(base_dim=1, twists=())
+
+    def test_models_refuse_sizes_that_are_not_ints(self):
+        for base_dim, rank in [(2.5, 3), (2, 3.0), (True, 3), (2, True), (Fraction(2), 3)]:
+            with pytest.raises(TypeError, match="must be int"):
+                FormalBundle(base_dim=base_dim, rank=rank)
+        for base_dim in (2.5, 2.0, False, Fraction(2)):
+            with pytest.raises(TypeError, match="must be int"):
+                SplitBundle(base_dim=base_dim, twists=(1, 2))
 
     def test_split_twists_must_be_integers(self):
         # values int() would truncate, or fail on with another error

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,19 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["reports"][0]["suite"] == "degrees"
+
+    @pytest.mark.parametrize(
+        "extra,digest",
+        [
+            ((), "40516cc16b7d9a82db70d02c0dc9ba548f5a9540a39b02662fe2c0bb6ad89a49"),
+            (("--json",), "bc628e9c2ae6e42b4fbee9376930eff08cf62b686d02abaab6c650b3289c1e96"),
+        ],
+    )
+    def test_all_suites_verbose_output_is_pinned(self, capsys, extra, digest):
+        # every root, both sides of every trial and every suite line, byte for byte
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--seed", "42", "--verbose", *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 PUSH = ("pushforward", "--N", "3", "--d", "1", "--r", "2")

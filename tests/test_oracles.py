@@ -130,26 +130,39 @@ class TestSchurFormAtRoots:
         gen = SplitMix64(5)
         for d in range(1, 4):
             for r in range(d, 6):
-                roots = gen.distinct_integers(r, -20, 20)
-                value = schur_form_at_roots(d * (r - d), d, roots)
-                assert value == degree_grassmannian_classical(d, r)
+                root_sets = [gen.distinct_integers(r, -20, 20) for _ in range(3)]
+                values = schur_form_at_roots(d * (r - d), d, root_sets)
+                assert values == [degree_grassmannian_classical(d, r)] * 3
 
     def test_rank_one_quotient_values(self):
         roots = [Fraction(2), Fraction(-1), Fraction(4)]
-        assert schur_form_at_roots(2, 1, roots) == 1
-        assert schur_form_at_roots(3, 1, roots) == sum(roots)
+        assert schur_form_at_roots(2, 1, [roots]) == [1]
+        assert schur_form_at_roots(3, 1, [roots]) == [sum(roots)]
+
+    def test_one_value_per_root_set_in_order(self):
+        root_sets = [[0, 1, 2, 3], [5, -2, 7, 1], [Fraction(1, 2), 3, -4, 9]]
+        values = schur_form_at_roots(6, 2, root_sets)
+        assert values == [schur_form_at_roots(6, 2, [roots])[0] for roots in root_sets]
+        assert values == [localization_pushforward(6, 2, roots) for roots in root_sets]
 
     def test_below_fiber_dimension_is_zero(self):
-        assert schur_form_at_roots(3, 2, [0, 1, 2, 3]) == 0
+        assert schur_form_at_roots(3, 2, [[0, 1, 2, 3], [4, 5, 6, 7]]) == [0, 0]
+
+    def test_no_root_sets_give_no_values(self):
+        assert schur_form_at_roots(4, 2, []) == []
 
     def test_value_type_follows_the_roots(self):
-        assert type(schur_form_at_roots(5, 2, [0, 1, 2, 3])) is int
-        assert type(schur_form_at_roots(3, 2, [0, 1, 2, 3])) is int
-        assert type(schur_form_at_roots(3, 1, [Fraction(1, 2), 2])) is Fraction
+        assert type(schur_form_at_roots(5, 2, [[0, 1, 2, 3]])[0]) is int
+        assert type(schur_form_at_roots(3, 2, [[0, 1, 2, 3]])[0]) is int
+        assert type(schur_form_at_roots(3, 1, [[Fraction(1, 2), 2]])[0]) is Fraction
 
     def test_rejects_too_few_roots(self):
         with pytest.raises(ValueError):
-            schur_form_at_roots(2, 3, [1, 2])
+            schur_form_at_roots(2, 3, [[1, 2]])
+
+    def test_rejects_root_sets_of_different_sizes(self):
+        with pytest.raises(ValueError, match="one size"):
+            schur_form_at_roots(4, 2, [[1, 2, 3], [1, 2, 3, 4]])
 
 
 class TestBoxPieri:
@@ -194,6 +207,13 @@ class TestSplitMix64:
         gen = SplitMix64(7)
         values = gen.distinct_integers(30, -20, 20)
         assert len(set(values)) == 30
+
+    def test_distinct_draws_are_pinned(self):
+        # the values and stream position that one integer_in call per draw gives
+        gen = SplitMix64(7)
+        assert gen.distinct_integers(6, -60, 60) == [41, -27, 39, -49, 57, 35]
+        assert gen.distinct_integers(5, -3, 3) == [2, -3, 3, -2, 0]
+        assert gen.next_u64() == 15938128224054089190
 
     def test_distinct_draws_reject_impossible_request(self):
         with pytest.raises(ValueError):
@@ -296,6 +316,7 @@ class TestReportRecords:
 # localization fault is planted in ``oracles``.
 _schur_coefficients = pushforward.schur_coefficients
 _complete_homogeneous_values = pushforward.complete_homogeneous_values
+_add_rectangle = pushforward.add_rectangle
 _localization_pushforward = oracles.localization_pushforward
 
 
@@ -315,9 +336,14 @@ def _roots_negated(N, d, roots):
     return _localization_pushforward(N, d, [-y for y in roots])
 
 
+def _rectangle_one_column_wider(lam, rows, width):
+    return _add_rectangle(lam, rows, width + 1)
+
+
 SCHUR_SIDE_FAULTS = [
     ("schur_coefficients", _off_by_one_coefficient),
     ("complete_homogeneous_values", _odd_h_flipped),
+    ("add_rectangle", _rectangle_one_column_wider),
 ]
 
 
@@ -327,6 +353,18 @@ class TestTheoremSuiteCatchesPlantedFaults:
 
     def test_unpatched_suite_passes(self):
         assert suite_theorem(max_d=2, max_r=4, trials=2).failures == 0
+
+    def test_tableau_counts_are_computed_once_per_cell(self, monkeypatch):
+        calls = []
+
+        def counted(N, d, r):
+            calls.append((N, d, r))
+            return _schur_coefficients(N, d, r)
+
+        monkeypatch.setattr(pushforward, "schur_coefficients", counted)
+        report = suite_theorem(max_d=2, max_r=4, trials=3)
+        assert report.failures == 0
+        assert len(calls) == report.payload["cells"]
 
     @pytest.mark.parametrize(
         "name,fault", SCHUR_SIDE_FAULTS + [("localization_pushforward", _roots_negated)]

@@ -182,7 +182,7 @@ class TestCompleteHomogeneous:
             with pytest.raises(TypeError, match="roots must be int or Fraction"):
                 complete_homogeneous_values(roots, 3)
         with pytest.raises(TypeError):
-            schur_form_terms(3, 1, [0.5, 1.5])
+            schur_form_terms(3, 1, [[1, 2], [0.5, 1.5]])
 
     def test_one_repeated_root_gives_binomials(self):
         d = 4
