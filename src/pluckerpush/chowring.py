@@ -2,10 +2,10 @@
 
 A ``GradedRing`` is a commutative polynomial ring whose generators carry
 positive weights; every monomial of total weight above ``top_degree`` is
-identically zero.  Its elements hold exact coefficients: each is an ``int``
-or a ``Fraction`` exactly as given, and anything else is refused.  Weights,
-truncation degrees, base dimensions and ranks must be ``int``s too (a bool is
-not one); the constructors raise TypeError on anything else.  Two
+identically zero.  Its elements are frozen records of exact coefficients,
+each an ``int`` or a ``Fraction`` as given.  Weights, truncation degrees, base
+dimensions, ranks and twists must be ``int``s and generator names ``str``s (a
+bool is not an int); the constructors raise TypeError on anything else.  Two
 instances cover everything the package computes with:
 
   * the formal model, one generator per Segre class s_1..s_n of the base,
@@ -20,8 +20,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .records import FrozenRecord
-from .schur import EXACT_TYPES, complete_homogeneous_values, require_exact
+from .records import EXACT_TYPES, FrozenRecord, require_exact
+from .schur import complete_homogeneous_values
 
 Scalar = int | Fraction
 
@@ -33,6 +33,7 @@ class GradedRing(FrozenRecord):
 
     def __init__(self, names: Sequence[str], weights: Sequence[int], top_degree: int) -> None:
         names, weights = tuple(names), tuple(weights)
+        require_exact(names, "names", (str,))
         require_exact((*weights, top_degree), "weights and top_degree", (int,))
         if len(names) != len(weights):
             raise ValueError("names and weights must have equal length")
@@ -62,13 +63,13 @@ class GradedRing(FrozenRecord):
         return GradedPoly(self, {exps: 1})
 
 
-class GradedPoly:
+class GradedPoly(FrozenRecord):
     """Element of a ``GradedRing``: a finite exact combination of monomials.
 
-    Immutable by convention; all operators return fresh elements.  The
+    A frozen record, but unhashable and equal to the scalars of its ring.  The
     constructor refuses a coefficient that is not an int or a Fraction, and
-    drops zero monomials and those whose weight exceeds the ring's
-    truncation, which is what makes multiplication automatically truncate.
+    drops zero monomials and those whose weight exceeds the ring's truncation,
+    which is what makes multiplication truncate.
     """
 
     __slots__ = ("ring", "monomials")
@@ -85,9 +86,6 @@ class GradedPoly:
                 clean[exps] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "monomials", clean)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GradedPoly is immutable")
 
     # -- queries ----------------------------------------------------------
 
@@ -151,7 +149,7 @@ class GradedPoly:
             return self.monomials == self.ring.scalar(other).monomials
         return NotImplemented
 
-    __hash__ = None  # mutable-looking container semantics; not a dict key
+    __hash__ = None  # its monomials are a dict; not a dict key
 
     # -- rendering --------------------------------------------------------
 
@@ -220,19 +218,14 @@ class SplitBundle(FrozenRecord):
 
     __slots__ = ("base_dim", "twists")
 
-    def __init__(self, base_dim: int, twists: tuple[int, ...]) -> None:
-        require_exact((base_dim,), "base_dim", (int,))
+    def __init__(self, base_dim: int, twists: Sequence[int]) -> None:
+        twists = tuple(twists)
+        require_exact((base_dim, *twists), "base_dim and twists", (int,))
         if base_dim < 0:
             raise ValueError(f"base_dim must be nonnegative, got {base_dim}")
-        if len(twists) < 1:
+        if not twists:
             raise ValueError("twists must be nonempty")
-        try:
-            ints = tuple(int(a) for a in twists)
-        except (OverflowError, ValueError):  # infinite or NaN floats
-            ints = None
-        if ints != tuple(twists):
-            raise ValueError(f"twists must be integers, got {tuple(twists)}")
-        self._freeze(base_dim, ints)
+        self._freeze(base_dim, twists)
 
     @property
     def rank(self) -> int:

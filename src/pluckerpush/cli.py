@@ -166,22 +166,18 @@ def cmd_syt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    for flag, value, least in (
-        ("--trials", args.trials, 1),
-        ("--max-d", args.max_d, 1),
-        ("--max-r", args.max_r, 1),
-        ("--extra-N", args.extra_N, 0),
+    kwargs: dict[str, object] = {"seed": args.seed}
+    for flag, value, least, keyword in (
+        ("--trials", args.trials, 1, "trials"),
+        ("--max-d", args.max_d, 1, "max_d"),
+        ("--max-r", args.max_r, 1, "max_r"),
+        ("--extra-N", args.extra_N, 0, "extra_powers"),
     ):
-        if value is not None and value < least:
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
+        if value is not None:
+            if value < least:
+                raise UsageError(f"{flag} must be at least {least}, got {value}")
+            kwargs[keyword] = value
     started = time.monotonic()
-    kwargs: dict[str, object] = {"seed": args.seed, "trials": args.trials}
-    if args.max_d is not None:
-        kwargs["max_d"] = args.max_d
-    if args.max_r is not None:
-        kwargs["max_r"] = args.max_r
-    if args.extra_N is not None:
-        kwargs["extra_powers"] = args.extra_N
     reports = run_suites(args.suite, **kwargs)
     failures = sum(rep.failures for rep in reports)
     if args.json:

@@ -42,9 +42,9 @@ from .pushforward import (
     schur_form_terms,
 )
 from .chowring import BundleModel, FormalBundle, GradedPoly, ring_of, segre_classes
-from .records import Record
+from .records import Record, require_exact
 from .rng import SplitMix64
-from .schur import require_exact, schur_via_jacobi_trudi
+from .schur import schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
 
 

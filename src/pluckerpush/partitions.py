@@ -4,16 +4,19 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from .records import require_exact
+
 
 class Partition(tuple):
-    """A weakly decreasing tuple of positive integers.
+    """A weakly decreasing tuple of positive ``int``s; any other part is a TypeError.
 
     Trailing zeros are stripped on construction, so equal partitions always
     compare equal and hash alike.  The empty partition is ``Partition()``.
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        items = tuple(int(p) for p in parts)
+        items = tuple(parts)
+        require_exact(items, "partition parts", (int,))
         while items and items[-1] == 0:
             items = items[:-1]
         for i, p in enumerate(items):
@@ -110,6 +113,7 @@ def multiset_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
 
 def rectangle(height: int, width: int) -> Partition:
     """The partition with ``height`` equal parts ``width`` (empty when width is 0)."""
+    require_exact((height, width), "height and width", (int,))
     if height < 1:
         raise ValueError(f"height must be positive, got {height}")
     if width < 0:
@@ -122,6 +126,7 @@ def add_rectangle(lam: Partition, height: int, width: int) -> Partition:
 
     Requires the partition to fit in ``height`` rows.
     """
+    require_exact((height, width), "height and width", (int,))
     if len(lam) > height:
         raise ValueError(f"partition {lam} has more than {height} parts")
     if width < 0:

@@ -1,14 +1,33 @@
-"""Small value records on ``__slots__``, in place of dataclasses.
+"""The package's value layer: the exact-type check and ``__slots__`` records.
 
-A subclass lists its fields in ``__slots__``, in constructor order, and
+``require_exact`` is the one rule for an exact input: each value's class must
+be one of the given types, so neither ``True`` nor ``2.0`` is an int.  A
+record subclass lists its fields in ``__slots__``, in constructor order, and
 writes its own ``__init__``.  ``Record`` reads the fields off ``__slots__``
 for equality, a keyword-form repr such as ``FormalBundle(base_dim=3, rank=4)``
-and pickling; ``FrozenRecord`` also refuses assignment and hashes by value.
-Importing ``dataclasses`` would load ``inspect``, ``ast`` and ``dis`` into
-every process for six small records.
+and pickling; ``FrozenRecord`` also refuses assignment and deletion and
+hashes by value.  Importing ``dataclasses`` would load ``inspect``, ``ast``
+and ``dis`` into every process for seven small records.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+from fractions import Fraction
+
+#: The exact scalar types; a bool, a float or a str is neither.
+EXACT_TYPES = (int, Fraction)
+
+
+def require_exact(
+    values: Iterable[object], what: str, types: tuple[type, ...] = EXACT_TYPES
+) -> None:
+    """Raise TypeError unless the class of every value is one of ``types``,
+    by default an int or a Fraction; a bool is not an int."""
+    for value in values:
+        if value.__class__ not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise TypeError(f"{what} must be {names}, got {value!r}")
 
 
 class Record:

@@ -9,24 +9,11 @@ power of the Pluecker class by Pieri steps is an oracle,
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .partitions import Partition
-
-#: The exact scalar types; a bool, a float or a str is neither.
-EXACT_TYPES = (int, Fraction)
-
-
-def require_exact(
-    values: Iterable[object], what: str, types: tuple[type, ...] = EXACT_TYPES
-) -> None:
-    """Raise TypeError unless the class of every value is one of ``types``,
-    by default an int or a Fraction; a bool is not an int."""
-    for value in values:
-        if value.__class__ not in types:
-            names = " or ".join(t.__name__ for t in types)
-            raise TypeError(f"{what} must be {names}, got {value!r}")
+from .records import require_exact
 
 
 def det(matrix: list[list[object]]) -> object:

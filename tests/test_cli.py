@@ -283,6 +283,38 @@ class TestVerifyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+STDOUT_DIGESTS = [
+    (("pushforward", "--N", "9", "--d", "2", "--r", "4", "--base-dim", "5"),
+     "b558b516d2f51d644811cd3d55a4ef9f4216ec225fdcfe94559f3455831ecff9"),
+    (("pushforward", "--N", "9", "--d", "2", "--r", "4", "--base-dim", "5", "--json"),
+     "57e1728fa2a7aecf661460a98fe57c1294536038fb7b7ef737a597df2799c85c"),
+    (("pushforward", "--N", "6", "--d", "2", "--r", "4", "--pm", "2", "--twists=-1,0,2,3"),
+     "37db34f2d73aadf6214359ca1e839b69c7e5cbbd92deeb4e221dc7c274d873d6"),
+    (("pushforward", "--N", "6", "--d", "2", "--r", "4", "--pm", "2", "--twists=-1,0,2,3", "--json"),
+     "4d1bfcd655098465a892b0103b9b8e2625a0bd7854cf599dbe92b183a839aead"),
+    (("degree", "--d", "2", "--pm", "3", "--twists=-1,0,0,2"),
+     "f48e47c43e3e71b73f55a020860df08d5b3eebdd2574531e33c46fda91c7b08d"),
+    (("degree", "--d", "2", "--pm", "3", "--twists=-1,0,0,2", "--json"),
+     "91a9beb36c232069f41604a0d783a1381fcf29c514657fc6dccebe67c4709a19"),
+    (("degree-classical", "--d", "40", "--r", "80"),
+     "d7d02d1e08fd0e1f291abb70a1b88ce2de543e13a6436af8ab5223d451455c07"),
+    (("syt", "--shape", "(4,2,1)"),
+     "90d7ec0f0acef104d8b6252794295f661a0149634868d02a1ae0c358099638f5"),
+    (("syt", "--shape", "(3,2,1)", "--method", "enumerate"),
+     "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017"),
+    (("syt", "--shape", "(2,1)", "--method", "product", "--d", "3", "--r", "5"),
+     "c02efad74c4db35b2450beec922eb590d202b34c5b436bff0b6acc15059f5d21"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_DIGESTS, ids=[" ".join(argv) for argv, _ in STDOUT_DIGESTS])
+def test_command_output_is_pinned(capsys, argv, digest):
+    # both models of pushforward, degree, degree-classical and every syt method, byte for byte
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 PUSH = ("pushforward", "--N", "3", "--d", "1", "--r", "2")
 
 

@@ -302,6 +302,13 @@ class TestReportRecords:
             "verbose_lines=[], payload={})"
         )
 
+    def test_agreement_on_a_nonzero_value_below_the_fiber_dimension_fails(self):
+        # both sides must vanish below d(r-d) = 4; a fault on one side alone
+        # already breaks equality, so no planted suite fault reaches this check
+        trial = TrialRecord([1, 2, 3, 4], Fraction(1), Fraction(1))
+        assert CellReport(d=2, r=4, N=1, seed=0, trials=[trial]).failures == 1
+        assert CellReport(d=2, r=4, N=4, seed=0, trials=[trial]).failures == 0
+
     def test_reports_stay_mutable_and_unhashable(self):
         report = SuiteReport("x", {}, 0, 0)
         report.failures = 2
@@ -402,17 +409,27 @@ ENUMERATOR_FAULTS = [
     ("_denominator_table", _always_linear),
 ]
 
+# The ring oracle's Segre classes, looked up in ``oracles``: flipping the sign
+# convention (the Segre classes of the dual bundle) negates the odd classes.
+_segre_classes = oracles.segre_classes
+
+
+def _odd_segre_negated(model, top):
+    return [-s if k % 2 else s for k, s in enumerate(_segre_classes(model, top))]
+
 
 class TestRemarkSuiteCatchesPlantedFaults:
-    """Each planted fault in the shared enumerator makes the remark suite fail
-    and changes what a formal ``pushforward`` call prints or returns."""
+    """Each planted fault makes the remark suite fail; those in the shared
+    enumerator also change what a formal ``pushforward`` call prints or returns."""
 
     def test_unpatched_suite_passes(self):
         assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures == 0
 
-    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS)
+    @pytest.mark.parametrize(
+        "name,fault", ENUMERATOR_FAULTS + [("segre_classes", _odd_segre_negated)]
+    )
     def test_fault_is_caught(self, monkeypatch, name, fault):
-        monkeypatch.setattr(pushforward, name, fault)
+        monkeypatch.setattr(oracles if name == "segre_classes" else pushforward, name, fault)
         assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures > 0
 
     @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS)

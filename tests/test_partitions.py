@@ -53,6 +53,11 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((3, 0, 1))
 
+    def test_refuses_parts_that_are_not_ints(self):
+        for parts in [(2.5,), (3, True), ("3", "1"), (True, 0.9), (2.0,)]:
+            with pytest.raises(TypeError, match="partition parts must be int"):
+                Partition(parts)
+
     def test_weight_and_indexing(self):
         lam = Partition((3, 1))
         assert lam.weight == 4
@@ -141,6 +146,17 @@ class TestRectangleShift:
         assert add_rectangle(Partition((1,)), 2, 1) == Partition((2, 1))
         assert add_rectangle(Partition(), 2, 2) == Partition((2, 2))
         assert add_rectangle(Partition((2, 1)), 3, 3) == Partition((5, 4, 3))
+
+    def test_rectangles_refuse_sizes_that_are_not_ints(self):
+        for bad in (2.5, True, "3"):
+            for make in (
+                lambda: rectangle(2, bad),
+                lambda: rectangle(bad, 2),
+                lambda: add_rectangle(Partition((1,)), 2, bad),
+                lambda: add_rectangle(Partition((1,)), bad, 1),
+            ):
+                with pytest.raises(TypeError, match="height and width must be int"):
+                    make()
 
     def test_add_rectangle_rejects_long_partition(self):
         with pytest.raises(ValueError):
