@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from types import MappingProxyType
 
 from .records import EXACT_TYPES, FrozenRecord, require_exact
 from .schur import complete_homogeneous_values
@@ -69,7 +70,8 @@ class GradedPoly(FrozenRecord):
     A frozen record, but unhashable and equal to the scalars of its ring.  The
     constructor refuses a coefficient that is not an int or a Fraction, and
     drops zero monomials and those whose weight exceeds the ring's truncation,
-    which is what makes multiplication truncate.
+    which is what makes multiplication truncate.  ``monomials`` is a read-only
+    view of the map from exponent vectors to coefficients.
     """
 
     __slots__ = ("ring", "monomials")
@@ -85,15 +87,10 @@ class GradedPoly(FrozenRecord):
             if coeff and ring.monomial_weight(exps) <= ring.top_degree:
                 clean[exps] = coeff
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "monomials", clean)
+        object.__setattr__(self, "monomials", MappingProxyType(clean))
 
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def coefficient(self, exponents: tuple[int, ...]) -> Scalar:
-        return self.monomials.get(tuple(exponents), 0)
+    def __reduce__(self) -> tuple:
+        return GradedPoly, (self.ring, dict(self.monomials))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -111,7 +108,7 @@ class GradedPoly(FrozenRecord):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        merged = dict(self.monomials)
+        merged = self.monomials.copy()
         for exps, coeff in rhs.monomials.items():
             merged[exps] = merged.get(exps, 0) + coeff
         return GradedPoly(self.ring, merged)
@@ -135,8 +132,6 @@ class GradedPoly(FrozenRecord):
         for e1, c1 in self.monomials.items():
             for e2, c2 in rhs.monomials.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                if self.ring.monomial_weight(exps) > self.ring.top_degree:
-                    continue
                 product[exps] = product.get(exps, 0) + c1 * c2
         return GradedPoly(self.ring, product)
 
@@ -149,7 +144,7 @@ class GradedPoly(FrozenRecord):
             return self.monomials == self.ring.scalar(other).monomials
         return NotImplemented
 
-    __hash__ = None  # its monomials are a dict; not a dict key
+    __hash__ = None  # equal to plain scalars and its map unhashable; not a dict key
 
     # -- rendering --------------------------------------------------------
 
@@ -278,5 +273,5 @@ def integrate_over_pm(element: GradedPoly, m: int) -> Scalar:
         raise ValueError("integration is defined only in the single-generator ring of P^m")
     if ring.top_degree != m:
         raise ValueError(f"element lives over P^{ring.top_degree}, not P^{m}")
-    return element.coefficient((m,))
+    return element.monomials.get((m,), 0)
 

@@ -35,7 +35,7 @@ from math import lcm, prod
 
 from .partitions import rectangle
 from .pushforward import (
-    _rational_form_class,
+    _class_of_table,
     degree_grassmannian_classical,
     rational_form_coefficients,
     schur_coefficients,
@@ -369,7 +369,7 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
                     if any(c.denominator != 1 for _, c in coeffs):
                         integral[variant] = False
                     # the class pushforward_rational_form builds, from the same read
-                    candidate = _rational_form_class(coeffs, N - fiber_dim, model)
+                    candidate = _class_of_table(coeffs, N - fiber_dim, model)
                     if candidate == expected:
                         matches[variant] += 1
                         verbose_lines.append(f"d={d} r={r} N={N} {variant}: match")

@@ -122,28 +122,32 @@ def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]
 
 
 def _class_of_table(
-    table: list[tuple[Partition, int | Fraction]], weight: int, model: BundleModel
+    table: list[tuple[Sequence[int], int | Fraction]], weight: int, model: BundleModel
 ) -> GradedPoly:
     """The class of degree ``weight`` that a monomial table stands for in the model.
 
-    Over a formal base each entry (mu, c) is the monomial c * s_{mu_1} * ...
-    * s_{mu_l}; over P^m it contributes c * h_{mu_1}(a) * ... * h_{mu_l}(a) to
-    the coefficient of h^weight, with a the twists.  The zero class when the
-    weight is negative or exceeds the base dimension.
+    Each entry (k, c) is an exponent vector k, a partition or any vector of
+    nonnegative parts, whose zero parts are skipped.  Over a formal base it
+    is the monomial c * s_{k_1} * ... * s_{k_d}; over P^m it contributes
+    c * h_{k_1}(a) * ... * h_{k_d}(a) to the coefficient of h^weight, with a
+    the twists.  Entries that name the same monomial add up.  The zero class
+    when the weight is negative or exceeds the base dimension.
     """
     ring = ring_of(model)
     if not 0 <= weight <= model.base_dim:
         return ring.zero()
     if isinstance(model, FormalBundle):
-        monomials = {}
-        for mu, coeff in table:
+        monomials: dict[tuple[int, ...], int | Fraction] = {}
+        for k, coeff in table:
             exps = [0] * model.base_dim
-            for part in mu:
-                exps[part - 1] += 1
-            monomials[tuple(exps)] = coeff
+            for part in k:
+                if part:
+                    exps[part - 1] += 1
+            exps = tuple(exps)
+            monomials[exps] = monomials.get(exps, 0) + coeff
         return GradedPoly(ring, monomials)
     h = complete_homogeneous_values(model.twists, weight)
-    value = sum(coeff * prod(h[part] for part in mu) for mu, coeff in table)
+    value = sum(coeff * prod(h[part] for part in k) for k, coeff in table)
     return GradedPoly(ring, {(weight,): value})
 
 
@@ -262,16 +266,5 @@ def pushforward_rational_form(
     """
     _check_model(r, model)
     coefficients = rational_form_coefficients(N, d, r, denominator)
-    return _rational_form_class(coefficients, N - d * (r - d), model)
+    return _class_of_table(coefficients, N - d * (r - d), model)
 
-
-def _rational_form_class(
-    coefficients: list[tuple[tuple[int, ...], Fraction]], weight: int, model: BundleModel
-) -> GradedPoly:
-    """Group rational-form coefficients by the sorted exponent vector into a
-    monomial table, and return the class of degree ``weight`` it stands for."""
-    table: dict[Partition, Fraction] = {}
-    for k, coeff in coefficients:
-        mu = Partition(sorted(k, reverse=True))
-        table[mu] = table.get(mu, 0) + coeff
-    return _class_of_table(list(table.items()), weight, model)

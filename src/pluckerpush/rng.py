@@ -33,14 +33,8 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return (z ^ (z >> 31)) & _MASK64
 
-    def integer_in(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in the closed interval [lo, hi]."""
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
-
     def distinct_integers(self, count: int, lo: int, hi: int) -> list[int]:
-        """``count`` pairwise distinct ``integer_in(lo, hi)`` draws, repeats rejected."""
+        """``count`` pairwise distinct draws ``lo + next_u64() % span``, repeats rejected."""
         span = hi - lo + 1
         if count > span:
             raise ValueError(f"cannot draw {count} distinct values from [{lo}, {hi}]")

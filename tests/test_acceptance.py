@@ -150,7 +150,7 @@ def test_criterion_07_rank_one_specialization():
                 model = FormalBundle(base_dim=max(weight, 0), rank=r)
                 image = pushforward_plucker_power(N, 1, r, model)
                 if weight < 0:
-                    assert image.is_zero()
+                    assert image == 0
                 else:
                     assert image == segre_classes(model, weight)[weight]
 

@@ -60,7 +60,7 @@ class TestSchurClassPushforward:
     def test_shape_not_containing_rectangle_vanishes(self):
         model = FormalBundle(base_dim=3, rank=3)
         segre = segre_classes(model, 6)
-        assert pushforward_schur_class(Partition((2,)), 2, 3, segre).is_zero()
+        assert pushforward_schur_class(Partition((2,)), 2, 3, segre) == 0
 
     def test_shifted_determinant_value(self):
         model = FormalBundle(base_dim=2, rank=3)
@@ -105,7 +105,7 @@ class TestPluckerPowerPushforward:
     def test_below_critical_power_is_zero(self):
         model = FormalBundle(base_dim=2, rank=4)
         for N in range(4):
-            assert pushforward_plucker_power(N, 2, 4, model).is_zero()
+            assert pushforward_plucker_power(N, 2, 4, model) == 0
 
     def test_output_is_homogeneous(self):
         for d in range(1, 4):
@@ -114,7 +114,7 @@ class TestPluckerPowerPushforward:
                 for N in range(fiber, fiber + 4):
                     model = FormalBundle(base_dim=N - fiber, rank=r)
                     image = pushforward_plucker_power(N, d, r, model)
-                    if not image.is_zero():
+                    if image != 0:
                         assert homogeneous_degree(image) == N - fiber
 
     def test_point_value_is_classical_degree(self):
