@@ -6,10 +6,8 @@ rationals); every formula ships with an independent brute-force oracle.
 
 from .partitions import (
     Partition,
-    add_rectangle,
     enumerate_partitions,
     hook_lengths,
-    multiset_permutations,
     parse_partition,
     rectangle,
 )
@@ -57,10 +55,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Partition",
-    "add_rectangle",
     "enumerate_partitions",
     "hook_lengths",
-    "multiset_permutations",
     "parse_partition",
     "rectangle",
     "ENUMERATION_CAP",

@@ -59,7 +59,9 @@ class GradedRing(FrozenRecord):
         return GradedPoly(self, {(0,) * len(self.names): value})
 
     def generator(self, index: int) -> "GradedPoly":
-        """The index-th generator (zero if its weight already exceeds the truncation)."""
+        """The index-th generator, 0-based (zero if its weight exceeds the truncation)."""
+        if not 0 <= index < len(self.names):
+            raise ValueError(f"no generator {index} in a ring with {len(self.names)} generators")
         exps = tuple(1 if i == index else 0 for i in range(len(self.names)))
         return GradedPoly(self, {exps: 1})
 
@@ -68,10 +70,11 @@ class GradedPoly(FrozenRecord):
     """Element of a ``GradedRing``: a finite exact combination of monomials.
 
     A frozen record, but unhashable and equal to the scalars of its ring.  The
-    constructor refuses a coefficient that is not an int or a Fraction, and
-    drops zero monomials and those whose weight exceeds the ring's truncation,
-    which is what makes multiplication truncate.  ``monomials`` is a read-only
-    view of the map from exponent vectors to coefficients.
+    constructor refuses an exponent that is not an int and a coefficient that
+    is not an int or a Fraction, and drops zero monomials and those whose
+    weight exceeds the ring's truncation, which is what makes multiplication
+    truncate.  ``monomials`` is a read-only view of the map from exponent
+    vectors to coefficients.
     """
 
     __slots__ = ("ring", "monomials")
@@ -82,6 +85,7 @@ class GradedPoly(FrozenRecord):
         clean: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in monomials.items():
             exps = tuple(exps)
+            require_exact(exps, "exponents", (int,))
             if len(exps) != width or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for ring with {width} generators")
             if coeff and ring.monomial_weight(exps) <= ring.top_degree:

@@ -1,4 +1,4 @@
-"""Integer partitions: representation, bounded enumeration, rectangle shifts, hooks."""
+"""Integer partitions: representation, bounded enumeration, rectangles, hooks."""
 
 from __future__ import annotations
 
@@ -87,30 +87,6 @@ def enumerate_partitions(weight: int, max_parts: int) -> list[Partition]:
     return [Partition(t) for t in _descending(weight, weight, max_parts)]
 
 
-def multiset_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings of a multiset, in lexicographic order.
-
-    Knuth's Algorithm L (TAOCP 4A, 7.2.1.2): from the ascending arrangement,
-    swap the rightmost ascent a_j < a_{j+1} with the last entry exceeding
-    a_j, then reverse the tail after position j.  Each ordering appears once,
-    however many entries repeat.
-    """
-    a = sorted(items)
-    n = len(a)
-    while True:
-        yield tuple(a)
-        j = n - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        last = n - 1
-        while a[j] >= a[last]:
-            last -= 1
-        a[j], a[last] = a[last], a[j]
-        a[j + 1 :] = a[:j:-1]
-
-
 def rectangle(height: int, width: int) -> Partition:
     """The partition with ``height`` equal parts ``width`` (empty when width is 0)."""
     require_exact((height, width), "height and width", (int,))
@@ -119,19 +95,6 @@ def rectangle(height: int, width: int) -> Partition:
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
     return Partition((width,) * height)
-
-
-def add_rectangle(lam: Partition, height: int, width: int) -> Partition:
-    """Add ``width`` to each of the first ``height`` parts, padding with zeros.
-
-    Requires the partition to fit in ``height`` rows.
-    """
-    require_exact((height, width), "height and width", (int,))
-    if len(lam) > height:
-        raise ValueError(f"partition {lam} has more than {height} parts")
-    if width < 0:
-        raise ValueError(f"width must be nonnegative, got {width}")
-    return Partition(lam.part(i) + width for i in range(height))
 
 
 def hook_lengths(lam: Partition) -> list[int]:

@@ -23,7 +23,7 @@ At explicit Chern roots each Delta_lam is a scalar determinant of complete
 homogeneous values (``schur_form_terms``, which takes a list of root sets and
 computes the tableau counts once for all of them); at the twists of a split
 bundle over P^m these are the per-shape integrals of the Grassmann bundle's
-degree.
+degree.  Each count f(lam + eps) is the composition term at k = lam.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
-from .partitions import Partition, add_rectangle, enumerate_partitions, multiset_permutations
+from .partitions import Partition, enumerate_partitions
 from .schur import complete_homogeneous_values, schur_via_jacobi_trudi
-from .tableaux import syt_count_hook
+from .tableaux import syt_count_product
 
 #: "linear" or "factorial", the denominator convention of the rational form.
 DenominatorVariant = str
@@ -56,21 +56,47 @@ def schur_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
 
     One pair per partition lam of N - d(r-d) with at most d parts, in
     reverse-lexicographic order; empty below the fiber dimension, where the
-    push-forward vanishes.
+    push-forward vanishes.  Each count is the composition term at k = lam,
+    ``syt_count_product``, so the shape lam + eps is never built.
     """
     _check_d_r(d, r)
     fiber_dim = d * (r - d)
     if N < fiber_dim:
         return []
-    return [
-        (lam, syt_count_hook(add_rectangle(lam, d, r - d)))
-        for lam in enumerate_partitions(N - fiber_dim, d)
-    ]
+    return [(lam, syt_count_product(lam, d, r)) for lam in enumerate_partitions(N - fiber_dim, d)]
 
 
 def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:
     """D(t) for t = 0..top: t for the linear variant, t! for the factorial one."""
     return [factorial(t) if denominator == "factorial" else t for t in range(top + 1)]
+
+
+def _live_orderings(parts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings k of ``parts`` whose shifted parts k_i - i are pairwise distinct.
+
+    In lexicographic order, depth first over the sorted distinct values; a
+    branch is cut as soon as its new shifted part repeats one already placed.
+    """
+    values = sorted(set(parts))
+    left = [parts.count(v) for v in values]
+    k: list[int] = []
+    shifted: list[int] = []
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(parts):
+            yield tuple(k)
+            return
+        for j, v in enumerate(values):
+            if left[j] and v - i not in shifted:
+                left[j] -= 1
+                k.append(v)
+                shifted.append(v - i)
+                yield from extend(i + 1)
+                left[j] += 1
+                k.pop()
+                shifted.pop()
+
+    return extend(0)
 
 
 def _composition_terms(
@@ -80,19 +106,17 @@ def _composition_terms(
 
     The exponent vectors k, d nonnegative integers with |k| = N - d(r-d),
     come partition by partition: for each mu in reverse-lexicographic order,
-    the distinct permutations of mu padded with zeros.  The k-th term is
+    the ``_live_orderings`` of mu padded with zeros.  The k-th term is
     N! * prod_{i<j} (k_i - k_j - i + j) over prod_i D(r + k_i - i) (i counted
-    from 1); a term where two of the k_i - i coincide vanishes and is skipped.
-    Requires N at or above the fiber dimension.
+    from 1); a term where two of the k_i - i coincide vanishes, and the walk
+    never reaches it.  Requires N at or above the fiber dimension.
     """
     n_fact = factorial(N)
     weight = N - d * (r - d)
     denominators = _denominator_table(denominator, r + weight)
     for mu in enumerate_partitions(weight, d):
-        for k in multiset_permutations(mu.part(i) for i in range(d)):
+        for k in _live_orderings([mu.part(i) for i in range(d)]):
             shifted = [part - i for i, part in enumerate(k)]
-            if len(set(shifted)) < d:
-                continue
             difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
             yield mu, k, n_fact * difference, prod(
                 denominators[r + part - i - 1] for i, part in enumerate(k)

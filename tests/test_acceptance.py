@@ -16,7 +16,6 @@ from pluckerpush import (
     Partition,
     SplitBundle,
     SplitMix64,
-    add_rectangle,
     box_pieri_degree,
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
@@ -118,7 +117,7 @@ def test_criterion_05_tableau_counts_three_ways():
             for r in range(d, 8):
                 for weight in range(7):
                     for lam in enumerate_partitions(weight, d):
-                        shifted = add_rectangle(lam, d, r - d)
+                        shifted = Partition(lam.part(i) + r - d for i in range(d))
                         by_hook = syt_count_hook(shifted)
                         assert syt_count_product(lam, d, r) == by_hook
                         if shifted.weight <= ENUMERATION_CAP:

@@ -62,6 +62,13 @@ class TestRingStructure:
         g = RING.generator(1)
         assert homogeneous_degree(g) == 2
 
+    def test_generator_index_out_of_range_raises(self):
+        ring = GradedRing(("h",), (1,), 2)
+        assert ring.generator(0) == GradedPoly(ring, {(1,): 1})
+        for index in (5, 1, -1):
+            with pytest.raises(ValueError, match="no generator"):
+                ring.generator(index)
+
     def test_rejects_bad_descriptor(self):
         with pytest.raises(ValueError):
             GradedRing(names=("a", "a"), weights=(1, 1), top_degree=2)
@@ -130,6 +137,12 @@ class TestRingStructure:
         with pytest.raises(TypeError):
             RING.one() * 0.5
         assert (RING.one() == 1.0) is False
+
+    def test_refuses_exponents_that_are_not_ints(self):
+        ring = GradedRing(("h",), (1,), 2)
+        for bad in (1.5, True, 1.0, Fraction(1), "1"):
+            with pytest.raises(TypeError, match="exponents must be int"):
+                GradedPoly(ring, {(bad,): 1})
 
     def test_degrees_and_homogeneity(self):
         p = RING.generator(0) + RING.generator(1)

@@ -323,7 +323,7 @@ class TestReportRecords:
 # localization fault is planted in ``oracles``.
 _schur_coefficients = pushforward.schur_coefficients
 _complete_homogeneous_values = pushforward.complete_homogeneous_values
-_add_rectangle = pushforward.add_rectangle
+_syt_count_product = pushforward.syt_count_product
 _localization_pushforward = oracles.localization_pushforward
 
 
@@ -343,14 +343,14 @@ def _roots_negated(N, d, roots):
     return _localization_pushforward(N, d, [-y for y in roots])
 
 
-def _rectangle_one_column_wider(lam, rows, width):
-    return _add_rectangle(lam, rows, width + 1)
+def _rectangle_one_column_wider(lam, d, r):
+    return _syt_count_product(lam, d, r + 1)
 
 
 SCHUR_SIDE_FAULTS = [
     ("schur_coefficients", _off_by_one_coefficient),
     ("complete_homogeneous_values", _odd_h_flipped),
-    ("add_rectangle", _rectangle_one_column_wider),
+    ("syt_count_product", _rectangle_one_column_wider),
 ]
 
 
@@ -392,12 +392,21 @@ class TestTheoremSuiteCatchesPlantedFaults:
 
 # Faults in the walk over exponent vectors that the monomial table and the
 # rational form share; both are looked up in ``pushforward``.
-_multiset_permutations = pushforward.multiset_permutations
+_live_orderings = pushforward._live_orderings
 _denominator_table = pushforward._denominator_table
 
 
-def _last_ordering_dropped(items):
-    return list(_multiset_permutations(items))[:-1]
+def _last_ordering_dropped(parts):
+    return list(_live_orderings(parts))[:-1]
+
+
+def _pruned_off_by_one(parts):
+    # the pruning test compares k_i - i with an earlier k_j - j - 1 instead of k_j - j
+    return [
+        k
+        for k in sorted(set(itertools.permutations(parts)))
+        if all(k[i] - i != k[j] - j - 1 for i in range(len(k)) for j in range(i))
+    ]
 
 
 def _always_linear(denominator, top):
@@ -405,7 +414,8 @@ def _always_linear(denominator, top):
 
 
 ENUMERATOR_FAULTS = [
-    ("multiset_permutations", _last_ordering_dropped),
+    ("_live_orderings", _last_ordering_dropped),
+    ("_live_orderings", _pruned_off_by_one),
     ("_denominator_table", _always_linear),
 ]
 

@@ -1,15 +1,11 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pluckerpush import (
     Partition,
-    add_rectangle,
     enumerate_partitions,
     hook_lengths,
-    multiset_permutations,
     parse_partition,
     rectangle,
 )
@@ -123,51 +119,20 @@ class TestEnumeration:
             enumerate_partitions(3, 0)
 
 
-class TestMultisetPermutations:
-    def test_examples(self):
-        assert list(multiset_permutations([2, 0, 0])) == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
-        assert list(multiset_permutations([1, 1])) == [(1, 1)]
-        assert list(multiset_permutations([])) == [()]
-
-    @given(st.lists(st.integers(0, 3), min_size=0, max_size=6))
-    def test_matches_deduplicated_permutations(self, items):
-        # oracle: every ordering, with repeats removed by a set
-        expected = sorted(set(itertools.permutations(items)))
-        assert list(multiset_permutations(items)) == expected
-
-
 class TestRectangleShift:
     def test_rectangle_examples(self):
         assert rectangle(2, 2) == Partition((2, 2))
         assert rectangle(3, 0) == Partition()
         assert rectangle(1, 4) == Partition((4,))
 
-    def test_add_rectangle_examples(self):
-        assert add_rectangle(Partition((1,)), 2, 1) == Partition((2, 1))
-        assert add_rectangle(Partition(), 2, 2) == Partition((2, 2))
-        assert add_rectangle(Partition((2, 1)), 3, 3) == Partition((5, 4, 3))
-
     def test_rectangles_refuse_sizes_that_are_not_ints(self):
         for bad in (2.5, True, "3"):
             for make in (
                 lambda: rectangle(2, bad),
                 lambda: rectangle(bad, 2),
-                lambda: add_rectangle(Partition((1,)), 2, bad),
-                lambda: add_rectangle(Partition((1,)), bad, 1),
             ):
                 with pytest.raises(TypeError, match="height and width must be int"):
                     make()
-
-    def test_add_rectangle_rejects_long_partition(self):
-        with pytest.raises(ValueError):
-            add_rectangle(Partition((1, 1, 1)), 2, 1)
-
-    @given(small_partitions, st.integers(0, 5))
-    def test_add_rectangle_round_trip(self, lam, width):
-        height = max(len(lam), 1) + 2
-        shifted = add_rectangle(lam, height, width)
-        recovered = [shifted.part(i) - width for i in range(height)]
-        assert recovered == [lam.part(i) for i in range(height)]
 
 
 class TestHooks:

@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pluckerpush import (
     FormalBundle,
@@ -28,6 +31,7 @@ from pluckerpush import (
     syt_count_hook,
     syt_count_product,
 )
+from pluckerpush.pushforward import _live_orderings
 
 
 def pushforward_schur_class(mu, d, r, segre):
@@ -149,6 +153,24 @@ class TestPluckerPowerPushforward:
     def test_rejects_d_above_r(self):
         with pytest.raises(ValueError):
             pushforward_plucker_power(4, 3, 2, FormalBundle(base_dim=1, rank=2))
+
+
+class TestLiveOrderings:
+    def test_examples(self):
+        assert list(_live_orderings([2, 0, 0])) == [(0, 2, 0), (2, 0, 0)]
+        assert list(_live_orderings([1, 1])) == [(1, 1)]
+        assert list(_live_orderings([])) == [()]
+
+    @given(st.lists(st.integers(0, 4), min_size=0, max_size=6))
+    def test_matches_filtered_permutations(self, items):
+        # oracle: every ordering, repeats removed by a set, kept when its
+        # shifted parts k_i - i are pairwise distinct
+        expected = [
+            k
+            for k in sorted(set(itertools.permutations(items)))
+            if len({part - i for i, part in enumerate(k)}) == len(k)
+        ]
+        assert list(_live_orderings(items)) == expected
 
 
 class TestMonomialTable:

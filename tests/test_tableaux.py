@@ -5,7 +5,6 @@ import pytest
 from pluckerpush import (
     ENUMERATION_CAP,
     Partition,
-    add_rectangle,
     enumerate_partitions,
     syt_count_hook,
     syt_count_product,
@@ -46,7 +45,7 @@ class TestProductFormula:
             for r in range(d, 8):
                 for weight in range(7):
                     for lam in enumerate_partitions(weight, d):
-                        expected = syt_count_hook(add_rectangle(lam, d, r - d))
+                        expected = syt_count_hook(Partition(lam.part(i) + r - d for i in range(d)))
                         assert syt_count_product(lam, d, r) == expected
 
     def test_rejects_bad_arguments(self):
