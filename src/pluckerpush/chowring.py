@@ -59,7 +59,10 @@ class GradedRing(FrozenRecord):
         return GradedPoly(self, {(0,) * len(self.names): value})
 
     def generator(self, index: int) -> "GradedPoly":
-        """The index-th generator, 0-based (zero if its weight exceeds the truncation)."""
+        """The index-th generator, 0-based (zero if its weight exceeds the truncation).
+
+        The index must be an int; a bool or a float raises TypeError."""
+        require_exact((index,), "generator index", (int,))
         if not 0 <= index < len(self.names):
             raise ValueError(f"no generator {index} in a ring with {len(self.names)} generators")
         exps = tuple(1 if i == index else 0 for i in range(len(self.names)))
@@ -249,8 +252,9 @@ def ring_of(model: BundleModel) -> GradedRing:
 def segre_classes(model: BundleModel, top: int) -> list[GradedPoly]:
     """The classes s_0..s_top of the model, as ring elements.
 
-    Only the ring oracle ``oracles.schur_form_pushforward`` and the tests
-    multiply these; the production push-forward reads a monomial table.
+    Only the ring oracle in ``oracles`` (``schur_form_pushforward`` and the
+    remark suite) and the tests multiply these; the production push-forward
+    reads a monomial table.
 
     Sign convention: the total Segre class is the inverse of the total Chern
     class of the dual bundle, so for a split bundle s_k is h^k times the

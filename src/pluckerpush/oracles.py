@@ -9,14 +9,19 @@ Three oracles, none of which shares code with the production formula it checks:
 
     The roots must be pairwise distinct.  The terms are summed in integers
     over one common denominator, the Vandermonde product of the roots scaled
-    to integers, and the total is reduced to a Fraction once.  It checks
-    ``schur_form_at_roots``, the exact sums of the production rows
+    to integers, and the total is reduced to a Fraction once.  Which
+    differences each subset multiplies depends on (r, d) alone: a subset
+    plan of flat indices into the call's r^2 differences, kept for the last
+    (r, d) only, so the calls of one theorem-suite cell build it once.  It
+    checks ``schur_form_at_roots``, the exact sums of the production rows
     ``pushforward.schur_form_terms`` that the ``degree`` command also reads,
     evaluated for all the root sets of a theorem-suite cell at once.
   * ``schur_form_pushforward``: the Schur-form sum in a model's graded ring,
     one Jacobi-Trudi determinant of Segre classes per shape; the oracle of the
     monomial table behind ``pushforward_plucker_power`` and of the rational
-    form, which share one walk over the exponent vectors.
+    form, which share one walk over the exponent vectors.  Over formal
+    bundles a determinant depends on (d, shape) and not on the rank, so the
+    remark suite computes each one once for all the ranks of its grid.
   * ``pieri_walk``: theta^N as a sum of Schur classes by repeated Pieri
     steps, whose counts are the hook-length tableau counts the production
     formulas read; ``box_pieri_degree`` truncates it to the d x (r-d) box and
@@ -31,9 +36,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 
-from .partitions import rectangle
+from .partitions import Partition, rectangle
 from .pushforward import (
     _class_of_table,
     degree_grassmannian_classical,
@@ -48,20 +54,47 @@ from .schur import schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
 
 
+@lru_cache(maxsize=1)
+def _subset_plan(
+    r: int, d: int
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """The index plan of localization for r roots and d-subsets.
+
+    The differences z_i - z_j of a call are laid out flat at i*r + j.  The
+    plan holds the flat indices of the Vandermonde pairs i < j and, for each
+    d-subset I in ``itertools.combinations`` order, the pair (I, the flat
+    indices of its cross pairs i in I, j not in I).  One entry is kept, the
+    plan of the last (r, d): the theorem suite varies the power innermost, so
+    consecutive calls share it, and no earlier plan stays in memory.
+    """
+    pairs = tuple(i * r + j for i, j in itertools.combinations(range(r), 2))
+    subsets = []
+    for subset in itertools.combinations(range(r), d):
+        outside = [j for j in range(r) if j not in subset]
+        subsets.append((subset, tuple(i * r + j for i in subset for j in outside)))
+    return pairs, tuple(subsets)
+
+
 def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) -> Fraction:
     """Symmetrized fixed-point sum over all d-subsets of the roots.
 
-    The roots must be ints or Fractions; anything else raises TypeError.  They
-    are scaled to integers z = q*y, q the lcm of their denominators.
+    The roots must be ints or Fractions, and N and d ints; anything else
+    raises TypeError, so no float or bool d reaches the memoized plan under
+    the key of an equal int.  The roots are scaled to integers z = q*y, q the lcm of their denominators.
     Every subset term then shares the Vandermonde denominator
     V = prod_{i<j} (z_i - z_j): the subset's own denominator D_I is, up to
     sign, the part of V that pairs I with its complement, so V / D_I is an
     exact integer.  The integer sum of e_I^N * V / D_I, with e_I the sum of
     the z_i in I, is reduced once, the scaling undone:
     q^{d(r-d)} * sum / (q^N * V).
+
+    The call computes the r^2 differences z_i - z_j once; V and every D_I
+    are products of the differences that the subset plan of (r, d) names
+    (``_subset_plan``, which keeps the plan of the last (r, d) only).
     """
     values = list(roots)
     require_exact(values, "roots")
+    require_exact((N, d), "N and d", (int,))
     if len(set(values)) != len(values):
         raise ValueError("roots must be pairwise distinct")
     r = len(values)
@@ -71,14 +104,15 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
         raise ValueError(f"power must be nonnegative, got {N}")
     q = lcm(*(y.denominator for y in values))
     z = [y.numerator * (q // y.denominator) for y in values]
-    vandermonde = prod(z[i] - z[j] for i, j in itertools.combinations(range(r), 2))
+    pairs, subsets = _subset_plan(r, d)
+    difference = [a - b for a in z for b in z].__getitem__
+    root = z.__getitem__
+    vandermonde = prod(map(difference, pairs))
     total = 0
-    for subset in itertools.combinations(range(r), d):
-        outside = [z[j] for j in range(r) if j not in subset]
-        denominator = prod(z[i] - y for i in subset for y in outside)
-        quotient, rem = divmod(vandermonde, denominator)
+    for subset, cross in subsets:
+        quotient, rem = divmod(vandermonde, prod(map(difference, cross)))
         assert rem == 0, f"subset denominator does not divide the Vandermonde product at {subset}"
-        total += sum(z[i] for i in subset) ** N * quotient
+        total += sum(map(root, subset)) ** N * quotient
     return Fraction(total * q ** (d * (r - d)), vandermonde * q**N)
 
 
@@ -110,13 +144,30 @@ def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> Graded
         raise ValueError(f"model has rank {model.rank}, expected {r}")
     if N < 0:
         raise ValueError(f"power must be nonnegative, got {N}")
-    terms = schur_coefficients(N, d, r)
+    return _schur_sum(schur_coefficients(N, d, r), d, model, {})
+
+
+def _schur_sum(
+    terms: list[tuple[Partition, int]],
+    d: int,
+    model: BundleModel,
+    deltas: dict[Partition, GradedPoly],
+) -> GradedPoly:
+    """Sum of count * Delta_lam over the (lam, count) terms, in the model's ring.
+
+    Delta_lam, the d-row Jacobi-Trudi determinant of the model's Segre
+    classes, is read from ``deltas`` and computed into it when missing.  A
+    dict may serve several calls only while d and the Segre classes of the
+    shapes stay the same.
+    """
     total = ring_of(model).zero()
-    if not terms:
-        return total
-    segre = segre_classes(model, N - d * (r - d) + d)
+    segre = None
     for lam, count in terms:
-        total = total + count * schur_via_jacobi_trudi(lam, segre, size=d)
+        if lam not in deltas:
+            if segre is None:
+                segre = segre_classes(model, lam.weight + d)
+            deltas[lam] = schur_via_jacobi_trudi(lam, segre, size=d)
+        total = total + count * deltas[lam]
     return total
 
 
@@ -341,8 +392,10 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
     """Decide which denominator variant of the rational form is correct.
 
     Compares both variants against the Jacobi-Trudi Schur form
-    (``schur_form_pushforward``) symbolically, over formal
-    bundles with base dimension equal to the output degree.  Both variants
+    (the sum ``schur_form_pushforward`` computes) symbolically, over formal
+    bundles with base dimension equal to the output degree; each
+    determinant Delta_lam is computed once per (d, lam) and shared by every
+    rank r of the grid.  Both variants
     walk the exponent vectors the production monomial table walks, so the
     suite checks that walk against the ring oracle too.  Passes only if
     exactly one variant matches on every instance; also records whether the
@@ -354,12 +407,15 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
     instances = 0
     verbose_lines = []
     for d in range(1, max_d + 1):
+        # Delta_lam by shape, for this d: the formal model's ring and Segre
+        # classes depend only on its base dimension |lam|, not on the rank
+        deltas: dict[Partition, GradedPoly] = {}
         for r in range(d, max_r + 1):
             fiber_dim = d * (r - d)
             for N in range(fiber_dim, fiber_dim + extra_powers + 1):
                 instances += 1
                 model = FormalBundle(base_dim=N - fiber_dim, rank=r)
-                expected = schur_form_pushforward(N, d, r, model)
+                expected = _schur_sum(schur_coefficients(N, d, r), d, model, deltas)
                 for variant in variants:
                     try:
                         coeffs = rational_form_coefficients(N, d, r, variant)

@@ -69,6 +69,12 @@ class TestRingStructure:
             with pytest.raises(ValueError, match="no generator"):
                 ring.generator(index)
 
+    def test_generator_index_must_be_an_int(self):
+        ring = GradedRing(("a", "b"), (1, 1), 2)
+        for index in (True, False, 0.0, 1.0, Fraction(1), "0"):
+            with pytest.raises(TypeError, match="generator index must be int"):
+                ring.generator(index)
+
     def test_rejects_bad_descriptor(self):
         with pytest.raises(ValueError):
             GradedRing(names=("a", "a"), weights=(1, 1), top_degree=2)

@@ -304,6 +304,10 @@ STDOUT_DIGESTS = [
      "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017"),
     (("syt", "--shape", "(2,1)", "--method", "product", "--d", "3", "--r", "5"),
      "c02efad74c4db35b2450beec922eb590d202b34c5b436bff0b6acc15059f5d21"),
+    (("verify", "--suite", "remark", "--max-d", "4", "--max-r", "8", "--verbose", "--json"),
+     "c9eff6fc39356451e07f6b23d7ac10062317742d04ce28df7ab62750bfcb6b8a"),
+    (("verify", "--suite", "theorem", "--max-r", "5", "--trials", "10", "--seed", "1", "--verbose", "--json"),
+     "b46bbedeb0255065a73011317daa00b6c0556bdb74836b84b95bab5eaa0684e5"),
 ]
 
 

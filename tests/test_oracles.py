@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluckerpush import (
+    Partition,
     SplitMix64,
     box_pieri_degree,
     degree_grassmannian_classical,
@@ -98,6 +99,12 @@ class TestLocalization:
             with pytest.raises(TypeError, match="roots must be int or Fraction"):
                 localization_pushforward(2, 1, roots)
 
+    def test_refuses_a_power_or_size_that_is_not_an_int(self):
+        localization_pushforward(2, 1, [1, 2])  # the plan of (2, 1) is now memoized
+        for N, d in ((2, 1.0), (2, True), (2.0, 1), (True, 1), (2, Fraction(1))):
+            with pytest.raises(TypeError, match="N and d must be int"):
+                localization_pushforward(N, d, [1, 2])
+
     def test_result_is_a_fraction(self):
         assert type(localization_pushforward(0, 1, [5])) is Fraction
         assert type(localization_pushforward(4, 2, [0, 1, 2, 3])) is Fraction
@@ -115,6 +122,20 @@ class TestLocalization:
         assert localization_pushforward(N, d, roots) == localization_pushforward(
             N, d, shuffled
         )
+
+    def test_subset_plan_memo_keeps_only_the_last_plan(self):
+        plan = oracles._subset_plan
+        plan.cache_clear()
+        localization_pushforward(16, 4, list(range(8)))
+        localization_pushforward(2, 1, [0, 1, 2])
+        info = plan.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
+        # pairs i < j at i*r + j, then each subset with its cross pairs
+        assert plan(3, 1) == ((1, 2, 5), (((0,), (1, 2)), ((1,), (3, 5)), ((2,), (6, 7))))
+        assert plan.cache_info().hits == info.hits + 1
+        plan(8, 4)
+        assert plan.cache_info().misses == info.misses + 1
+        assert plan.cache_info().currsize == 1
 
     def test_vanishes_below_fiber_dimension(self):
         gen = SplitMix64(99)
@@ -347,6 +368,15 @@ def _rectangle_one_column_wider(lam, d, r):
     return _syt_count_product(lam, d, r + 1)
 
 
+_subset_plan = oracles._subset_plan
+
+
+def _first_subset_missing_a_cross_pair(r, d):
+    pairs, subsets = _subset_plan(r, d)
+    (subset, cross), *rest = subsets
+    return pairs, [(subset, cross[:-1]), *rest]
+
+
 SCHUR_SIDE_FAULTS = [
     ("schur_coefficients", _off_by_one_coefficient),
     ("complete_homogeneous_values", _odd_h_flipped),
@@ -374,10 +404,18 @@ class TestTheoremSuiteCatchesPlantedFaults:
         assert len(calls) == report.payload["cells"]
 
     @pytest.mark.parametrize(
-        "name,fault", SCHUR_SIDE_FAULTS + [("localization_pushforward", _roots_negated)]
+        "name,fault",
+        SCHUR_SIDE_FAULTS
+        + [
+            ("localization_pushforward", _roots_negated),
+            ("_subset_plan", _first_subset_missing_a_cross_pair),
+        ],
     )
     def test_fault_is_caught(self, monkeypatch, name, fault):
-        monkeypatch.setattr(oracles if name == "localization_pushforward" else pushforward, name, fault)
+        in_oracles = name in ("localization_pushforward", "_subset_plan")
+        monkeypatch.setattr(oracles if in_oracles else pushforward, name, fault)
+        # a missing cross pair still divides the Vandermonde product, so the
+        # suite's comparison, not the divisibility assert, catches it
         assert suite_theorem(max_d=2, max_r=4, trials=2).failures > 0
 
     @pytest.mark.parametrize("name,fault", SCHUR_SIDE_FAULTS)
@@ -442,9 +480,21 @@ def _class_of_table_overwriting(table, weight, model):
     return _class_of_table(list(last.values()), weight, model)
 
 
+# The determinant the remark suite shares across ranks, looked up in
+# ``oracles``: the Delta stored for the shape (1, 1) is that of (2).
+_schur_via_jacobi_trudi = oracles.schur_via_jacobi_trudi
+
+
+def _wrong_shape_for_one_lam(lam, values, size=None):
+    if lam == Partition((1, 1)):
+        lam = Partition((2,))
+    return _schur_via_jacobi_trudi(lam, values, size)
+
+
 ORACLES_LOOKUP_FAULTS = [
     ("segre_classes", _odd_segre_negated),
     ("_class_of_table", _class_of_table_overwriting),
+    ("schur_via_jacobi_trudi", _wrong_shape_for_one_lam),
 ]
 
 
@@ -454,6 +504,26 @@ class TestRemarkSuiteCatchesPlantedFaults:
 
     def test_unpatched_suite_passes(self):
         assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures == 0
+
+    def test_determinants_are_computed_once_per_d_and_shape(self, monkeypatch):
+        calls = []
+
+        def counted(lam, values, size=None):
+            calls.append((size, lam))
+            return _schur_via_jacobi_trudi(lam, values, size)
+
+        monkeypatch.setattr(oracles, "schur_via_jacobi_trudi", counted)
+        report = suite_remark(max_d=3, max_r=6, extra_powers=3)
+        assert report.failures == 0
+        grid = [
+            (d, lam)
+            for d in range(1, 4)
+            for r in range(d, 7)
+            for N in range(d * (r - d), d * (r - d) + 4)
+            for lam, _ in pushforward.schur_coefficients(N, d, r)
+        ]
+        assert sorted(calls) == sorted(set(grid))
+        assert len(calls) < len(grid)
 
     @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS + ORACLES_LOOKUP_FAULTS)
     def test_fault_is_caught(self, monkeypatch, name, fault):
