@@ -16,8 +16,10 @@ class off an integer table, one coefficient per monomial in the Segre classes
 (``monomial_coefficients``), built from the composition-sum form with
 factorial denominators.  One walk over the exponent vectors, partition by
 partition, feeds that table and the rational form of either denominator
-variant, and one helper turns a table into a class; the Jacobi-Trudi sum in
-the graded ring is their oracle, ``oracles.schur_form_pushforward``.
+variant; it carries the difference product and the denominator product down
+its tree, and each node multiplies in only the factors of the part it
+places.  One helper turns a table into a class; the Jacobi-Trudi sum in the
+graded ring is their oracle, ``oracles.schur_form_pushforward``.
 
 At explicit Chern roots each Delta_lam is a scalar determinant of complete
 homogeneous values (``schur_form_terms``, which takes a list of root sets and
@@ -34,6 +36,7 @@ from math import factorial, prod
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
 from .partitions import Partition, enumerate_partitions
+from .records import require_exact
 from .schur import complete_homogeneous_values, schur_via_jacobi_trudi
 from .tableaux import syt_count_product
 
@@ -41,7 +44,13 @@ from .tableaux import syt_count_product
 DenominatorVariant = str
 
 
-def _check_d_r(d: int, r: int) -> None:
+def _check_d_r(d: int, r: int, N: int | None = None) -> None:
+    """Refuse d and r, and the power N when given, unless each is an int;
+    refuse d outside 1..r."""
+    if N is None:
+        require_exact((d, r), "d and r", (int,))
+    else:
+        require_exact((N, d, r), "N, d and r", (int,))
     if not 1 <= d <= r:
         raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
 
@@ -59,7 +68,7 @@ def schur_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
     push-forward vanishes.  Each count is the composition term at k = lam,
     ``syt_count_product``, so the shape lam + eps is never built.
     """
-    _check_d_r(d, r)
+    _check_d_r(d, r, N)
     fiber_dim = d * (r - d)
     if N < fiber_dim:
         return []
@@ -71,32 +80,45 @@ def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:
     return [factorial(t) if denominator == "factorial" else t for t in range(top + 1)]
 
 
-def _live_orderings(parts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings k of ``parts`` whose shifted parts k_i - i are pairwise distinct.
+def _live_orderings(
+    parts: Sequence[int], r: int, denominators: Sequence[int]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """The live orderings k of ``parts``, each with its difference and denominator products.
 
-    In lexicographic order, depth first over the sorted distinct values; a
-    branch is cut as soon as its new shifted part repeats one already placed.
+    An ordering is live when its shifted parts k_i - i (i counted from 0) are
+    pairwise distinct.  The walk goes depth first over the sorted distinct
+    values, so the orderings come in lexicographic order, and cuts a branch
+    as soon as its new shifted part s repeats one already placed.  Each node
+    carries the prefix products: placing s multiplies the difference product
+    by (a - s) for every shifted part a placed before it, and the denominator
+    product by ``denominators[r + s - 1]``.  Returns the triples
+    (k, difference, denominator); the empty ordering of no parts is live,
+    with both products 1.
     """
     values = sorted(set(parts))
-    left = [parts.count(v) for v in values]
-    k: list[int] = []
-    shifted: list[int] = []
+    left = {v: parts.count(v) for v in values}
+    size = len(parts)
+    leaves: list[tuple[tuple[int, ...], int, int]] = []
 
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(parts):
-            yield tuple(k)
+    def extend(
+        i: int, k: tuple[int, ...], shifted: tuple[int, ...], difference: int, denominator: int
+    ) -> None:
+        if i == size:
+            leaves.append((k, difference, denominator))
             return
-        for j, v in enumerate(values):
-            if left[j] and v - i not in shifted:
-                left[j] -= 1
-                k.append(v)
-                shifted.append(v - i)
-                yield from extend(i + 1)
-                left[j] += 1
-                k.pop()
-                shifted.pop()
+        for v in values:
+            s = v - i
+            if left[v] and s not in shifted:
+                child_difference = difference
+                for a in shifted:
+                    child_difference *= a - s
+                child_denominator = denominator * denominators[r + s - 1]
+                left[v] -= 1
+                extend(i + 1, k + (v,), shifted + (s,), child_difference, child_denominator)
+                left[v] += 1
 
-    return extend(0)
+    extend(0, (), (), 1, 1)
+    return leaves
 
 
 def _composition_terms(
@@ -109,18 +131,15 @@ def _composition_terms(
     the ``_live_orderings`` of mu padded with zeros.  The k-th term is
     N! * prod_{i<j} (k_i - k_j - i + j) over prod_i D(r + k_i - i) (i counted
     from 1); a term where two of the k_i - i coincide vanishes, and the walk
-    never reaches it.  Requires N at or above the fiber dimension.
+    never reaches it.  The walk carries both products down its tree, so no
+    vector recomputes them.  Requires N at or above the fiber dimension.
     """
     n_fact = factorial(N)
     weight = N - d * (r - d)
     denominators = _denominator_table(denominator, r + weight)
     for mu in enumerate_partitions(weight, d):
-        for k in _live_orderings([mu.part(i) for i in range(d)]):
-            shifted = [part - i for i, part in enumerate(k)]
-            difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
-            yield mu, k, n_fact * difference, prod(
-                denominators[r + part - i - 1] for i, part in enumerate(k)
-            )
+        for k, difference, denom in _live_orderings([mu.part(i) for i in range(d)], r, denominators):
+            yield mu, k, n_fact * difference, denom
 
 
 def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
@@ -134,7 +153,7 @@ def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]
     division is exact, and asserted to be.  The pair (mu, c) stands for
     c * s_{mu_1} * ... * s_{mu_l}.  Empty below the fiber dimension.
     """
-    _check_d_r(d, r)
+    _check_d_r(d, r, N)
     if N < d * (r - d):
         return []
     table: dict[Partition, int] = {}
@@ -182,7 +201,7 @@ def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> Gra
     fiber dimension d(r-d), or when that degree exceeds the base dimension.
     The class of the ``monomial_coefficients`` table in the model.
     """
-    _check_d_r(d, r)
+    _check_d_r(d, r, N)
     _check_model(r, model)
     if N < 0:
         raise ValueError(f"power must be nonnegative, got {N}")
@@ -262,7 +281,7 @@ def rational_form_coefficients(
     are skipped.  Raises ZeroDivisionError if a surviving term divides by
     zero, which can happen for the linear variant when d = r.
     """
-    _check_d_r(d, r)
+    _check_d_r(d, r, N)
     if denominator not in ("linear", "factorial"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
     fiber_dim = d * (r - d)

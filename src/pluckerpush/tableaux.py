@@ -5,6 +5,7 @@ from __future__ import annotations
 from math import factorial, prod
 
 from .partitions import Partition, hook_lengths
+from .records import require_exact
 
 #: Largest diagram the exhaustive enumerator will accept; the number of
 #: fillings grows superexponentially beyond this.
@@ -33,6 +34,7 @@ def syt_count_product(lam: Partition, d: int, r: int) -> int:
 
     The rectangle shift never has to be materialized.
     """
+    require_exact((d, r), "d and r", (int,))
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} parts")
     if not 1 <= d <= r:

@@ -304,6 +304,13 @@ STDOUT_DIGESTS = [
      "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017"),
     (("syt", "--shape", "(2,1)", "--method", "product", "--d", "3", "--r", "5"),
      "c02efad74c4db35b2450beec922eb590d202b34c5b436bff0b6acc15059f5d21"),
+    # formal pushforward at benchmark depth and at d=7, where the exponent-vector walk is long
+    (("pushforward", "--N", "42", "--d", "6", "--r", "11", "--base-dim", "12", "--json"),
+     "f2e2c8d9836e91fb5ec4d8f7fe7478f41b56ac0308b91af6574df87cfbe533d0"),
+    (("pushforward", "--N", "39", "--d", "5", "--r", "10", "--base-dim", "14", "--json"),
+     "c569d55b2ca4a4bc7be7ffd6cddd1480c9168a66df679630492c4433ae9db355"),
+    (("pushforward", "--N", "60", "--d", "7", "--r", "14", "--base-dim", "11"),
+     "5ca8d1d85ea71f543d80073922b48bc6d1da963dec8d80daac9e64db0e202bc1"),
     (("verify", "--suite", "remark", "--max-d", "4", "--max-r", "8", "--verbose", "--json"),
      "c9eff6fc39356451e07f6b23d7ac10062317742d04ce28df7ab62750bfcb6b8a"),
     (("verify", "--suite", "theorem", "--max-r", "5", "--trials", "10", "--seed", "1", "--verbose", "--json"),

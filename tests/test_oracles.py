@@ -172,6 +172,14 @@ class TestSchurFormAtRoots:
     def test_no_root_sets_give_no_values(self):
         assert schur_form_at_roots(4, 2, []) == []
 
+    def test_refuses_a_power_or_size_that_is_not_an_int_like_localization(self):
+        # both sides of the theorem suite refuse the same inputs
+        for N, d in ((True, True), (2, True), (True, 1), (2.0, 1)):
+            with pytest.raises(TypeError, match="must be int"):
+                schur_form_at_roots(N, d, [[1, 2]])
+            with pytest.raises(TypeError, match="must be int"):
+                localization_pushforward(N, d, [1, 2])
+
     def test_value_type_follows_the_roots(self):
         assert type(schur_form_at_roots(5, 2, [[0, 1, 2, 3]])[0]) is int
         assert type(schur_form_at_roots(3, 2, [[0, 1, 2, 3]])[0]) is int
@@ -429,22 +437,39 @@ class TestTheoremSuiteCatchesPlantedFaults:
 
 
 # Faults in the walk over exponent vectors that the monomial table and the
-# rational form share; both are looked up in ``pushforward``.
+# rational form share; both are looked up in ``pushforward``.  A walk fault
+# returns the (k, difference, denominator) triples of the real walk with one
+# slip planted: in which vectors it reaches, or in a product it carries.
 _live_orderings = pushforward._live_orderings
 _denominator_table = pushforward._denominator_table
 
 
-def _last_ordering_dropped(parts):
-    return list(_live_orderings(parts))[:-1]
+def _last_ordering_dropped(parts, r, denominators):
+    return _live_orderings(parts, r, denominators)[:-1]
 
 
-def _pruned_off_by_one(parts):
+def _pruned_off_by_one(parts, r, denominators):
     # the pruning test compares k_i - i with an earlier k_j - j - 1 instead of k_j - j
+    leaves = []
+    for k in sorted(set(itertools.permutations(parts))):
+        if all(k[i] - i != k[j] - j - 1 for i in range(len(k)) for j in range(i)):
+            shifted = [part - i for i, part in enumerate(k)]
+            difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
+            leaves.append((k, difference, prod(denominators[r + s - 1] for s in shifted)))
+    return leaves
+
+
+def _difference_skips_first_part(parts, r, denominators):
+    # the difference prefix leaves out the factors against the first placed part, k_0 - 0
     return [
-        k
-        for k in sorted(set(itertools.permutations(parts)))
-        if all(k[i] - i != k[j] - j - 1 for i in range(len(k)) for j in range(i))
+        (k, difference // prod(k[0] - part + i for i, part in enumerate(k) if i), denominator)
+        for k, difference, denominator in _live_orderings(parts, r, denominators)
     ]
+
+
+def _denominator_one_late(parts, r, denominators):
+    # the denominator prefix reads denominators[r + s] instead of denominators[r + s - 1]
+    return _live_orderings(parts, r + 1, denominators)
 
 
 def _always_linear(denominator, top):
@@ -454,6 +479,8 @@ def _always_linear(denominator, top):
 ENUMERATOR_FAULTS = [
     ("_live_orderings", _last_ordering_dropped),
     ("_live_orderings", _pruned_off_by_one),
+    ("_live_orderings", _difference_skips_first_part),
+    ("_live_orderings", _denominator_one_late),
     ("_denominator_table", _always_linear),
 ]
 

@@ -26,12 +26,13 @@ from pluckerpush import (
     ring_of,
     schur_coefficients,
     schur_form_pushforward,
+    schur_form_terms,
     schur_via_jacobi_trudi,
     segre_classes,
     syt_count_hook,
     syt_count_product,
 )
-from pluckerpush.pushforward import _live_orderings
+from pluckerpush.pushforward import _denominator_table, _live_orderings
 
 
 def pushforward_schur_class(mu, d, r, segre):
@@ -157,20 +158,36 @@ class TestPluckerPowerPushforward:
 
 class TestLiveOrderings:
     def test_examples(self):
-        assert list(_live_orderings([2, 0, 0])) == [(0, 2, 0), (2, 0, 0)]
-        assert list(_live_orderings([1, 1])) == [(1, 1)]
-        assert list(_live_orderings([])) == [()]
+        factorials = _denominator_table("factorial", 6)
+        # k=(0,2,0): shifted (0,1,-2), difference (-1)(2)(3), denominator 2! 3! 0!
+        # k=(2,0,0): shifted (2,-1,-2), difference (3)(4)(1), denominator 4! 1! 0!
+        assert _live_orderings([2, 0, 0], 3, factorials) == [((0, 2, 0), -6, 12), ((2, 0, 0), 12, 24)]
+        assert _live_orderings([1, 1], 2, factorials) == [((1, 1), 1, 2)]
+        assert _live_orderings([3], 1, factorials) == [((3,), 1, 6)]
+        assert _live_orderings([], 1, factorials) == [((), 1, 1)]
+        # the linear variant at d = r: a zero factor reaches every vector below it
+        linear = _denominator_table("linear", 4)
+        assert _live_orderings([2, 0], 2, linear) == [((0, 2), -1, 2), ((2, 0), 3, 0)]
 
-    @given(st.lists(st.integers(0, 4), min_size=0, max_size=6))
-    def test_matches_filtered_permutations(self, items):
+    @given(
+        st.lists(st.integers(0, 4), min_size=0, max_size=6),
+        st.integers(0, 3),
+        st.sampled_from(["linear", "factorial"]),
+    )
+    def test_matches_filtered_permutations(self, items, extra_rank, variant):
         # oracle: every ordering, repeats removed by a set, kept when its
-        # shifted parts k_i - i are pairwise distinct
-        expected = [
-            k
-            for k in sorted(set(itertools.permutations(items)))
-            if len({part - i for i, part in enumerate(k)}) == len(k)
-        ]
-        assert list(_live_orderings(items)) == expected
+        # shifted parts k_i - i are pairwise distinct, with both products
+        # recomputed from the whole vector
+        r = len(items) + extra_rank
+        denominators = _denominator_table(variant, r + sum(items))
+        expected = []
+        for k in sorted(set(itertools.permutations(items))):
+            shifted = [part - i for i, part in enumerate(k)]
+            if len(set(shifted)) == len(k):
+                difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
+                denominator = prod(denominators[r + s - 1] for s in shifted)
+                expected.append((k, difference, denominator))
+        assert _live_orderings(items, r, denominators) == expected
 
 
 class TestMonomialTable:
@@ -294,11 +311,42 @@ class TestDegrees:
         for r in range(1, 10):
             assert degree_grassmannian_classical(1, r) == 1
 
+    def test_classical_refuses_sizes_that_are_not_ints(self):
+        for d, r in ((True, 2), (1, True), (2.0, 4), (2, Fraction(4))):
+            with pytest.raises(TypeError, match="d and r must be int"):
+                degree_grassmannian_classical(d, r)
+
     def test_classical_rejects_bad_input(self):
         with pytest.raises(ValueError):
             degree_grassmannian_classical(3, 2)
         with pytest.raises(ValueError):
             degree_grassmannian_classical(0, 2)
+
+
+class TestSizesMustBeInts:
+    # a bool is not an int: True used to pass as 1 and answer
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: schur_coefficients(True, 1, 2),
+            lambda: schur_coefficients(2, True, 2),
+            lambda: monomial_coefficients(3, 1, True),
+            lambda: monomial_coefficients(3.0, 1, 2),
+            lambda: pushforward_plucker_power(True, 1, 1, FormalBundle(base_dim=1, rank=1)),
+            lambda: rational_form_coefficients(1, True, 1, "factorial"),
+            lambda: rational_form_coefficients(Fraction(2), 1, 2, "linear"),
+            lambda: schur_form_terms(True, True, [[1, 2]]),
+            lambda: degree_grassmann_bundle_terms(True, SplitBundle(base_dim=1, twists=(1, 2))),
+        ],
+    )
+    def test_power_and_sizes_are_refused(self, call):
+        with pytest.raises(TypeError, match="N, d and r must be int"):
+            call()
+
+    def test_product_formula_refuses_sizes_that_are_not_ints(self):
+        for d, r in ((True, 2), (1, 2.0)):
+            with pytest.raises(TypeError, match="d and r must be int"):
+                syt_count_product(Partition((1,)), d, r)
 
 
 class TestRationalForm:
@@ -327,6 +375,15 @@ class TestRationalForm:
     def test_linear_variant_can_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             rational_form_coefficients(0, 1, 1, "linear")
+
+    @pytest.mark.parametrize(
+        "N,d,r,k", [(3, 3, 3, "(0, 3, 0)"), (2, 2, 2, "(2, 0)")]
+    )
+    def test_zero_division_names_the_first_vanishing_k(self, N, d, r, k):
+        message = f"linear denominator vanishes at k={k} for d={d}, r={r}"
+        with pytest.raises(ZeroDivisionError) as caught:
+            rational_form_coefficients(N, d, r, "linear")
+        assert str(caught.value) == message
 
     def test_rejects_power_below_fiber_dimension(self):
         with pytest.raises(ValueError):
