@@ -48,7 +48,7 @@ from .pushforward import (
     schur_form_terms,
 )
 from .chowring import BundleModel, FormalBundle, GradedPoly, ring_of, segre_classes
-from .records import Record, require_exact
+from .records import Record, require_exact, require_sizes
 from .rng import SplitMix64
 from .schur import schur_via_jacobi_trudi
 from .tableaux import syt_count_hook
@@ -78,9 +78,9 @@ def _subset_plan(
 def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) -> Fraction:
     """Symmetrized fixed-point sum over all d-subsets of the roots.
 
-    The roots must be ints or Fractions, and N and d ints; anything else
-    raises TypeError, so no float or bool d reaches the memoized plan under
-    the key of an equal int.  The roots are scaled to integers z = q*y, q the lcm of their denominators.
+    The roots must be ints or Fractions, and N, d and their number r pass
+    the size rule ``require_sizes``; so no float or bool d reaches the
+    memoized plan under the key of an equal int.  The roots are scaled to integers z = q*y, q the lcm of their denominators.
     Every subset term then shares the Vandermonde denominator
     V = prod_{i<j} (z_i - z_j): the subset's own denominator D_I is, up to
     sign, the part of V that pairs I with its complement, so V / D_I is an
@@ -94,14 +94,10 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
     """
     values = list(roots)
     require_exact(values, "roots")
-    require_exact((N, d), "N and d", (int,))
+    r = len(values)
+    require_sizes(d, r, N)
     if len(set(values)) != len(values):
         raise ValueError("roots must be pairwise distinct")
-    r = len(values)
-    if not 1 <= d <= r:
-        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
-    if N < 0:
-        raise ValueError(f"power must be nonnegative, got {N}")
     q = lcm(*(y.denominator for y in values))
     z = [y.numerator * (q // y.denominator) for y in values]
     pairs, subsets = _subset_plan(r, d)
@@ -140,10 +136,7 @@ def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> Graded
     expanded with ring multiplications; the monomial table of the production
     path is checked against this sum.
     """
-    if model.rank != r:
-        raise ValueError(f"model has rank {model.rank}, expected {r}")
-    if N < 0:
-        raise ValueError(f"power must be nonnegative, got {N}")
+    require_sizes(d, r, N, model)
     return _schur_sum(schur_coefficients(N, d, r), d, model, {})
 
 
@@ -202,8 +195,7 @@ def pieri_walk(steps: int, rows: int, width: int) -> dict[tuple[int, ...], int]:
 def box_pieri_degree(d: int, r: int) -> int:
     """Grassmannian degree as the count of the full d x (r-d) box in the Pieri
     walk truncated to that box."""
-    if not 1 <= d <= r:
-        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
+    require_sizes(d, r)
     width = r - d
     return pieri_walk(d * width, d, width).get(tuple([width] * d) if width else (), 0)
 

@@ -36,28 +36,12 @@ from math import factorial, prod
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
 from .partitions import Partition, enumerate_partitions
-from .records import require_exact
+from .records import require_sizes
 from .schur import complete_homogeneous_values, schur_via_jacobi_trudi
 from .tableaux import syt_count_product
 
 #: "linear" or "factorial", the denominator convention of the rational form.
 DenominatorVariant = str
-
-
-def _check_d_r(d: int, r: int, N: int | None = None) -> None:
-    """Refuse d and r, and the power N when given, unless each is an int;
-    refuse d outside 1..r."""
-    if N is None:
-        require_exact((d, r), "d and r", (int,))
-    else:
-        require_exact((N, d, r), "N, d and r", (int,))
-    if not 1 <= d <= r:
-        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
-
-
-def _check_model(r: int, model: BundleModel) -> None:
-    if model.rank != r:
-        raise ValueError(f"model has rank {model.rank}, expected {r}")
 
 
 def schur_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
@@ -68,7 +52,7 @@ def schur_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
     push-forward vanishes.  Each count is the composition term at k = lam,
     ``syt_count_product``, so the shape lam + eps is never built.
     """
-    _check_d_r(d, r, N)
+    require_sizes(d, r, N)
     fiber_dim = d * (r - d)
     if N < fiber_dim:
         return []
@@ -153,7 +137,7 @@ def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]
     division is exact, and asserted to be.  The pair (mu, c) stands for
     c * s_{mu_1} * ... * s_{mu_l}.  Empty below the fiber dimension.
     """
-    _check_d_r(d, r, N)
+    require_sizes(d, r, N)
     if N < d * (r - d):
         return []
     table: dict[Partition, int] = {}
@@ -201,10 +185,7 @@ def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> Gra
     fiber dimension d(r-d), or when that degree exceeds the base dimension.
     The class of the ``monomial_coefficients`` table in the model.
     """
-    _check_d_r(d, r, N)
-    _check_model(r, model)
-    if N < 0:
-        raise ValueError(f"power must be nonnegative, got {N}")
+    require_sizes(d, r, N, model)
     weight = N - d * (r - d)
     # a base too small for the output degree needs no table
     table = monomial_coefficients(N, d, r) if weight <= model.base_dim else []
@@ -257,7 +238,7 @@ def degree_grassmannian_classical(d: int, r: int) -> int:
     Closed form: (d(r-d))! * prod_{l<d} l! / prod_{l<=d} (r-l)!, evaluated in
     exact integer arithmetic with the division asserted exact.
     """
-    _check_d_r(d, r)
+    require_sizes(d, r)
     numerator = factorial(d * (r - d)) * prod(factorial(l) for l in range(1, d))
     denominator = prod(factorial(r - l) for l in range(1, d + 1))
     degree, rem = divmod(numerator, denominator)
@@ -281,7 +262,7 @@ def rational_form_coefficients(
     are skipped.  Raises ZeroDivisionError if a surviving term divides by
     zero, which can happen for the linear variant when d = r.
     """
-    _check_d_r(d, r, N)
+    require_sizes(d, r, N)
     if denominator not in ("linear", "factorial"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
     fiber_dim = d * (r - d)
@@ -307,7 +288,7 @@ def pushforward_rational_form(
     The remark suite determines empirically which denominator variant agrees
     with the Jacobi-Trudi Schur form.
     """
-    _check_model(r, model)
+    require_sizes(d, r, N, model)
     coefficients = rational_form_coefficients(N, d, r, denominator)
     return _class_of_table(coefficients, N - d * (r - d), model)
 

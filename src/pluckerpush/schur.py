@@ -48,10 +48,10 @@ def det(matrix: list[list[object]]) -> object:
 def jacobi_trudi_det(indices: Sequence[int], values: Sequence[object]) -> object:
     """det[ values[indices_i + j - i] ] for an arbitrary integer vector.
 
-    Negative subscripts give the zero element, subscripts past the end of
-    ``values`` likewise (legitimate only when the coefficient ring truncates
-    them; callers over exact rationals must supply enough values).  The empty
-    vector gives the identity ``values[0]``.
+    Negative subscripts give the zero element.  A subscript past the end of
+    ``values`` raises ValueError: callers size the list, since a missing
+    value is not known to be zero.  The empty vector gives the identity
+    ``values[0]``.
     """
     one = values[0]
     n = len(indices)
@@ -59,12 +59,16 @@ def jacobi_trudi_det(indices: Sequence[int], values: Sequence[object]) -> object
         return one
     zero = one - one
     matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            k = indices[i] + j - i
-            row.append(values[k] if 0 <= k < len(values) else zero)
-        matrix.append(row)
+    try:
+        for i in range(n):
+            row = []
+            for j in range(n):
+                k = indices[i] + j - i
+                row.append(values[k] if k >= 0 else zero)
+            matrix.append(row)
+    except IndexError:
+        top = max(k + n - 1 - i for i, k in enumerate(indices))
+        raise ValueError(f"need values h_0..h_{top}, got {len(values)}") from None
     return det(matrix)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import factorial, prod
 
 from .partitions import Partition, hook_lengths
-from .records import require_exact
+from .records import require_sizes
 
 #: Largest diagram the exhaustive enumerator will accept; the number of
 #: fillings grows superexponentially beyond this.
@@ -34,11 +34,9 @@ def syt_count_product(lam: Partition, d: int, r: int) -> int:
 
     The rectangle shift never has to be materialized.
     """
-    require_exact((d, r), "d and r", (int,))
+    require_sizes(d, r)
     if len(lam) > d:
         raise ValueError(f"partition {lam} has more than {d} parts")
-    if not 1 <= d <= r:
-        raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
     parts = [lam.part(i) for i in range(d)]
     numerator = factorial(lam.weight + d * (r - d))
     for i in range(d):

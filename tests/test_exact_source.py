@@ -1,5 +1,6 @@
-"""The package computes in exact arithmetic only: its source holds no true
-division, no float literal and no ``float(...)`` call."""
+"""Guards on the package source.  It computes in exact arithmetic only: no
+true division, no float literal and no ``float(...)`` call.  And the engine
+states its size rule once, in ``records.require_sizes``."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,16 @@ def test_the_scan_sees_each_kind():
         (3, "literal 0.5"),
         (4, "float(...) call"),
     ]
+
+
+#: The messages of the size rule; the CLI words its own, naming flags.
+SIZE_RULE_TEXTS = ("need 1 <= d <= r", "power must be nonnegative", "model has rank")
+
+
+def test_the_size_rule_is_stated_once_in_records():
+    counts = {
+        path.name: [path.read_text().count(text) for text in SIZE_RULE_TEXTS]
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cli.py"
+    }
+    assert {name: c for name, c in counts.items() if any(c)} == {"records.py": [1, 1, 1]}

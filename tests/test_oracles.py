@@ -102,7 +102,7 @@ class TestLocalization:
     def test_refuses_a_power_or_size_that_is_not_an_int(self):
         localization_pushforward(2, 1, [1, 2])  # the plan of (2, 1) is now memoized
         for N, d in ((2, 1.0), (2, True), (2.0, 1), (True, 1), (2, Fraction(1))):
-            with pytest.raises(TypeError, match="N and d must be int"):
+            with pytest.raises(TypeError, match="N, d and r must be int"):
                 localization_pushforward(N, d, [1, 2])
 
     def test_result_is_a_fraction(self):

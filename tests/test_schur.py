@@ -106,11 +106,22 @@ class TestJacobiTrudi:
         assert jacobi_trudi_det([1, -1], h) == 0
 
     def test_out_of_range_indices_are_zero(self):
+        # only a negative index reads as zero; a list too short is refused,
+        # since a missing value is not known to vanish
         h = [Fraction(1), Fraction(5)]
-        assert jacobi_trudi_det([3], h) == 0
+        assert jacobi_trudi_det([-1], h) == 0
+        with pytest.raises(ValueError, match="need values h_0..h_3, got 2"):
+            jacobi_trudi_det([3], h)
+        with pytest.raises(ValueError, match="need values h_0..h_2, got 2"):
+            jacobi_trudi_det([1, 1], h)
+        # the largest subscript is the largest k_i + n - 1 - i: here h_1
+        assert jacobi_trudi_det([0, 1], h) == 0
+        with pytest.raises(ValueError, match="need values h_0..h_3, got 2"):
+            jacobi_trudi_det([0, 3], h)
 
     def test_padding_does_not_change_value(self):
-        h = [Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(8), Fraction(13)]
+        # indices reach lam_1 + size - 1 <= 7, so h runs to h_7
+        h = [Fraction(v) for v in (1, 2, 3, 5, 8, 13, 21, 34)]
         for n in range(5):
             for lam in enumerate_partitions(n, 3):
                 base = schur_via_jacobi_trudi(lam, h)

@@ -1,0 +1,101 @@
+"""One size rule across the public API: every entry that takes the sizes of
+a push-forward (a power N, a quotient rank d and a bundle rank r, given or
+read off the roots) or a model refuses the same inputs alike.  So do the two
+sides of each verify suite: the Schur side of the theorem suite once gave 0
+for a negative power, and the box Pieri side of the degrees suite 1 for a
+bool d, where their partners refused."""
+
+import pytest
+
+from pluckerpush import (
+    FormalBundle,
+    Partition,
+    box_pieri_degree,
+    degree_grassmannian_classical,
+    localization_pushforward,
+    monomial_coefficients,
+    pushforward_plucker_power,
+    pushforward_rational_form,
+    rational_form_coefficients,
+    schur_coefficients,
+    schur_form_at_roots,
+    schur_form_pushforward,
+    schur_form_terms,
+    syt_count_product,
+)
+
+
+def model(rank):
+    return FormalBundle(base_dim=3, rank=rank)
+
+
+def roots(r):
+    return list(range(1, r + 1))
+
+
+# entry -> (call on N, d, r and the model's rank, the sizes it takes besides d);
+# an entry that reads r off its roots takes no r of its own
+ENTRIES = {
+    "schur_coefficients": (lambda N, d, r, rank: schur_coefficients(N, d, r), "N r"),
+    "monomial_coefficients": (lambda N, d, r, rank: monomial_coefficients(N, d, r), "N r"),
+    "pushforward_plucker_power": (
+        lambda N, d, r, rank: pushforward_plucker_power(N, d, r, model(rank)),
+        "N r model",
+    ),
+    "rational_form_coefficients": (
+        lambda N, d, r, rank: rational_form_coefficients(N, d, r, "factorial"),
+        "N r",
+    ),
+    "pushforward_rational_form": (
+        lambda N, d, r, rank: pushforward_rational_form(N, d, r, model(rank), "factorial"),
+        "N r model",
+    ),
+    "schur_form_terms": (lambda N, d, r, rank: schur_form_terms(N, d, [roots(r)]), "N"),
+    "degree_grassmannian_classical": (
+        lambda N, d, r, rank: degree_grassmannian_classical(d, r),
+        "r",
+    ),
+    "syt_count_product": (lambda N, d, r, rank: syt_count_product(Partition(), d, r), "r"),
+    "localization_pushforward": (
+        lambda N, d, r, rank: localization_pushforward(N, d, roots(r)),
+        "N",
+    ),
+    "schur_form_at_roots": (lambda N, d, r, rank: schur_form_at_roots(N, d, [roots(r)]), "N"),
+    "schur_form_pushforward": (
+        lambda N, d, r, rank: schur_form_pushforward(N, d, r, model(rank)),
+        "N r model",
+    ),
+    "box_pieri_degree": (lambda N, d, r, rank: box_pieri_degree(d, r), "r"),
+}
+
+VALID = {"N": 5, "d": 2, "r": 3, "rank": 3}
+
+# (case, the size it needs besides d, the changed input, exception, message)
+CASES = [
+    ("bool d", None, {"d": True}, TypeError, "must be int, got True"),
+    ("float d", None, {"d": 2.0}, TypeError, "must be int, got 2.0"),
+    ("d = 0", None, {"d": 0}, ValueError, "need 1 <= d <= r, got d=0, r=3"),
+    ("d > r", None, {"d": 4}, ValueError, "need 1 <= d <= r, got d=4, r=3"),
+    ("bool N", "N", {"N": True}, TypeError, "N, d and r must be int, got True"),
+    ("float N", "N", {"N": 5.0}, TypeError, "N, d and r must be int, got 5.0"),
+    ("N = -1", "N", {"N": -1}, ValueError, "power must be nonnegative, got -1"),
+    ("bool r", "r", {"r": True}, TypeError, "must be int, got True"),
+    ("float r", "r", {"r": 3.0}, TypeError, "must be int, got 3.0"),
+    ("wrong model rank", "model", {"rank": 4}, ValueError, "model has rank 4, expected 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, case, change, error, message",
+    [
+        pytest.param(name, case, change, error, message, id=f"{name}-{case}")
+        for name, (_, takes) in sorted(ENTRIES.items())
+        for case, needs, change, error, message in CASES
+        if needs is None or needs in takes.split()
+    ],
+)
+def test_every_entry_refuses_alike(name, case, change, error, message):
+    call, _ = ENTRIES[name]
+    with pytest.raises(error, match=message):
+        call(**{**VALID, **change})
+
