@@ -39,6 +39,7 @@ from .pushforward import (
 )
 from .oracles import (
     box_pieri_degree,
+    degree_grassmannian_factorial,
     localization_pushforward,
     pieri_walk,
     run_suites,
@@ -83,6 +84,7 @@ __all__ = [
     "schur_coefficients",
     "schur_form_terms",
     "box_pieri_degree",
+    "degree_grassmannian_factorial",
     "localization_pushforward",
     "pieri_walk",
     "run_suites",

@@ -26,13 +26,21 @@ homogeneous values (``schur_form_terms``, which takes a list of root sets and
 computes the tableau counts once for all of them); at the twists of a split
 bundle over P^m these are the per-shape integrals of the Grassmann bundle's
 degree.  Each count f(lam + eps) is the composition term at k = lam.
+
+Over a point the degree is the tableau count of the rectangle eps,
+(d(r-d))! over its hook product.  ``degree_grassmannian_classical`` builds it
+from prime exponents, Legendre's for the factorial less those of the hooks,
+multiplied up a balanced product tree; it forms no factorial and divides
+nothing.  The factorial quotient is its oracle,
+``oracles.degree_grassmannian_factorial``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import factorial, prod
+from itertools import compress
+from math import factorial, isqrt, prod
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
 from .partitions import Partition, enumerate_partitions
@@ -203,9 +211,12 @@ def schur_form_terms(
     value of the roots, so every Delta_lam is a scalar Jacobi-Trudi
     determinant and nothing is truncated; the push-forward of theta^N at a
     set is the sum of count * value over its rows.  Integer roots give
-    integer values.  The lists are empty below the fiber dimension.
+    integer values.  The lists are empty below the fiber dimension.  No set
+    fixes r for an empty list of sets, which gives an empty list once N and
+    d pass the size rule with r = d.
     """
     if not root_sets:
+        require_sizes(d, d, N)
         return []
     r = len(root_sets[0])
     if any(len(roots) != r for roots in root_sets):
@@ -232,18 +243,60 @@ def degree_grassmann_bundle_terms(d: int, model: SplitBundle) -> list[tuple[Part
     return schur_form_terms(d * (model.rank - d) + model.base_dim, d, [model.twists])[0]
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, in increasing order, by a sieve over a bytearray."""
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _rectangle_hooks(d: int, r: int) -> list[int]:
+    """At index h = 0..r-1, how many cells of the d x (r-d) rectangle have
+    hook length h: min(h, d, r-d, r-h)."""
+    return [min(h, d, r - d, r - h) for h in range(r)]
+
+
+def _balanced_product(factors: list[int]) -> int:
+    """The product of the factors, multiplied in pairs up a balanced tree, so
+    that the large multiplications meet operands of similar size."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[-1:] if len(factors) % 2 else paired
+    return factors[0] if factors else 1
+
+
 def degree_grassmannian_classical(d: int, r: int) -> int:
     """Degree of the Grassmannian of corank-d subspaces in its Pluecker embedding.
 
-    Closed form: (d(r-d))! * prod_{l<d} l! / prod_{l<=d} (r-l)!, evaluated in
-    exact integer arithmetic with the division asserted exact.
+    The tableau count of the d x (r-d) rectangle: n! over the rectangle's hook
+    product, n = d(r-d), computed from its prime factorization.  Each prime
+    p <= n gets its Legendre exponent sum_k floor(n / p^k) in n!, less its
+    exponent in the hook product, the sum over the prime powers p^k < r of the
+    multiplicities of the hooks that p^k divides.  Every exponent is asserted
+    nonnegative, and the powers p^e are multiplied by a balanced product tree,
+    so no factorial and no quotient is formed.  A rectangle of one row or at
+    most one column (d = 1, or d >= r-1) has degree 1.
     """
     require_sizes(d, r)
-    numerator = factorial(d * (r - d)) * prod(factorial(l) for l in range(1, d))
-    denominator = prod(factorial(r - l) for l in range(1, d + 1))
-    degree, rem = divmod(numerator, denominator)
-    assert rem == 0, f"degree formula division not exact for d={d}, r={r}"
-    return degree
+    if min(d, r - d) <= 1:
+        return 1
+    n = d * (r - d)
+    hooks = _rectangle_hooks(d, r)
+    powers = []
+    for p in _primes_upto(n):
+        exponent = 0
+        q = p
+        while q <= n:
+            exponent += n // q
+            if q < r:
+                exponent -= sum(hooks[q::q])
+            q *= p
+        assert exponent >= 0, f"degree formula exponent of {p} negative for d={d}, r={r}"
+        if exponent:
+            powers.append(p**exponent)
+    return _balanced_product(powers)
 
 
 def rational_form_coefficients(

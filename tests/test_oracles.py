@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from pluckerpush import (
     SplitMix64,
     box_pieri_degree,
     degree_grassmannian_classical,
+    degree_grassmannian_factorial,
     localization_pushforward,
     rectangle,
     run_suites,
@@ -565,3 +566,101 @@ class TestRemarkSuiteCatchesPlantedFaults:
         assert clean[0] == 0
         monkeypatch.setattr(pushforward, name, fault)
         assert (main(argv), capsys.readouterr().out) != clean
+
+
+# The classical degree: production builds it from prime exponents, and the
+# factorial quotient and the rectangle's hook count check it, on every
+# d <= r <= 40 and on the large strata the benchmark draws.
+CLASSICAL_GRID = [(d, r) for r in range(1, 41) for d in range(1, r + 1)] + [
+    (d, r) for d in (62, 63, 64, 96, 97, 98) for r in range(2 * d, 2 * d + 3)
+]
+
+
+@pytest.fixture(scope="module")
+def classical_oracle():
+    """The factorial closed form on the grid, checked against the hook count."""
+    values = {}
+    for d, r in CLASSICAL_GRID:
+        values[d, r] = degree_grassmannian_factorial(d, r)
+        assert values[d, r] == syt_count_hook(rectangle(d, r - d)), (d, r)
+    return values
+
+
+def _classical_mismatches(expected):
+    return [key for key, value in expected.items() if degree_grassmannian_classical(*key) != value]
+
+
+_rectangle_hooks = pushforward._rectangle_hooks
+_primes_upto = pushforward._primes_upto
+
+
+def _largest_hook_dropped(d, r):
+    hooks = _rectangle_hooks(d, r)
+    hooks[r - 1] -= 1
+    return hooks
+
+
+def _largest_prime_dropped(n):
+    return _primes_upto(n)[:-1]
+
+
+def _hook_two_overcounted(d, r):
+    hooks = _rectangle_hooks(d, r)
+    hooks[2] += d * (r - d)
+    return hooks
+
+
+CLASSICAL_FAULTS = [
+    ("_rectangle_hooks", _largest_hook_dropped),
+    ("_primes_upto", _largest_prime_dropped),
+]
+
+
+class TestClassicalDegree:
+    def test_production_equals_the_factorial_form_and_the_hook_count(self, classical_oracle):
+        assert _classical_mismatches(classical_oracle) == []
+
+    def test_edges(self):
+        for r in range(1, 120):
+            assert degree_grassmannian_classical(r, r) == 1
+            assert degree_grassmannian_classical(1, r) == 1
+            assert degree_grassmannian_classical(max(r - 1, 1), r) == 1
+        # two rows or two columns: the Catalan numbers
+        for w in range(2, 80):
+            catalan = comb(2 * w, w) // (w + 1)
+            assert degree_grassmannian_classical(2, w + 2) == catalan
+            assert degree_grassmannian_classical(w, w + 2) == catalan
+
+    def test_sieve(self):
+        for n in range(60):
+            expected = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+            assert _primes_upto(n) == expected
+
+    def test_forms_no_factorial(self, monkeypatch):
+        def refused(n):
+            raise AssertionError(f"factorial({n}) formed")
+
+        monkeypatch.setattr(pushforward, "factorial", refused)
+        assert degree_grassmannian_classical(96, 194) == degree_grassmannian_factorial(96, 194)
+
+    def test_unpatched_suite_passes(self):
+        assert suite_degrees().failures == 0
+
+    @pytest.mark.parametrize("name,fault", CLASSICAL_FAULTS)
+    def test_fault_is_caught(self, monkeypatch, classical_oracle, name, fault):
+        monkeypatch.setattr(pushforward, name, fault)
+        assert suite_degrees().failures > 0
+        assert _classical_mismatches(classical_oracle) != []
+
+    def test_negative_exponent_trips_the_assert(self, monkeypatch, capsys, classical_oracle):
+        monkeypatch.setattr(pushforward, "_rectangle_hooks", _hook_two_overcounted)
+        message = "degree formula exponent of 2 negative for d=2, r=4"
+        with pytest.raises(AssertionError, match=message):
+            suite_degrees()
+        with pytest.raises(AssertionError, match="exponent of 2 negative"):
+            _classical_mismatches(classical_oracle)
+        assert main(["degree-classical", "--d", "2", "--r", "4"]) == 3
+        assert main(["verify", "--suite", "degrees"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal invariant violated: {message}\n" * 2

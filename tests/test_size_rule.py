@@ -12,6 +12,7 @@ from pluckerpush import (
     Partition,
     box_pieri_degree,
     degree_grassmannian_classical,
+    degree_grassmannian_factorial,
     localization_pushforward,
     monomial_coefficients,
     pushforward_plucker_power,
@@ -66,6 +67,10 @@ ENTRIES = {
         "N r model",
     ),
     "box_pieri_degree": (lambda N, d, r, rank: box_pieri_degree(d, r), "r"),
+    "degree_grassmannian_factorial": (
+        lambda N, d, r, rank: degree_grassmannian_factorial(d, r),
+        "r",
+    ),
 }
 
 VALID = {"N": 5, "d": 2, "r": 3, "rank": 3}
@@ -99,3 +104,19 @@ def test_every_entry_refuses_alike(name, case, change, error, message):
     with pytest.raises(error, match=message):
         call(**{**VALID, **change})
 
+
+
+# An empty list of root sets holds r = 0 roots, like an empty list of roots.
+@pytest.mark.parametrize(
+    "call", [schur_form_terms, schur_form_at_roots, localization_pushforward]
+)
+@pytest.mark.parametrize(
+    "N, d, error, message",
+    [
+        (True, 0.5, TypeError, "N, d and r must be int, got True"),
+        (-1, 0, ValueError, "need 1 <= d <= r, got d=0, r=0"),
+    ],
+)
+def test_no_roots_are_refused_alike(call, N, d, error, message):
+    with pytest.raises(error, match=message):
+        call(N, d, [])
