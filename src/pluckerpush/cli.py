@@ -198,6 +198,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
+#: Each subcommand once: handler, help line, and the (flag, options) pairs _fill adds.
+_COMMANDS = {
+    "pushforward": (cmd_pushforward, "push a power of the Pluecker class to the base", (
+        ("--N", dict(type=int, required=True, help="power of the Pluecker class")),
+        ("--d", dict(type=int, required=True, help="rank of the universal quotient")),
+        ("--r", dict(type=int, required=True, help="rank of the bundle")),
+        ("--base-dim", dict(type=int, default=None, help="formal base dimension")),
+        ("--pm", dict(type=int, default=None, help="split model: dimension of P^m")),
+        ("--twists", dict(type=str, default=None, help="split model: comma-separated twists")),
+        ("--json", dict(action="store_true")),
+    )),
+    "degree": (cmd_degree, "degree of the Grassmann bundle of a split bundle", (
+        ("--d", dict(type=int, required=True)),
+        ("--pm", dict(type=int, required=True)),
+        ("--twists", dict(type=str, required=True)),
+        ("--json", dict(action="store_true")),
+    )),
+    "degree-classical": (cmd_degree_classical, "Pluecker degree of a Grassmann variety", (
+        ("--d", dict(type=int, required=True)), ("--r", dict(type=int, required=True)))),
+    "syt": (cmd_syt, "count standard Young tableaux of a shape", (
+        ("--shape", dict(type=str, required=True, help='shape such as "(2,1)"')),
+        ("--method", dict(choices=("hook", "product", "enumerate"), default="hook")),
+        ("--d", dict(type=int, default=None, help="rows, for --method product")),
+        ("--r", dict(type=int, default=None, help="bundle rank, for --method product")),
+    )),
+    "verify": (cmd_verify, "run the oracle cross-check suites", (
+        ("--suite", dict(choices=("theorem", "remark", "degrees", "all"), required=True)),
+        ("--seed", dict(type=int, default=42)),
+        ("--trials", dict(type=int, default=20)),
+        ("--max-d", dict(type=int, default=None)),
+        ("--max-r", dict(type=int, default=None)),
+        ("--extra-N", dict(type=int, default=None)),
+        ("--verbose", dict(action="store_true", help="include per-trial lines")),
+        ("--json", dict(action="store_true")),
+    )),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    handler, _, arguments = _COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(command=name, func=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pluckerpush",
@@ -205,53 +251,27 @@ def build_parser() -> argparse.ArgumentParser:
         "bundles, degree formulas, and their brute-force verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pushforward", help="push a power of the Pluecker class to the base")
-    p.add_argument("--N", type=int, required=True, help="power of the Pluecker class")
-    p.add_argument("--d", type=int, required=True, help="rank of the universal quotient")
-    p.add_argument("--r", type=int, required=True, help="rank of the bundle")
-    p.add_argument("--base-dim", type=int, default=None, help="formal base dimension")
-    p.add_argument("--pm", type=int, default=None, help="split model: dimension of P^m")
-    p.add_argument("--twists", type=str, default=None, help="split model: comma-separated twists")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pushforward)
-
-    p = sub.add_parser("degree", help="degree of the Grassmann bundle of a split bundle")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--pm", type=int, required=True)
-    p.add_argument("--twists", type=str, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_degree)
-
-    p = sub.add_parser("degree-classical", help="Pluecker degree of a Grassmann variety")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_degree_classical)
-
-    p = sub.add_parser("syt", help="count standard Young tableaux of a shape")
-    p.add_argument("--shape", type=str, required=True, help='shape such as "(2,1)"')
-    p.add_argument("--method", choices=("hook", "product", "enumerate"), default="hook")
-    p.add_argument("--d", type=int, default=None, help="rows, for --method product")
-    p.add_argument("--r", type=int, default=None, help="bundle rank, for --method product")
-    p.set_defaults(func=cmd_syt)
-
-    p = sub.add_parser("verify", help="run the oracle cross-check suites")
-    p.add_argument("--suite", choices=("theorem", "remark", "degrees", "all"), required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-d", type=int, default=None)
-    p.add_argument("--max-r", type=int, default=None)
-    p.add_argument("--extra-N", type=int, default=None)
-    p.add_argument("--verbose", action="store_true", help="include per-trial lines")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (_, help_line, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by one parser when argv[0] names a subcommand.
+
+    ``add_parser`` makes that same parser and hands it every string after the
+    name, so its help and errors are unchanged; extras take the full tree.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = _fill(argparse.ArgumentParser(prog=f"pluckerpush {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # Exact answers can run past the interpreter's int/str digit limit; lift
     # it for this call and give in-process callers their own setting back.
     digit_limit = sys.get_int_max_str_digits()

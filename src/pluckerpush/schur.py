@@ -35,7 +35,7 @@ def det(matrix: list[list[object]]) -> object:
                 bit = 1 << j
                 if mask & bit:
                     continue
-                position = bin(mask & (bit - 1)).count("1")
+                position = (mask & (bit - 1)).bit_count()
                 term = matrix[row][j] * value
                 if (row + position) % 2:
                     term = -term

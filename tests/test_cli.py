@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 import pluckerpush
 from pluckerpush import rectangle, syt_count_hook
 from pluckerpush.chowring import render_terms
-from pluckerpush.cli import main, render_schur_terms
+from pluckerpush.cli import build_parser, main, parse_args, render_schur_terms
 
 
 def run_cli(capsys, *argv):
@@ -324,6 +325,179 @@ def test_command_output_is_pinned(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+DEGREE = ["degree", "--d", "1", "--pm", "1", "--twists", "1,2"]
+VALID_ARGVS = [
+    ["pushforward", "--N", "3", "--d", "2", "--r", "3", "--base-dim", "1", "--json"],
+    DEGREE,
+    ["degree-classical", "--d", "3", "--r", "6"],
+    ["syt", "--shape", "(2,1)", "--method", "product", "--d", "1", "--r", "3"],
+    ["verify", "--suite", "degrees", "--trials", "1", "--verbose"],
+]
+PARSE_CORPUS = VALID_ARGVS + [
+    [],
+    ["bogus"],
+    ["--", *DEGREE],
+    ["degree", "--", "--d", "1", "--pm", "1", "--twists", "1,2"],
+    [*DEGREE, "--"],
+    ["degree", "--d", "1", "--pm", "1", "--tw", "1,2"],
+    ["degree", "--h"],
+    ["degree", "--d", "1", "--pm", "1", "--twists", "-1,2"],
+    ["degree", "--d", "1", "--pm", "1", "--twists=-1,2"],
+    [*DEGREE, "stray"],
+    ["stray", *DEGREE],
+    [*DEGREE, "--stray"],
+    [*DEGREE, "--stray", "x"],
+    [*DEGREE, "--d", "2", "--pm", "0"],
+    [*DEGREE, "--json", "--json"],
+    ["degree", "--d", "x", "--pm", "1", "--twists", "1"],
+    ["degree"],
+    ["--help", "degree"],
+    ["degree-classical", "-h", "stray"],
+    *([name, "-h"] for name in ("pushforward", "degree", "degree-classical", "syt", "verify")),
+]
+
+
+def _parsed(capsys, parse, argv):
+    """(vars of the Namespace, or the SystemExit code; stdout; stderr) of one parse."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def _parsers_built(monkeypatch, parse, argv) -> int:
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        try:
+            parse(list(argv))
+        except SystemExit:
+            pass
+    return built
+
+
+class TestParsing:
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=[" ".join(argv) for argv in PARSE_CORPUS])
+    def test_parse_args_matches_the_full_tree(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = _parsed(capsys, lambda args: build_parser().parse_args(args), argv)
+        assert _parsed(capsys, parse_args, argv) == full
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=[argv[0] for argv in VALID_ARGVS])
+    def test_a_known_command_builds_one_parser(self, monkeypatch, argv):
+        assert _parsers_built(monkeypatch, parse_args, argv) == 1
+
+    def test_extras_and_unknown_commands_take_the_full_tree(self, monkeypatch):
+        tree = _parsers_built(monkeypatch, lambda argv: build_parser(), [])
+        assert tree == 6  # the top level and its five subcommands
+        assert _parsers_built(monkeypatch, parse_args, [*DEGREE, "stray"]) == 1 + tree
+        assert _parsers_built(monkeypatch, parse_args, ["bogus"]) == tree
+        assert _parsers_built(monkeypatch, parse_args, []) == tree
+
+
+HELP_TEXTS = [
+    (("--help",), """\
+usage: pluckerpush [-h] {pushforward,degree,degree-classical,syt,verify} ...
+
+Exact push-forwards of Pluecker-class powers on Grassmann bundles, degree
+formulas, and their brute-force verification.
+
+positional arguments:
+  {pushforward,degree,degree-classical,syt,verify}
+    pushforward         push a power of the Pluecker class to the base
+    degree              degree of the Grassmann bundle of a split bundle
+    degree-classical    Pluecker degree of a Grassmann variety
+    syt                 count standard Young tableaux of a shape
+    verify              run the oracle cross-check suites
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    (("pushforward", "--help"), """\
+usage: pluckerpush pushforward [-h] --N N --d D --r R [--base-dim BASE_DIM]
+                               [--pm PM] [--twists TWISTS] [--json]
+
+options:
+  -h, --help           show this help message and exit
+  --N N                power of the Pluecker class
+  --d D                rank of the universal quotient
+  --r R                rank of the bundle
+  --base-dim BASE_DIM  formal base dimension
+  --pm PM              split model: dimension of P^m
+  --twists TWISTS      split model: comma-separated twists
+  --json
+"""),
+    (("degree", "--help"), """\
+usage: pluckerpush degree [-h] --d D --pm PM --twists TWISTS [--json]
+
+options:
+  -h, --help       show this help message and exit
+  --d D
+  --pm PM
+  --twists TWISTS
+  --json
+"""),
+    (("degree-classical", "--help"), """\
+usage: pluckerpush degree-classical [-h] --d D --r R
+
+options:
+  -h, --help  show this help message and exit
+  --d D
+  --r R
+"""),
+    (("syt", "--help"), """\
+usage: pluckerpush syt [-h] --shape SHAPE [--method {hook,product,enumerate}]
+                       [--d D] [--r R]
+
+options:
+  -h, --help            show this help message and exit
+  --shape SHAPE         shape such as "(2,1)"
+  --method {hook,product,enumerate}
+  --d D                 rows, for --method product
+  --r R                 bundle rank, for --method product
+"""),
+    (("verify", "--help"), """\
+usage: pluckerpush verify [-h] --suite {theorem,remark,degrees,all}
+                          [--seed SEED] [--trials TRIALS] [--max-d MAX_D]
+                          [--max-r MAX_R] [--extra-N EXTRA_N] [--verbose]
+                          [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {theorem,remark,degrees,all}
+  --seed SEED
+  --trials TRIALS
+  --max-d MAX_D
+  --max-r MAX_R
+  --extra-N EXTRA_N
+  --verbose             include per-trial lines
+  --json
+"""),
+]
+
+
+@pytest.mark.parametrize("argv,text", HELP_TEXTS, ids=[" ".join(argv) for argv, _ in HELP_TEXTS])
+def test_help_text_is_pinned(argv, text):
+    # NO_COLOR keeps help plain on interpreters whose argparse can colour it
+    result = subprocess.run(
+        [sys.executable, "-m", "pluckerpush", *argv],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), "COLUMNS": "80", "NO_COLOR": "1"},
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == text
 
 
 PUSH = ("pushforward", "--N", "3", "--d", "1", "--r", "2")
