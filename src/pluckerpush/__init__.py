@@ -12,11 +12,7 @@ from .partitions import (
     rectangle,
 )
 from .tableaux import ENUMERATION_CAP, syt_count_hook, syt_count_product, syt_enumerate
-from .schur import (
-    complete_homogeneous_values,
-    jacobi_trudi_det,
-    schur_via_jacobi_trudi,
-)
+from .schur import complete_homogeneous_values, jacobi_trudi_det
 from .chowring import (
     BundleModel,
     FormalBundle,
@@ -66,7 +62,6 @@ __all__ = [
     "syt_enumerate",
     "complete_homogeneous_values",
     "jacobi_trudi_det",
-    "schur_via_jacobi_trudi",
     "BundleModel",
     "FormalBundle",
     "GradedPoly",

@@ -166,7 +166,7 @@ def cmd_syt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kwargs: dict[str, object] = {"seed": args.seed}
+    kwargs: dict[str, object] = {} if args.seed is None else {"seed": args.seed}
     for flag, value, least, keyword in (
         ("--trials", args.trials, 1, "trials"),
         ("--max-d", args.max_d, 1, "max_d"),
@@ -225,8 +225,8 @@ _COMMANDS = {
     )),
     "verify": (cmd_verify, "run the oracle cross-check suites", (
         ("--suite", dict(choices=("theorem", "remark", "degrees", "all"), required=True)),
-        ("--seed", dict(type=int, default=42)),
-        ("--trials", dict(type=int, default=20)),
+        ("--seed", dict(type=int, default=None)),
+        ("--trials", dict(type=int, default=None)),
         ("--max-d", dict(type=int, default=None)),
         ("--max-r", dict(type=int, default=None)),
         ("--extra-N", dict(type=int, default=None)),

@@ -51,10 +51,10 @@ from .pushforward import (
     schur_coefficients,
     schur_form_terms,
 )
-from .chowring import BundleModel, FormalBundle, GradedPoly, ring_of, segre_classes
+from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of, segre_classes
 from .records import Record, require_exact, require_sizes
 from .rng import SplitMix64
-from .schur import schur_via_jacobi_trudi
+from .schur import jacobi_trudi_det
 from .tableaux import syt_count_hook
 
 
@@ -84,8 +84,9 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
 
     The roots must be ints or Fractions, and N, d and their number r pass
     the size rule ``require_sizes``; so no float or bool d reaches the
-    memoized plan under the key of an equal int.  The roots are scaled to integers z = q*y, q the lcm of their denominators.
-    Every subset term then shares the Vandermonde denominator
+    memoized plan under the key of an equal int.  The roots are scaled to
+    integers z = q*y, q the lcm of their denominators.  Every subset term
+    then shares the Vandermonde denominator
     V = prod_{i<j} (z_i - z_j): the subset's own denominator D_I is, up to
     sign, the part of V that pairs I with its complement, so V / D_I is an
     exact integer.  The integer sum of e_I^N * V / D_I, with e_I the sum of
@@ -140,6 +141,7 @@ def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> Graded
     expanded with ring multiplications; the monomial table of the production
     path is checked against this sum.
     """
+    require_exact((model,), "model", (FormalBundle, SplitBundle))
     require_sizes(d, r, N, model)
     return _schur_sum(schur_coefficients(N, d, r), d, model, {})
 
@@ -163,7 +165,7 @@ def _schur_sum(
         if lam not in deltas:
             if segre is None:
                 segre = segre_classes(model, lam.weight + d)
-            deltas[lam] = schur_via_jacobi_trudi(lam, segre, size=d)
+            deltas[lam] = jacobi_trudi_det(lam.padded(d), segre)
         total = total + count * deltas[lam]
     return total
 
@@ -502,16 +504,18 @@ def suite_degrees(max_r: int = 8) -> SuiteReport:
     )
 
 
-def run_suites(suite: str, seed: int = 42, trials: int = 20, **bounds: int) -> list[SuiteReport]:
+def run_suites(suite: str, **options: int) -> list[SuiteReport]:
     """Run one named suite, or all three.
 
-    ``bounds`` holds the grid bounds the caller gave (max_d, max_r,
-    extra_powers); each suite keeps its own defaults for the rest, and the
-    degrees suite takes only max_r.
+    ``options`` holds the options the caller gave: the grid bounds (max_d,
+    max_r, extra_powers) and the theorem suite's trials and seed.  Each
+    suite keeps its own defaults for the rest; the remark suite takes the
+    bounds, and the degrees suite only max_r.
     """
+    bounds = {name: value for name, value in options.items() if name not in ("trials", "seed")}
     reports = []
     if suite in ("theorem", "all"):
-        reports.append(suite_theorem(trials=trials, seed=seed, **bounds))
+        reports.append(suite_theorem(**options))
     if suite in ("remark", "all"):
         reports.append(suite_remark(**bounds))
     if suite in ("degrees", "all"):

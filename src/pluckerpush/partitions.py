@@ -31,9 +31,12 @@ class Partition(tuple):
         """Sum of the parts."""
         return sum(self)
 
-    def part(self, i: int) -> int:
-        """The i-th part (0-based), zero beyond the stored length."""
-        return self[i] if 0 <= i < len(self) else 0
+    def padded(self, rows: int) -> tuple[int, ...]:
+        """The parts followed by zeros, ``rows`` entries in all; ValueError
+        when the shape has more than ``rows`` parts."""
+        if len(self) > rows:
+            raise ValueError(f"partition {self} has more than {rows} parts")
+        return tuple(self) + (0,) * (rows - len(self))
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""

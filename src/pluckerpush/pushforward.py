@@ -44,8 +44,8 @@ from math import factorial, isqrt, prod
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
 from .partitions import Partition, enumerate_partitions
-from .records import require_sizes
-from .schur import complete_homogeneous_values, schur_via_jacobi_trudi
+from .records import require_exact, require_sizes
+from .schur import complete_homogeneous_values, jacobi_trudi_det
 from .tableaux import syt_count_product
 
 #: "linear" or "factorial", the denominator convention of the rational form.
@@ -130,7 +130,7 @@ def _composition_terms(
     weight = N - d * (r - d)
     denominators = _denominator_table(denominator, r + weight)
     for mu in enumerate_partitions(weight, d):
-        for k, difference, denom in _live_orderings([mu.part(i) for i in range(d)], r, denominators):
+        for k, difference, denom in _live_orderings(mu.padded(d), r, denominators):
             yield mu, k, n_fact * difference, denom
 
 
@@ -193,6 +193,7 @@ def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> Gra
     fiber dimension d(r-d), or when that degree exceeds the base dimension.
     The class of the ``monomial_coefficients`` table in the model.
     """
+    require_exact((model,), "model", (FormalBundle, SplitBundle))
     require_sizes(d, r, N, model)
     weight = N - d * (r - d)
     # a base too small for the output degree needs no table
@@ -229,7 +230,7 @@ def schur_form_terms(
     rows = []
     for roots in root_sets:
         h = complete_homogeneous_values(roots, top)
-        rows.append([(lam, count, schur_via_jacobi_trudi(lam, h, size=d)) for lam, count in terms])
+        rows.append([(lam, count, jacobi_trudi_det(lam.padded(d), h)) for lam, count in terms])
     return rows
 
 
@@ -240,6 +241,7 @@ def degree_grassmann_bundle_terms(d: int, model: SplitBundle) -> list[tuple[Part
     rows are ``schur_form_terms`` at the one root set of the twists; the
     degree is the sum of count * integral.
     """
+    require_exact((model,), "model", (SplitBundle,))
     return schur_form_terms(d * (model.rank - d) + model.base_dim, d, [model.twists])[0]
 
 
@@ -276,12 +278,9 @@ def degree_grassmannian_classical(d: int, r: int) -> int:
     exponent in the hook product, the sum over the prime powers p^k < r of the
     multiplicities of the hooks that p^k divides.  Every exponent is asserted
     nonnegative, and the powers p^e are multiplied by a balanced product tree,
-    so no factorial and no quotient is formed.  A rectangle of one row or at
-    most one column (d = 1, or d >= r-1) has degree 1.
+    so no factorial and no quotient is formed.
     """
     require_sizes(d, r)
-    if min(d, r - d) <= 1:
-        return 1
     n = d * (r - d)
     hooks = _rectangle_hooks(d, r)
     powers = []
@@ -341,6 +340,7 @@ def pushforward_rational_form(
     The remark suite determines empirically which denominator variant agrees
     with the Jacobi-Trudi Schur form.
     """
+    require_exact((model,), "model", (FormalBundle, SplitBundle))
     require_sizes(d, r, N, model)
     coefficients = rational_form_coefficients(N, d, r, denominator)
     return _class_of_table(coefficients, N - d * (r - d), model)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .partitions import Partition
 from .records import require_exact
 
 
@@ -48,10 +47,12 @@ def det(matrix: list[list[object]]) -> object:
 def jacobi_trudi_det(indices: Sequence[int], values: Sequence[object]) -> object:
     """det[ values[indices_i + j - i] ] for an arbitrary integer vector.
 
-    Negative subscripts give the zero element.  A subscript past the end of
-    ``values`` raises ValueError: callers size the list, since a missing
-    value is not known to be zero.  The empty vector gives the identity
-    ``values[0]``.
+    The Schur polynomial of shape lam in d rows takes ``lam.padded(d)``;
+    zero parts add unit lower-triangular rows, so any padding gives the
+    same value.  Negative subscripts give the zero element.  A subscript
+    past the end of ``values`` raises ValueError: callers size the list,
+    since a missing value is not known to be zero.  The empty vector gives
+    the identity ``values[0]``.
     """
     one = values[0]
     n = len(indices)
@@ -70,21 +71,6 @@ def jacobi_trudi_det(indices: Sequence[int], values: Sequence[object]) -> object
         top = max(k + n - 1 - i for i, k in enumerate(indices))
         raise ValueError(f"need values h_0..h_{top}, got {len(values)}") from None
     return det(matrix)
-
-
-def schur_via_jacobi_trudi(
-    lam: Partition, values: Sequence[object], size: int | None = None
-) -> object:
-    """Schur polynomial of shape lam evaluated on the complete homogeneous values.
-
-    ``size`` pads the shape with zero parts; the determinant is unchanged by
-    padding because the extra rows are unit lower-triangular.
-    """
-    if size is None:
-        size = len(lam)
-    if size < len(lam):
-        raise ValueError(f"size {size} is smaller than the {len(lam)} parts of {lam}")
-    return jacobi_trudi_det([lam.part(i) for i in range(size)], values)
 
 
 def complete_homogeneous_values(roots: Sequence[Fraction | int], top: int) -> list[int | Fraction]:

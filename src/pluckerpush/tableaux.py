@@ -35,9 +35,7 @@ def syt_count_product(lam: Partition, d: int, r: int) -> int:
     The rectangle shift never has to be materialized.
     """
     require_sizes(d, r)
-    if len(lam) > d:
-        raise ValueError(f"partition {lam} has more than {d} parts")
-    parts = [lam.part(i) for i in range(d)]
+    parts = lam.padded(d)
     numerator = factorial(lam.weight + d * (r - d))
     for i in range(d):
         for j in range(i + 1, d):

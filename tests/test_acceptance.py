@@ -28,7 +28,6 @@ from pluckerpush import (
     pushforward_rational_form,
     rectangle,
     ring_of,
-    schur_via_jacobi_trudi,
     segre_classes,
     suite_remark,
     syt_count_hook,
@@ -42,7 +41,7 @@ from pluckerpush.cli import main
 def pushforward_schur_class(mu, d, r, segre):
     """The push-forward of Delta_mu(s(Q)): the Jacobi-Trudi determinant on
     (mu_1 - (r-d), ..., mu_d - (r-d)), zero unless mu contains the rectangle."""
-    return jacobi_trudi_det([mu.part(i) - (r - d) for i in range(d)], segre)
+    return jacobi_trudi_det([k - (r - d) for k in mu.padded(d)], segre)
 
 
 @contextmanager
@@ -105,7 +104,7 @@ def test_criterion_04_pieri_coefficients_and_specialization():
                 }
                 h = [Fraction(comb(k + d - 1, k)) for k in range(N + 1)]
                 total = sum(
-                    coeff * schur_via_jacobi_trudi(Partition(shape), h)
+                    coeff * jacobi_trudi_det(shape, h)
                     for shape, coeff in expansion.items()
                 )
                 assert total == d**N
@@ -117,7 +116,7 @@ def test_criterion_05_tableau_counts_three_ways():
             for r in range(d, 8):
                 for weight in range(7):
                     for lam in enumerate_partitions(weight, d):
-                        shifted = Partition(lam.part(i) + r - d for i in range(d))
+                        shifted = Partition(k + r - d for k in lam.padded(d))
                         by_hook = syt_count_hook(shifted)
                         assert syt_count_product(lam, d, r) == by_hook
                         if shifted.weight <= ENUMERATION_CAP:

@@ -1,12 +1,16 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pluckerpush
 from pluckerpush import rectangle, syt_count_hook
@@ -269,6 +273,14 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["reports"][0]["suite"] == "degrees"
+
+    def test_seed_and_trials_default_to_the_theorem_suite_defaults(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "--suite", "theorem", "--max-d", "1", "--max-r", "2", "--json"
+        )
+        assert code == 0
+        parameters = json.loads(out)["reports"][0]["parameters"]
+        assert (parameters["seed"], parameters["trials_per_cell"]) == (42, 20)
 
     @pytest.mark.parametrize(
         "extra,digest",
@@ -549,6 +561,123 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: planted engine fault\n"
+
+
+def required(*option):
+    """The option, left out one time in sixteen."""
+    return st.sampled_from([[option]] * 15 + [[]])
+
+
+def optional(*option):
+    """The option or nothing, alike often."""
+    return st.sampled_from([[], [option]])
+
+
+def listed(values):
+    return ",".join(map(str, values))
+
+
+STRAY = ("stray", "--stray", "--", "-h", "--json", "-1", "=", "")
+SUITES = ("theorem", "remark", "degrees", "all")
+
+
+def grammar(r):
+    """Command -> slots, each drawing a list of options (flag, values in
+    range, values out of range) for a bundle of rank r; a flag without
+    values is a store_true flag."""
+    d = ("--d", st.integers(1, r), st.sampled_from((0, r + 1)))
+    rank = ("--r", st.just(r), st.just(0))
+    pm = ("--pm", st.integers(0, 3), st.just(-1))
+    twist = st.integers(-3, 3)
+    twists = (
+        "--twists",
+        st.lists(twist, min_size=r, max_size=r).map(listed),
+        st.lists(twist, min_size=r + 1, max_size=r + 1).map(listed) | st.just(""),
+    )
+    shape = (
+        "--shape",
+        st.lists(st.integers(1, 3), max_size=3).map(lambda p: f"({listed(sorted(p, reverse=True))})"),
+        st.sampled_from(("(1,2)", "(2,-1)", "2,1", "(x)")),
+    )
+    product = ("--method", st.just("product"), None)
+    return {
+        "pushforward": [
+            required("--N", st.integers(0, 12), st.just(-1)),
+            required(*d),
+            required(*rank),
+            # one model in six is none, both or half of one
+            st.sampled_from(
+                [[("--base-dim", st.integers(0, 6), st.just(-1))], [pm, twists]] * 5
+                + [[], [("--base-dim", st.integers(0, 6), None), pm, twists], [pm]]
+            ),
+            optional("--json"),
+        ],
+        "degree": [required(*d), required(*pm), required(*twists), optional("--json")],
+        "degree-classical": [required(*d), required(*rank)],
+        "syt": [
+            required(*shape),
+            # half the draws take the product method with its d and r
+            st.sampled_from(
+                [[product, d, rank]] * 4
+                + [[], [("--method", st.just("hook"), None)]]
+                + [[("--method", st.just("enumerate"), None)]]
+                + [[product], [product, d], [d, rank]]
+            ),
+        ],
+        "verify": [
+            required("--suite", st.sampled_from(SUITES), st.just("bogus")),
+            required("--max-d", st.integers(1, 2), st.just(0)),
+            # always given: the default --max-r would make a run take seconds
+            st.just([("--max-r", st.integers(1, 4), st.just(0))]),
+            required("--trials", st.integers(1, 2), st.just(0)),
+            optional("--extra-N", st.integers(0, 2), st.just(-1)),
+            optional("--seed", st.integers(-(2**64), 2**64), None),
+            optional("--verbose"),
+            optional("--json"),
+        ],
+    }
+
+
+@st.composite
+def grammar_argvs(draw):
+    """An argv of one subcommand: its options in any order, in the ``--flag
+    value`` or ``--flag=value`` form; about half the argvs give one option a
+    value out of range, and now and then a required option is missing or a
+    stray token is added."""
+    slots = grammar(draw(st.integers(1, 5)))
+    name = draw(st.sampled_from(sorted(slots)))
+    options = [option for slot in slots[name] for option in draw(slot)]
+    spoiled = draw(st.integers(0, 2 * len(options)))
+    groups = []
+    for i, (flag, *values) in enumerate(options):
+        if not values:
+            groups.append([flag])
+            continue
+        good, bad = values
+        text = str(draw(bad if i == spoiled and bad is not None else good))
+        groups.append([flag, text] if draw(st.booleans()) else [f"{flag}={text}"])
+    argv = [name] + [token for group in draw(st.permutations(groups)) for token in group]
+    if draw(st.integers(0, 7)) == 3:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(grammar_argvs())
+def test_every_grammar_argv_exits_0_or_2(argv):
+    # exit 1 (a failed suite) and 3 (an engine fault) mean a broken engine,
+    # whatever a caller types; 2 is a usage error and prints nothing
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    elif "--json" in argv and "-h" not in argv:
+        assert json.loads(out.getvalue())["schema"] == 1
 
 
 class TestEntryPoints:

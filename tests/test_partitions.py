@@ -13,7 +13,7 @@ from pluckerpush import (
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """Diagram containment, cell by cell."""
-    return all(inner[i] <= outer.part(i) for i in range(len(inner)))
+    return all(a <= b for a, b in zip(inner, outer.padded(max(len(outer), len(inner)))))
 
 
 def count_with_bounded_parts(n: int, k: int) -> int:
@@ -57,8 +57,10 @@ class TestPartitionType:
     def test_weight_and_indexing(self):
         lam = Partition((3, 1))
         assert lam.weight == 4
-        assert lam.part(0) == 3
-        assert lam.part(5) == 0
+        assert lam.padded(2) == (3, 1)
+        assert lam.padded(5) == (3, 1, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"partition \(3,1\) has more than 1 parts"):
+            lam.padded(1)
 
     def test_str_notation(self):
         assert str(Partition((3, 1))) == "(3,1)"

@@ -12,7 +12,6 @@ from pluckerpush import (
     jacobi_trudi_det,
     pieri_walk,
     schur_form_terms,
-    schur_via_jacobi_trudi,
     syt_count_hook,
 )
 from pluckerpush.schur import det
@@ -42,7 +41,8 @@ def field_det(matrix):
 def bialternant(lam: Partition, roots: list[Fraction]) -> Fraction:
     """Independent oracle: ratio of alternants over distinct roots."""
     d = len(roots)
-    numerator = field_det([[y ** (lam.part(i) + d - 1 - i) for y in roots] for i in range(d)])
+    rows = enumerate(lam.padded(d))
+    numerator = field_det([[y ** (k + d - 1 - i) for y in roots] for i, k in rows])
     denominator = field_det([[y ** (d - 1 - i) for y in roots] for i in range(d)])
     return numerator / denominator
 
@@ -85,7 +85,7 @@ class TestPowerExpansion:
             for power in range(11):
                 h = [Fraction(comb(k + d - 1, k)) for k in range(power + 1)]
                 total = sum(
-                    count * schur_via_jacobi_trudi(Partition(shape), h)
+                    count * jacobi_trudi_det(shape, h)
                     for shape, count in pieri_walk(power, d, power).items()
                 )
                 assert total == d**power
@@ -94,12 +94,12 @@ class TestPowerExpansion:
 class TestJacobiTrudi:
     def test_empty_shape_gives_identity(self):
         h = [Fraction(1), Fraction(7)]
-        assert schur_via_jacobi_trudi(Partition(), h) == 1
+        assert jacobi_trudi_det(Partition().padded(0), h) == 1
 
     def test_single_and_double_row_formulas(self):
         h = [Fraction(1), Fraction(5), Fraction(7), Fraction(11)]
-        assert schur_via_jacobi_trudi(Partition((2,)), h) == h[2]
-        assert schur_via_jacobi_trudi(Partition((1, 1)), h) == h[1] * h[1] - h[2] * h[0]
+        assert jacobi_trudi_det(Partition((2,)).padded(1), h) == h[2]
+        assert jacobi_trudi_det(Partition((1, 1)).padded(2), h) == h[1] * h[1] - h[2] * h[0]
 
     def test_negative_index_rows_vanish(self):
         h = [Fraction(1), Fraction(5), Fraction(7), Fraction(11)]
@@ -124,13 +124,13 @@ class TestJacobiTrudi:
         h = [Fraction(v) for v in (1, 2, 3, 5, 8, 13, 21, 34)]
         for n in range(5):
             for lam in enumerate_partitions(n, 3):
-                base = schur_via_jacobi_trudi(lam, h)
+                base = jacobi_trudi_det(lam.padded(len(lam)), h)
                 for size in range(len(lam), 5):
-                    assert schur_via_jacobi_trudi(lam, h, size=size) == base
+                    assert jacobi_trudi_det(lam.padded(size), h) == base
 
     def test_size_below_length_rejected(self):
-        with pytest.raises(ValueError):
-            schur_via_jacobi_trudi(Partition((1, 1)), [Fraction(1)], size=1)
+        with pytest.raises(ValueError, match=r"partition \(1,1\) has more than 1 parts"):
+            Partition((1, 1)).padded(1)
 
     @settings(max_examples=60)
     @given(
@@ -142,7 +142,7 @@ class TestJacobiTrudi:
         d = len(roots)
         h = complete_homogeneous_values(roots, weight + d)
         for lam in enumerate_partitions(weight, d):
-            assert schur_via_jacobi_trudi(lam, h, size=d) == bialternant(lam, roots)
+            assert jacobi_trudi_det(lam.padded(d), h) == bialternant(lam, roots)
 
 
 class TestDeterminants:

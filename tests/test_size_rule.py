@@ -10,7 +10,9 @@ import pytest
 from pluckerpush import (
     FormalBundle,
     Partition,
+    SplitBundle,
     box_pieri_degree,
+    degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     degree_grassmannian_factorial,
     localization_pushforward,
@@ -120,3 +122,33 @@ def test_every_entry_refuses_alike(name, case, change, error, message):
 def test_no_roots_are_refused_alike(call, N, d, error, message):
     with pytest.raises(error, match=message):
         call(N, d, [])
+
+
+# A model of the wrong class is refused with TypeError before any of its
+# fields is read.
+BOTH = "FormalBundle or SplitBundle"
+MODEL_ENTRIES = {
+    "pushforward_plucker_power": (lambda m: pushforward_plucker_power(3, 1, 2, m), BOTH),
+    "pushforward_rational_form": (
+        lambda m: pushforward_rational_form(3, 1, 2, m, "factorial"),
+        BOTH,
+    ),
+    "schur_form_pushforward": (lambda m: schur_form_pushforward(3, 1, 2, m), BOTH),
+    "degree_grassmann_bundle_terms": (lambda m: degree_grassmann_bundle_terms(1, m), "SplitBundle"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ENTRIES))
+@pytest.mark.parametrize("model", ["x", None, 2], ids=repr)
+def test_a_model_of_the_wrong_class_is_refused(name, model):
+    call, kinds = MODEL_ENTRIES[name]
+    with pytest.raises(TypeError, match=f"^model must be {kinds}, got {model!r}$"):
+        call(model)
+    call(SplitBundle(base_dim=1, twists=(1, 2)))
+
+
+def test_the_degree_refuses_a_formal_model():
+    with pytest.raises(
+        TypeError, match=r"^model must be SplitBundle, got FormalBundle\(base_dim=1, rank=2\)$"
+    ):
+        degree_grassmann_bundle_terms(1, FormalBundle(base_dim=1, rank=2))

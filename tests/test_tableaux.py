@@ -45,7 +45,7 @@ class TestProductFormula:
             for r in range(d, 8):
                 for weight in range(7):
                     for lam in enumerate_partitions(weight, d):
-                        expected = syt_count_hook(Partition(lam.part(i) + r - d for i in range(d)))
+                        expected = syt_count_hook(Partition(k + r - d for k in lam.padded(d)))
                         assert syt_count_product(lam, d, r) == expected
 
     def test_rejects_bad_arguments(self):
