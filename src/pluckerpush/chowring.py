@@ -254,7 +254,8 @@ def segre_classes(model: BundleModel, top: int) -> list[GradedPoly]:
 
     Only the ring oracle in ``oracles`` (``schur_form_pushforward`` and the
     remark suite) and the tests multiply these; the production push-forward
-    reads a monomial table.
+    reads a monomial table over a formal base and the scalar Schur rows at
+    the twists over P^m.
 
     Sign convention: the total Segre class is the inverse of the total Chern
     class of the dual bundle, so for a split bundle s_k is h^k times the

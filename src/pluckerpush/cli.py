@@ -143,6 +143,8 @@ def cmd_degree_classical(args: argparse.Namespace) -> int:
 
 
 def cmd_syt(args: argparse.Namespace) -> int:
+    if args.method != "product" and (args.d is not None or args.r is not None):
+        raise UsageError(f"--d and --r go only with --method product, not --method {args.method}")
     try:
         shape = parse_partition(args.shape)
     except ValueError as exc:

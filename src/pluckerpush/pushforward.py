@@ -11,21 +11,27 @@ where eps is the d x (r-d) rectangle, f counts standard Young tableaux, and
 Delta_lam is the Jacobi-Trudi determinant det[s_{lam_i + j - i}].  Below the
 critical power d(r-d) the push-forward vanishes for degree reasons.
 
-The production path does not expand those determinants.  It reads the same
-class off an integer table, one coefficient per monomial in the Segre classes
-(``monomial_coefficients``), built from the composition-sum form with
-factorial denominators.  One walk over the exponent vectors, partition by
-partition, feeds that table and the rational form of either denominator
-variant; it carries the difference product and the denominator product down
-its tree, and each node multiplies in only the factors of the part it
-places.  One helper turns a table into a class; the Jacobi-Trudi sum in the
-graded ring is their oracle, ``oracles.schur_form_pushforward``.
+Over a formal base the production path does not expand those determinants.
+It reads the same class off an integer table, one coefficient per monomial
+in the Segre classes (``monomial_coefficients``), built from the
+composition-sum form with factorial denominators.  One walk over the
+exponent vectors, partition by partition, feeds that table and the rational
+form of either denominator variant; it carries the difference product and
+the denominator product down its tree, and each node multiplies in only the
+factors of the part it places.  One helper turns a table into a class; the
+Jacobi-Trudi sum in the graded ring is their oracle,
+``oracles.schur_form_pushforward``.
 
 At explicit Chern roots each Delta_lam is a scalar determinant of complete
 homogeneous values (``schur_form_terms``, which takes a list of root sets and
 computes the tableau counts once for all of them); at the twists of a split
 bundle over P^m these are the per-shape integrals of the Grassmann bundle's
-degree.  Each count f(lam + eps) is the composition term at k = lam.
+degree.  Each count f(lam + eps) is the composition term at k = lam.  Since
+s_k(E) = h_k(twists) * h^k, the push-forward over P^m is the sum of these
+rows times h^w, w = N - d(r-d): the split model reads the scalar Schur rows,
+and only the formal model reads the monomial table.  The factorial rational
+form read at the twists, which walks the exponent vectors, is the split
+model's reference.
 
 Over a point the degree is the tableau count of the rectangle eps,
 (d(r-d))! over its hook product.  ``degree_grassmannian_classical`` builds it
@@ -165,8 +171,10 @@ def _class_of_table(
     nonnegative parts, whose zero parts are skipped.  Over a formal base it
     is the monomial c * s_{k_1} * ... * s_{k_d}; over P^m it contributes
     c * h_{k_1}(a) * ... * h_{k_d}(a) to the coefficient of h^weight, with a
-    the twists.  Entries that name the same monomial add up.  The zero class
-    when the weight is negative or exceeds the base dimension.
+    the twists.  Only the rational form reaches the P^m branch: it is that
+    form's read at the twists, the reference of the split push-forward.
+    Entries that name the same monomial add up.  The zero class when the
+    weight is negative or exceeds the base dimension.
     """
     ring = ring_of(model)
     if not 0 <= weight <= model.base_dim:
@@ -189,16 +197,21 @@ def _class_of_table(
 def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
     """Push the N-th power of the Pluecker class down to the base of the model.
 
-    Homogeneous of degree N - d(r-d); the zero class when N is below the
-    fiber dimension d(r-d), or when that degree exceeds the base dimension.
-    The class of the ``monomial_coefficients`` table in the model.
+    Homogeneous of degree w = N - d(r-d); the zero class when N is below
+    the fiber dimension d(r-d), or when w exceeds the base dimension.  Over
+    P^m it is the sum of count * value over the ``schur_form_terms`` rows at
+    the twists, times h^w, the rows that the degree sums; over a formal base
+    it is the class of the ``monomial_coefficients`` table.
     """
     require_exact((model,), "model", (FormalBundle, SplitBundle))
     require_sizes(d, r, N, model)
     weight = N - d * (r - d)
-    # a base too small for the output degree needs no table
-    table = monomial_coefficients(N, d, r) if weight <= model.base_dim else []
-    return _class_of_table(table, weight, model)
+    if not 0 <= weight <= model.base_dim:
+        return ring_of(model).zero()
+    if isinstance(model, FormalBundle):
+        return _class_of_table(monomial_coefficients(N, d, r), weight, model)
+    rows = schur_form_terms(N, d, [model.twists])[0]
+    return GradedPoly(ring_of(model), {(weight,): sum(count * value for _, count, value in rows)})
 
 
 def schur_form_terms(
@@ -336,7 +349,8 @@ def pushforward_rational_form(
     """Composition-sum form of the push-forward, with rational coefficients.
 
     The class of the ``rational_form_coefficients`` in the model, read as
-    the production path reads its table; no Segre classes are multiplied.
+    the formal model's production path reads its table, and at the twists
+    over P^m; no Segre classes are multiplied.
     The remark suite determines empirically which denominator variant agrees
     with the Jacobi-Trudi Schur form.
     """

@@ -231,6 +231,14 @@ class TestSytCommand:
         code, _ = run_cli(capsys, "syt", "--shape", "2,1")
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["hook", "enumerate"])
+    @pytest.mark.parametrize("sizes", [("--d", "9"), ("--r", "1"), ("--d", "9", "--r", "1")])
+    def test_d_and_r_refused_without_product(self, capsys, method, sizes):
+        code = main(["syt", "--shape", "(2,1)", "--method", method, *sizes])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_degrees_suite_passes(self, capsys):
@@ -328,6 +336,11 @@ STDOUT_DIGESTS = [
      "c9eff6fc39356451e07f6b23d7ac10062317742d04ce28df7ab62750bfcb6b8a"),
     (("verify", "--suite", "theorem", "--max-r", "5", "--trials", "10", "--seed", "1", "--verbose", "--json"),
      "b46bbedeb0255065a73011317daa00b6c0556bdb74836b84b95bab5eaa0684e5"),
+    # split pushforward with repeated twists at d=4, and at d=6 with a weight below m
+    (("pushforward", "--N", "24", "--d", "4", "--r", "8", "--pm", "8", "--twists=-2,0,0,1,3,3,5,-1", "--json"),
+     "ba58d69fb75d6dc7e17b03df68e34c8ad4a8dcd23c1a5c718371187e5da3a09a"),
+    (("pushforward", "--N", "42", "--d", "6", "--r", "12", "--pm", "8", "--twists=1,1,1,0,0,-1,2,2,3,-2,4,0"),
+     "a1372324d1aa0de27dd7a2427fe8ef4b61c793e1cee7274b2118e4eb3aef68bf"),
 ]
 
 
@@ -337,6 +350,39 @@ def test_command_output_is_pinned(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _table_refused(*args):
+    raise ValueError("the monomial table was reached")
+
+
+class TestSplitModelReadsSchurRows:
+    """The split model sums the Schur rows that ``degree`` sums; only the
+    formal model builds the monomial table."""
+
+    SPLIT = ("pushforward", "--N", "6", "--d", "2", "--r", "4", "--pm", "2", "--twists=-1,0,2,3")
+    FORMAL = ("pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2")
+
+    def test_split_pushforward_builds_no_table(self, capsys, monkeypatch):
+        for name in ("monomial_coefficients", "_composition_terms"):
+            monkeypatch.setattr(pluckerpush.pushforward, name, _table_refused)
+        code, out = run_cli(capsys, *self.SPLIT)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == dict(STDOUT_DIGESTS)[self.SPLIT]
+        assert run_cli(capsys, *self.FORMAL) == (3, "")
+
+    def test_degree_and_split_pushforward_share_schur_form_terms(self, capsys, monkeypatch):
+        calls = []
+        schur_form_terms = pluckerpush.pushforward.schur_form_terms
+
+        def counted(N, d, root_sets):
+            calls.append((N, d, [tuple(roots) for roots in root_sets]))
+            return schur_form_terms(N, d, root_sets)
+
+        monkeypatch.setattr(pluckerpush.pushforward, "schur_form_terms", counted)
+        assert run_cli(capsys, *self.SPLIT)[0] == 0
+        assert run_cli(capsys, "degree", "--d", "2", "--pm", "2", "--twists=-1,0,2,3")[0] == 0
+        assert calls == [(6, 2, [(-1, 0, 2, 3)])] * 2
 
 
 DEGREE = ["degree", "--d", "1", "--pm", "1", "--twists", "1,2"]

@@ -395,7 +395,7 @@ SCHUR_SIDE_FAULTS = [
 
 class TestTheoremSuiteCatchesPlantedFaults:
     """Each planted fault makes the theorem suite fail; the Schur-side ones
-    also change what the ``degree`` command prints."""
+    also change what the ``degree`` command and the split ``pushforward`` print."""
 
     def test_unpatched_suite_passes(self):
         assert suite_theorem(max_d=2, max_r=4, trials=2).failures == 0
@@ -429,12 +429,22 @@ class TestTheoremSuiteCatchesPlantedFaults:
 
     @pytest.mark.parametrize("name,fault", SCHUR_SIDE_FAULTS)
     def test_schur_side_fault_changes_degree(self, monkeypatch, capsys, name, fault):
-        argv = ["degree", "--d", "2", "--pm", "3", "--twists=-1,0,0,2"]
-        assert main(argv) == 0
+        # the split push-forward sums the same Schur rows, so its class line
+        # moves too; w = 3 is odd, since _odd_h_flipped keeps even weights
+        degree = ["degree", "--d", "2", "--pm", "3", "--twists=-1,0,0,2"]
+        push = ["pushforward", "--N", "7", "--d", "2", "--r", "4", "--pm", "3", "--twists=-1,0,0,2"]
+
+        def class_line(argv):
+            assert main(argv) == 0
+            return [line for line in capsys.readouterr().out.splitlines() if line.startswith("class:")]
+
+        assert main(degree) == 0
         clean = capsys.readouterr().out
+        clean_class = class_line(push)
         monkeypatch.setattr(pushforward, name, fault)
-        assert main(argv) == 0
+        assert main(degree) == 0
         assert capsys.readouterr().out != clean
+        assert class_line(push) != clean_class
 
 
 # Faults in the walk over exponent vectors that the monomial table and the

@@ -295,11 +295,19 @@ class TestDegrees:
                 assert integral == integrate_over_pm(jacobi_trudi_det(lam.padded(d), segre), m)
 
     def test_terms_table_sums_to_degree(self):
-        # the top power pushed through the monomial table, integrated over P^m
+        # reference: the factorial rational form read at the twists, a walk
+        # over the exponent vectors; the Schur rows that the degree and the
+        # split push-forward both sum share only h_k(twists) and the partition
+        # enumeration with it.  The last reference is at w = m, the degree.
         for d, model in _degree_grid():
             r, m = model.rank, model.base_dim
-            top = pushforward_plucker_power(d * (r - d) + m, d, r, model)
-            assert _degree(d, model) == integrate_over_pm(top, m)
+            for w in range(m + 1):
+                N = d * (r - d) + w
+                push = pushforward_plucker_power(N, d, r, model)
+                reference = pushforward_rational_form(N, d, r, model, "factorial")
+                assert push == reference
+                assert set(push.monomials) <= {(w,)}
+            assert _degree(d, model) == integrate_over_pm(reference, m)
 
     def test_classical_examples(self):
         assert degree_grassmannian_classical(2, 4) == 2
