@@ -19,7 +19,8 @@ Four oracles, none of which shares code with the production formula it checks:
   * ``schur_form_pushforward``: the Schur-form sum in a model's graded ring,
     one Jacobi-Trudi determinant of Segre classes per shape; the oracle of the
     monomial table behind ``pushforward_plucker_power`` and of the rational
-    form, which share one walk over the exponent vectors.  Over formal
+    form, which share one walk over the exponent vectors, the compositions
+    of the weight into d parts in lexicographic order.  Over formal
     bundles a determinant depends on (d, shape) and not on the rank, so the
     remark suite computes each one once for all the ranks of its grid.
   * ``pieri_walk``: theta^N as a sum of Schur classes by repeated Pieri
@@ -405,11 +406,12 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
     (the sum ``schur_form_pushforward`` computes) symbolically, over formal
     bundles with base dimension equal to the output degree; each
     determinant Delta_lam is computed once per (d, lam) and shared by every
-    rank r of the grid.  Both variants
-    walk the exponent vectors the production monomial table walks, so the
-    suite checks that walk against the ring oracle too.  Passes only if
-    exactly one variant matches on every instance; also records whether the
-    matching variant's coefficients were integers throughout.
+    rank r of the grid.  Both variants read the terms of the walk over
+    compositions that the production monomial table groups by sorted
+    exponent vector, so the suite checks that walk, though not the grouping,
+    against the ring oracle too.  Passes only if exactly one variant matches
+    on every instance; also records whether the matching variant's
+    coefficients were integers throughout.
     """
     variants = ("linear", "factorial")
     matches = {v: 0 for v in variants}

@@ -14,8 +14,9 @@ critical power d(r-d) the push-forward vanishes for degree reasons.
 Over a formal base the production path does not expand those determinants.
 It reads the same class off an integer table, one coefficient per monomial
 in the Segre classes (``monomial_coefficients``), built from the
-composition-sum form with factorial denominators.  One walk over the
-exponent vectors, partition by partition, feeds that table and the rational
+composition-sum form with factorial denominators.  One depth-first walk
+over the compositions of the weight into d parts, each prefix visited once
+for all the partitions that extend it, feeds that table and the rational
 form of either denominator variant; it carries the difference product and
 the denominator product down its tree, and each node multiplies in only the
 factors of the part it places.  One helper turns a table into a class; the
@@ -43,7 +44,7 @@ nothing.  The factorial quotient is its oracle,
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress
 from math import factorial, isqrt, prod
@@ -78,66 +79,49 @@ def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:
     return [factorial(t) if denominator == "factorial" else t for t in range(top + 1)]
 
 
-def _live_orderings(
-    parts: Sequence[int], r: int, denominators: Sequence[int]
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """The live orderings k of ``parts``, each with its difference and denominator products.
-
-    An ordering is live when its shifted parts k_i - i (i counted from 0) are
-    pairwise distinct.  The walk goes depth first over the sorted distinct
-    values, so the orderings come in lexicographic order, and cuts a branch
-    as soon as its new shifted part s repeats one already placed.  Each node
-    carries the prefix products: placing s multiplies the difference product
-    by (a - s) for every shifted part a placed before it, and the denominator
-    product by ``denominators[r + s - 1]``.  Returns the triples
-    (k, difference, denominator); the empty ordering of no parts is live,
-    with both products 1.
-    """
-    values = sorted(set(parts))
-    left = {v: parts.count(v) for v in values}
-    size = len(parts)
-    leaves: list[tuple[tuple[int, ...], int, int]] = []
-
-    def extend(
-        i: int, k: tuple[int, ...], shifted: tuple[int, ...], difference: int, denominator: int
-    ) -> None:
-        if i == size:
-            leaves.append((k, difference, denominator))
-            return
-        for v in values:
-            s = v - i
-            if left[v] and s not in shifted:
-                child_difference = difference
-                for a in shifted:
-                    child_difference *= a - s
-                child_denominator = denominator * denominators[r + s - 1]
-                left[v] -= 1
-                extend(i + 1, k + (v,), shifted + (s,), child_difference, child_denominator)
-                left[v] += 1
-
-    extend(0, (), (), 1, 1)
-    return leaves
-
-
 def _composition_terms(
     N: int, d: int, r: int, denominator: DenominatorVariant
-) -> Iterator[tuple[Partition, tuple[int, ...], int, int]]:
-    """Every nonvanishing term (mu, k, numerator, denominator) of the composition sum.
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """Every nonvanishing term (k, numerator, denominator) of the composition sum.
 
-    The exponent vectors k, d nonnegative integers with |k| = N - d(r-d),
-    come partition by partition: for each mu in reverse-lexicographic order,
-    the ``_live_orderings`` of mu padded with zeros.  The k-th term is
-    N! * prod_{i<j} (k_i - k_j - i + j) over prod_i D(r + k_i - i) (i counted
-    from 1); a term where two of the k_i - i coincide vanishes, and the walk
-    never reaches it.  The walk carries both products down its tree, so no
-    vector recomputes them.  Requires N at or above the fiber dimension.
+    The exponent vectors k are the compositions of w = N - d(r-d) into d
+    nonnegative parts.  The k-th term is N! * prod_{i<j} (k_i - k_j - i + j)
+    over prod_i D(r + k_i - i) (i counted from 1); it vanishes when two of
+    the shifted parts k_i - i coincide, and the walk never reaches it.  The
+    walk goes depth first, trying each part from 0 up to what is left, so
+    each prefix is visited once, whatever partitions extend it, and the
+    terms come in lexicographic order of k.  The last part is whatever is
+    left, so the leaf level is no branch.  With i counted from 0, a branch
+    ends as soon as its new shifted part s = k_i - i repeats one already
+    placed.  Each node carries the prefix products: placing s multiplies the
+    difference product by (a - s) for every shifted part a placed before it,
+    and the denominator product by D(r + s - 1).  Requires N at or above the
+    fiber dimension.
     """
     n_fact = factorial(N)
     weight = N - d * (r - d)
     denominators = _denominator_table(denominator, r + weight)
-    for mu in enumerate_partitions(weight, d):
-        for k, difference, denom in _live_orderings(mu.padded(d), r, denominators):
-            yield mu, k, n_fact * difference, denom
+    last = d - 1
+    terms: list[tuple[tuple[int, ...], int, int]] = []
+
+    def extend(
+        i: int, left: int, k: tuple[int, ...], shifted: tuple[int, ...], difference: int, denom: int
+    ) -> None:
+        for v in range(left + 1) if i < last else (left,):
+            s = v - i
+            if s in shifted:
+                continue
+            child_difference = difference
+            for a in shifted:
+                child_difference *= a - s
+            child_denom = denom * denominators[r + s - 1]
+            if i < last:
+                extend(i + 1, left - v, k + (v,), shifted + (s,), child_difference, child_denom)
+            else:
+                terms.append((k + (v,), n_fact * child_difference, child_denom))
+
+    extend(0, weight, (), (), 1, 1)
+    return terms
 
 
 def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
@@ -147,19 +131,23 @@ def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]
     vector gives one coefficient per partition mu of N - d(r-d) with at most
     d parts: the sum over the distinct permutations k of mu, padded with zeros
     to length d, of N! * prod_{i<j} (k_i - k_j - i + j) / prod_i (r + k_i - i)!.
-    Each such term is plus or minus a standard-tableau count, so every
-    division is exact, and asserted to be.  The pair (mu, c) stands for
-    c * s_{mu_1} * ... * s_{mu_l}.  Empty below the fiber dimension.
+    The walk yields every live k once, in lexicographic order, and each term
+    joins the group of its parts sorted in decreasing order.  Each term is
+    plus or minus a standard-tableau count, so every division is exact, and
+    asserted to be.  The pair (mu, c) stands for c * s_{mu_1} * ... * s_{mu_l};
+    the pairs come in reverse-lexicographic order of mu.  Empty below the
+    fiber dimension.
     """
     require_sizes(d, r, N)
     if N < d * (r - d):
         return []
-    table: dict[Partition, int] = {}
-    for mu, k, numerator, denominator in _composition_terms(N, d, r, "factorial"):
+    table: dict[tuple[int, ...], int] = {}
+    for k, numerator, denominator in _composition_terms(N, d, r, "factorial"):
         term, rem = divmod(numerator, denominator)
         assert rem == 0, f"composition term not integral at k={k} for d={d}, r={r}"
+        mu = tuple(sorted(k, reverse=True))
         table[mu] = table.get(mu, 0) + term
-    return list(table.items())
+    return [(Partition(mu), table[mu]) for mu in sorted(table, reverse=True)]
 
 
 def _class_of_table(
@@ -317,7 +305,7 @@ def rational_form_coefficients(
     """Coefficients of the composition-sum form of the push-forward.
 
     The sum runs over all vectors k of d nonnegative integers with
-    |k| = N - d(r-d), partition by partition as the monomial table walks
+    |k| = N - d(r-d), in lexicographic order, as the monomial table walks
     them; the k-th coefficient is
 
         N! * prod_{i<j} (k_i - k_j - i + j) / prod_i D_i
@@ -334,7 +322,7 @@ def rational_form_coefficients(
     if N < fiber_dim:
         raise ValueError(f"power {N} is below the fiber dimension {fiber_dim}")
     out = []
-    for _, k, numerator, denom in _composition_terms(N, d, r, denominator):
+    for k, numerator, denom in _composition_terms(N, d, r, denominator):
         if denom == 0:
             raise ZeroDivisionError(
                 f"{denominator} denominator vanishes at k={k} for d={d}, r={r}"

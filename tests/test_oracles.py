@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -449,38 +449,45 @@ class TestTheoremSuiteCatchesPlantedFaults:
 
 # Faults in the walk over exponent vectors that the monomial table and the
 # rational form share; both are looked up in ``pushforward``.  A walk fault
-# returns the (k, difference, denominator) triples of the real walk with one
+# returns the (k, numerator, denominator) terms of the real walk with one
 # slip planted: in which vectors it reaches, or in a product it carries.
-_live_orderings = pushforward._live_orderings
+_composition_terms = pushforward._composition_terms
 _denominator_table = pushforward._denominator_table
 
 
-def _last_ordering_dropped(parts, r, denominators):
-    return _live_orderings(parts, r, denominators)[:-1]
+def _last_vector_dropped(N, d, r, denominator):
+    return _composition_terms(N, d, r, denominator)[:-1]
 
 
-def _pruned_off_by_one(parts, r, denominators):
+def _pruned_off_by_one(N, d, r, denominator):
     # the pruning test compares k_i - i with an earlier k_j - j - 1 instead of k_j - j
-    leaves = []
-    for k in sorted(set(itertools.permutations(parts))):
-        if all(k[i] - i != k[j] - j - 1 for i in range(len(k)) for j in range(i)):
+    weight = N - d * (r - d)
+    denominators = _denominator_table(denominator, r + weight)
+    terms = []
+    for k in itertools.product(range(weight + 1), repeat=d):
+        if sum(k) == weight and all(k[i] - i != k[j] - j - 1 for i in range(d) for j in range(i)):
             shifted = [part - i for i, part in enumerate(k)]
             difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
-            leaves.append((k, difference, prod(denominators[r + s - 1] for s in shifted)))
-    return leaves
+            terms.append((k, factorial(N) * difference, prod(denominators[r + s - 1] for s in shifted)))
+    return terms
 
 
-def _difference_skips_first_part(parts, r, denominators):
+def _difference_skips_first_part(N, d, r, denominator):
     # the difference prefix leaves out the factors against the first placed part, k_0 - 0
     return [
-        (k, difference // prod(k[0] - part + i for i, part in enumerate(k) if i), denominator)
-        for k, difference, denominator in _live_orderings(parts, r, denominators)
+        (k, numerator // prod(k[0] - part + i for i, part in enumerate(k) if i), denom)
+        for k, numerator, denom in _composition_terms(N, d, r, denominator)
     ]
 
 
-def _denominator_one_late(parts, r, denominators):
-    # the denominator prefix reads denominators[r + s] instead of denominators[r + s - 1]
-    return _live_orderings(parts, r + 1, denominators)
+def _denominator_one_late(N, d, r, denominator):
+    # the denominator prefix reads D(r + s) instead of D(r + s - 1): the walk
+    # one rank up, at the power N + d that keeps the weight, with N! put back
+    scale = factorial(N + d) // factorial(N)
+    return [
+        (k, numerator // scale, denom)
+        for k, numerator, denom in _composition_terms(N + d, d, r + 1, denominator)
+    ]
 
 
 def _always_linear(denominator, top):
@@ -488,12 +495,28 @@ def _always_linear(denominator, top):
 
 
 ENUMERATOR_FAULTS = [
-    ("_live_orderings", _last_ordering_dropped),
-    ("_live_orderings", _pruned_off_by_one),
-    ("_live_orderings", _difference_skips_first_part),
-    ("_live_orderings", _denominator_one_late),
+    ("_composition_terms", _last_vector_dropped),
+    ("_composition_terms", _pruned_off_by_one),
+    ("_composition_terms", _difference_skips_first_part),
+    ("_composition_terms", _denominator_one_late),
     ("_denominator_table", _always_linear),
 ]
+
+
+# The monomial table, looked up in ``pushforward``, grouping the walk's terms
+# by k as the walk yields it instead of by its parts sorted in decreasing
+# order.  Only the table groups; the rational form, which the remark suite
+# reads, keeps one coefficient per k, so no suite can see this fault.  The
+# formal ``pushforward`` is asserted to catch it: a key such as (0, 2) is no
+# partition, so the command stops with an error.
+def _grouped_by_unsorted_k(N, d, r):
+    table = {}
+    for k, numerator, denominator in _composition_terms(N, d, r, "factorial"):
+        table[k] = table.get(k, 0) + numerator // denominator
+    return [(Partition(mu), table[mu]) for mu in sorted(table, reverse=True)]
+
+
+GROUPING_FAULT = ("monomial_coefficients", _grouped_by_unsorted_k)
 
 # The ring oracle's Segre classes, looked up in ``oracles``: flipping the sign
 # convention (the Segre classes of the dual bundle) negates the odd classes.
@@ -569,7 +592,7 @@ class TestRemarkSuiteCatchesPlantedFaults:
         monkeypatch.setattr(oracles if in_oracles else pushforward, name, fault)
         assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures > 0
 
-    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS)
+    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS + [GROUPING_FAULT])
     def test_fault_changes_formal_pushforward(self, monkeypatch, capsys, name, fault):
         argv = ["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]
         clean = main(argv), capsys.readouterr().out

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -31,7 +31,7 @@ from pluckerpush import (
     syt_count_hook,
     syt_count_product,
 )
-from pluckerpush.pushforward import _denominator_table, _live_orderings
+from pluckerpush.pushforward import _composition_terms, _denominator_table
 
 
 def pushforward_schur_class(mu, d, r, segre):
@@ -153,44 +153,56 @@ class TestPluckerPowerPushforward:
             pushforward_plucker_power(4, 3, 2, FormalBundle(base_dim=1, rank=2))
 
 
-class TestLiveOrderings:
+class TestCompositionTerms:
     def test_examples(self):
-        factorials = _denominator_table("factorial", 6)
+        # d=r=3, N=2: of the compositions of 2 into 3 parts only these are live
         # k=(0,2,0): shifted (0,1,-2), difference (-1)(2)(3), denominator 2! 3! 0!
+        # k=(1,1,0): shifted (1,0,-2), difference (1)(3)(2), denominator 3! 2! 0!
         # k=(2,0,0): shifted (2,-1,-2), difference (3)(4)(1), denominator 4! 1! 0!
-        assert _live_orderings([2, 0, 0], 3, factorials) == [((0, 2, 0), -6, 12), ((2, 0, 0), 12, 24)]
-        assert _live_orderings([1, 1], 2, factorials) == [((1, 1), 1, 2)]
-        assert _live_orderings([3], 1, factorials) == [((3,), 1, 6)]
-        assert _live_orderings([], 1, factorials) == [((), 1, 1)]
+        assert _composition_terms(2, 3, 3, "factorial") == [
+            ((0, 2, 0), -12, 12),
+            ((1, 1, 0), 12, 12),
+            ((2, 0, 0), 24, 24),
+        ]
+        assert _composition_terms(2, 2, 2, "factorial") == [((0, 2), -2, 2), ((1, 1), 2, 2), ((2, 0), 6, 6)]
+        assert _composition_terms(3, 1, 1, "factorial") == [((3,), 6, 6)]
+        assert _composition_terms(2, 2, 3, "factorial") == [((0, 0), 2, 2)]
         # the linear variant at d = r: a zero factor reaches every vector below it
-        linear = _denominator_table("linear", 4)
-        assert _live_orderings([2, 0], 2, linear) == [((0, 2), -1, 2), ((2, 0), 3, 0)]
+        assert _composition_terms(2, 2, 2, "linear") == [((0, 2), -2, 2), ((1, 1), 2, 2), ((2, 0), 6, 0)]
 
     @given(
-        st.lists(st.integers(0, 4), min_size=0, max_size=6),
+        st.integers(1, 6),
         st.integers(0, 3),
+        st.integers(0, 6),
         st.sampled_from(["linear", "factorial"]),
     )
-    def test_matches_filtered_permutations(self, items, extra_rank, variant):
-        # oracle: every ordering, repeats removed by a set, kept when its
-        # shifted parts k_i - i are pairwise distinct, with both products
-        # recomputed from the whole vector
-        r = len(items) + extra_rank
-        denominators = _denominator_table(variant, r + sum(items))
+    def test_matches_filtered_compositions(self, d, extra_rank, weight, variant):
+        # oracle: every vector of d parts in 0..w, in lexicographic order, kept
+        # when its parts sum to w and its shifted parts k_i - i are pairwise
+        # distinct, with both products recomputed from the whole vector
+        r = d + extra_rank
+        N = d * (r - d) + weight
+        denominators = _denominator_table(variant, r + weight)
         expected = []
-        for k in sorted(set(itertools.permutations(items))):
+        for k in itertools.product(range(weight + 1), repeat=d):
             shifted = [part - i for i, part in enumerate(k)]
-            if len(set(shifted)) == len(k):
+            if sum(k) == weight and len(set(shifted)) == d:
                 difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
                 denominator = prod(denominators[r + s - 1] for s in shifted)
-                expected.append((k, difference, denominator))
-        assert _live_orderings(items, r, denominators) == expected
+                expected.append((k, factorial(N) * difference, denominator))
+        assert _composition_terms(N, d, r, variant) == expected
 
 
 class TestMonomialTable:
     def test_example(self):
         # d=2, r=3, N=4 over a surface: the class s2 + 2*s1^2 of the README
         assert monomial_coefficients(4, 2, 3) == [(Partition((2,)), 1), (Partition((1, 1)), 2)]
+        # d=4, r=5, w=6: the partitions of 6 with at most 4 parts, in reverse-lexicographic order
+        table = [
+            ((6,), -41), ((5, 1), 74), ((4, 2), 84), ((4, 1, 1), -81), ((3, 3), 42),
+            ((3, 2, 1), -252), ((3, 1, 1, 1), 48), ((2, 2, 2), -42), ((2, 2, 1, 1), 252),
+        ]
+        assert monomial_coefficients(10, 4, 5) == [(Partition(mu), c) for mu, c in table]
         model = FormalBundle(base_dim=2, rank=3)
         assert str(pushforward_plucker_power(4, 2, 3, model)) == "s2 + 2*s1^2"
 
@@ -376,6 +388,11 @@ class TestRationalForm:
         model = FormalBundle(base_dim=2, rank=3)
         expected = pushforward_plucker_power(4, 2, 3, model)
         assert pushforward_rational_form(4, 2, 3, model, "linear") != expected
+
+    def test_vectors_come_in_lexicographic_order(self):
+        # d=3, r=4, w=3: the live compositions of 3 into 3 parts
+        vectors = [k for k, _ in rational_form_coefficients(6, 3, 4, "factorial")]
+        assert vectors == [(0, 0, 3), (0, 2, 1), (0, 3, 0), (1, 0, 2), (1, 1, 1), (2, 1, 0), (3, 0, 0)]
 
     def test_linear_variant_can_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
