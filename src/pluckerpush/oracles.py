@@ -406,12 +406,12 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
     (the sum ``schur_form_pushforward`` computes) symbolically, over formal
     bundles with base dimension equal to the output degree; each
     determinant Delta_lam is computed once per (d, lam) and shared by every
-    rank r of the grid.  Both variants read the terms of the walk over
-    compositions that the production monomial table groups by sorted
-    exponent vector, so the suite checks that walk, though not the grouping,
-    against the ring oracle too.  Passes only if exactly one variant matches
-    on every instance; also records whether the matching variant's
-    coefficients were integers throughout.
+    rank r of the grid.  Both variants read the walk over compositions and
+    the per-set quotients that the production monomial table reads, so the
+    suite checks those, though not the table's grouping or its memo of
+    magnitudes, against the ring oracle too.  Passes only if exactly one
+    variant matches on every instance; also records whether the matching
+    variant's coefficients were integers throughout.
     """
     variants = ("linear", "factorial")
     matches = {v: 0 for v in variants}

@@ -14,13 +14,16 @@ critical power d(r-d) the push-forward vanishes for degree reasons.
 Over a formal base the production path does not expand those determinants.
 It reads the same class off an integer table, one coefficient per monomial
 in the Segre classes (``monomial_coefficients``), built from the
-composition-sum form with factorial denominators.  One depth-first walk
-over the compositions of the weight into d parts, each prefix visited once
-for all the partitions that extend it, feeds that table and the rational
-form of either denominator variant; it carries the difference product and
-the denominator product down its tree, and each node multiplies in only the
-factors of the part it places.  One helper turns a table into a class; the
-Jacobi-Trudi sum in the graded ring is their oracle,
+composition-sum form with factorial denominators.  The term of that form at
+an exponent vector depends on the vector in two ways only: the set of its
+shifted parts fixes the magnitude, the count f(lam + eps) of the partition
+lam of the set, and their order fixes the sign, as in the expansion of
+Delta_lam over permutations.  One depth-first walk over the compositions of
+the weight into d parts, each prefix visited once, carries a bitmask of the
+parts placed, a sign parity and an integer key, and no product.  It feeds
+that table, which divides once per set, and the rational form of either
+denominator variant, which builds one Fraction per set.  One helper turns a
+table into a class; the Jacobi-Trudi sum in the graded ring is their oracle,
 ``oracles.schur_form_pushforward``.
 
 At explicit Chern roots each Delta_lam is a scalar determinant of complete
@@ -44,8 +47,9 @@ nothing.  The factorial quotient is its oracle,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import factorial, isqrt, prod
 
@@ -80,48 +84,69 @@ def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:
 
 
 def _composition_terms(
-    N: int, d: int, r: int, denominator: DenominatorVariant
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """Every nonvanishing term (k, numerator, denominator) of the composition sum.
+    weight: int, d: int, steps: Sequence[Sequence[int]]
+) -> list[tuple[int, int, int]]:
+    """Every live exponent vector k of the composition sum, as (key, set, parity).
 
-    The exponent vectors k are the compositions of w = N - d(r-d) into d
-    nonnegative parts.  The k-th term is N! * prod_{i<j} (k_i - k_j - i + j)
-    over prod_i D(r + k_i - i) (i counted from 1); it vanishes when two of
-    the shifted parts k_i - i coincide, and the walk never reaches it.  The
-    walk goes depth first, trying each part from 0 up to what is left, so
-    each prefix is visited once, whatever partitions extend it, and the
-    terms come in lexicographic order of k.  The last part is whatever is
-    left, so the leaf level is no branch.  With i counted from 0, a branch
-    ends as soon as its new shifted part s = k_i - i repeats one already
-    placed.  Each node carries the prefix products: placing s multiplies the
-    difference product by (a - s) for every shifted part a placed before it,
-    and the denominator product by D(r + s - 1).  Requires N at or above the
-    fiber dimension.
+    The vectors are the compositions of the weight into d parts.  The term at
+    k, N! * prod_{i<j} (s_i - s_j) over prod_i D(r - 1 + s_i) with shifted
+    parts s_i = k_i - i (i from 0), vanishes when two coincide, and the walk
+    never reaches it; else the set of the s_i fixes its magnitude and their
+    order its sign, so the walk carries no product.  Depth first, each part
+    tried from 0 up to what is left, it yields k in lexicographic order; the
+    last part is what is left, tested at its parent.  At depth i the mask
+    holds each placed s at bit s + i + 1, so one AND tests a candidate v at
+    bit v + 1, and the parity gains that of the placed parts below it, the
+    negative factors a - s.  The key sums steps[i][k_i], an encoding the
+    caller picks; the set is the final mask, with s at bit s + d.
     """
-    n_fact = factorial(N)
-    weight = N - d * (r - d)
-    denominators = _denominator_table(denominator, r + weight)
     last = d - 1
-    terms: list[tuple[tuple[int, ...], int, int]] = []
+    if not last:
+        return [(steps[0][weight], 2 << weight, 0)]
+    final = steps[last]
+    terms: list[tuple[int, int, int]] = []
 
-    def extend(
-        i: int, left: int, k: tuple[int, ...], shifted: tuple[int, ...], difference: int, denom: int
-    ) -> None:
-        for v in range(left + 1) if i < last else (left,):
-            s = v - i
-            if s in shifted:
-                continue
-            child_difference = difference
-            for a in shifted:
-                child_difference *= a - s
-            child_denom = denom * denominators[r + s - 1]
-            if i < last:
-                extend(i + 1, left - v, k + (v,), shifted + (s,), child_difference, child_denom)
-            else:
-                terms.append((k + (v,), n_fact * child_difference, child_denom))
+    def extend(i: int, left: int, key: int, mask: int, odd: int) -> None:
+        row = steps[i]
+        bit = 2
+        if i < last - 1:
+            for v in range(left + 1):
+                if not mask & bit:
+                    parity = odd ^ (mask & bit - 1).bit_count() & 1
+                    extend(i + 1, left - v, key + row[v], (mask | bit) << 1, parity)
+                bit <<= 1
+            return
+        forced = 2 << left
+        for v in range(left + 1):
+            if not mask & bit:
+                child = (mask | bit) << 1
+                if not child & forced:
+                    parity = (mask & bit - 1).bit_count() + (child & forced - 1).bit_count()
+                    terms.append((key + row[v] + final[left - v], child | forced, odd ^ parity & 1))
+            bit <<= 1
+            forced >>= 1
 
-    extend(0, weight, (), (), 1, 1)
+    extend(0, weight, 0, 0, 0)
     return terms
+
+
+def _shifted_parts(mask: int, d: int) -> list[int]:
+    """The shifted parts s at the bits s + d of a walk's set mask, in decreasing order."""
+    return [b - d for b in range(mask.bit_length() - 1, 0, -1) if mask >> b & 1]
+
+
+def _set_quotient(
+    mask: int, d: int, r: int, n_fact: int, denominators: list[int]
+) -> tuple[int, int]:
+    """N! * prod_{a > b in S} (a - b) and prod_{s in S} D(r - 1 + s), S the set of a mask:
+    the composition term at the one k of S whose shifted parts decrease."""
+    shifted = _shifted_parts(mask, d)
+    numerator, denominator = n_fact, 1
+    for i, a in enumerate(shifted):
+        denominator *= denominators[r - 1 + a]
+        for b in shifted[i + 1 :]:
+            numerator *= a - b
+    return numerator, denominator
 
 
 def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
@@ -131,23 +156,36 @@ def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]
     vector gives one coefficient per partition mu of N - d(r-d) with at most
     d parts: the sum over the distinct permutations k of mu, padded with zeros
     to length d, of N! * prod_{i<j} (k_i - k_j - i + j) / prod_i (r + k_i - i)!.
-    The walk yields every live k once, in lexicographic order, and each term
-    joins the group of its parts sorted in decreasing order.  Each term is
-    plus or minus a standard-tableau count, so every division is exact, and
-    asserted to be.  The pair (mu, c) stands for c * s_{mu_1} * ... * s_{mu_l};
-    the pairs come in reverse-lexicographic order of mu.  Empty below the
-    fiber dimension.
+    The walk keys each k by the sum of (d + 1)^{k_i}, whose digit v counts
+    the parts v.  Each set of shifted parts gets its magnitude, a tableau
+    count, by one division, asserted exact, and each k adds it with its sign
+    to its key; keys order as their partitions do, and each is decoded once.
+    The pair (mu, c) stands for c * s_{mu_1} * ... * s_{mu_l}; the pairs come
+    in reverse-lexicographic order of mu.  Empty below the fiber dimension.
     """
     require_sizes(d, r, N)
-    if N < d * (r - d):
+    weight = N - d * (r - d)
+    if weight < 0:
         return []
-    table: dict[tuple[int, ...], int] = {}
-    for k, numerator, denominator in _composition_terms(N, d, r, "factorial"):
-        term, rem = divmod(numerator, denominator)
-        assert rem == 0, f"composition term not integral at k={k} for d={d}, r={r}"
-        mu = tuple(sorted(k, reverse=True))
-        table[mu] = table.get(mu, 0) + term
-    return [(Partition(mu), table[mu]) for mu in sorted(table, reverse=True)]
+    base = d + 1
+    places = [base**v for v in range(weight + 1)]
+    denominators = _denominator_table("factorial", r + weight)
+    n_fact = factorial(N)
+    magnitudes: dict[int, tuple[int, int]] = {}
+    table: dict[int, int] = {}
+    for key, mask, odd in _composition_terms(weight, d, [places] * d):
+        signed = magnitudes.get(mask)
+        if signed is None:
+            magnitude, rem = divmod(*_set_quotient(mask, d, r, n_fact, denominators))
+            assert rem == 0, "composition term not integral at lam={} for d={}, r={}".format(
+                Partition(s + i for i, s in enumerate(_shifted_parts(mask, d))), d, r
+            )
+            signed = magnitudes[mask] = (magnitude, -magnitude)
+        table[key] = table.get(key, 0) + signed[odd]
+    return [
+        (Partition(v for v in range(weight, 0, -1) for _ in range(key // places[v] % base)), c)
+        for key, c in sorted(table.items(), reverse=True)
+    ]
 
 
 def _class_of_table(
@@ -299,21 +337,40 @@ def degree_grassmannian_classical(d: int, r: int) -> int:
     return _balanced_product(powers)
 
 
+@lru_cache(maxsize=1)
+def _vectors_in_order(
+    weight: int, d: int, walk: Callable[..., list[tuple[int, int, int]]]
+) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The live vectors (k, set, parity) of the walk, k read off a positional key.
+
+    The key of k is the sum of k_i * (w + 1)^i.  One entry is kept, that of
+    the last (w, d): the remark suite reads both denominator variants of one
+    instance back to back.  The walk, ``_composition_terms``, is part of the
+    key, so an entry never serves a call that passes another walk.
+    """
+    base = weight + 1
+    places = [base**i for i in range(d)]
+    terms = walk(weight, d, [range(0, p * base, p) for p in places])
+    return tuple((tuple([key // p % base for p in places]), mask, odd) for key, mask, odd in terms)
+
+
 def rational_form_coefficients(
     N: int, d: int, r: int, denominator: DenominatorVariant
 ) -> list[tuple[tuple[int, ...], Fraction]]:
     """Coefficients of the composition-sum form of the push-forward.
 
     The sum runs over all vectors k of d nonnegative integers with
-    |k| = N - d(r-d), in lexicographic order, as the monomial table walks
-    them; the k-th coefficient is
+    |k| = N - d(r-d), in lexicographic order, on the walk of the monomial
+    table; the k-th coefficient is
 
         N! * prod_{i<j} (k_i - k_j - i + j) / prod_i D_i
 
     with D_i = (r + k_i - i) for the ``linear`` variant and (r + k_i - i)!
     for the ``factorial`` variant.  Vectors whose difference product vanishes
-    are skipped.  Raises ZeroDivisionError if a surviving term divides by
-    zero, which can happen for the linear variant when d = r.
+    are skipped.  The vectors come from ``_vectors_in_order``; each set of
+    shifted parts gets one Fraction, which a vector of odd sign negates.
+    Raises ZeroDivisionError, naming the first k whose term divides by zero,
+    which can happen for the linear variant when d = r.
     """
     require_sizes(d, r, N)
     if denominator not in ("linear", "factorial"):
@@ -321,13 +378,19 @@ def rational_form_coefficients(
     fiber_dim = d * (r - d)
     if N < fiber_dim:
         raise ValueError(f"power {N} is below the fiber dimension {fiber_dim}")
+    denominators = _denominator_table(denominator, r + N - fiber_dim)
+    n_fact = factorial(N)
+    values: dict[int, Fraction] = {}
     out = []
-    for k, numerator, denom in _composition_terms(N, d, r, denominator):
-        if denom == 0:
-            raise ZeroDivisionError(
-                f"{denominator} denominator vanishes at k={k} for d={d}, r={r}"
-            )
-        out.append((k, Fraction(numerator, denom)))
+    for k, mask, odd in _vectors_in_order(N - fiber_dim, d, _composition_terms):
+        value = values.get(mask)
+        if value is None:
+            numerator, denom = _set_quotient(mask, d, r, n_fact, denominators)
+            if denom == 0:
+                message = f"{denominator} denominator vanishes at k={k} for d={d}, r={r}"
+                raise ZeroDivisionError(message)
+            value = values[mask] = Fraction(numerator, denom)
+        out.append((k, -value if odd else value))
     return out
 
 

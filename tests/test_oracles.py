@@ -448,46 +448,58 @@ class TestTheoremSuiteCatchesPlantedFaults:
 
 
 # Faults in the walk over exponent vectors that the monomial table and the
-# rational form share; both are looked up in ``pushforward``.  A walk fault
-# returns the (k, numerator, denominator) terms of the real walk with one
-# slip planted: in which vectors it reaches, or in a product it carries.
+# rational form share, and in the per-set quotient and the denominator table
+# that both read; all are looked up in ``pushforward``.  A walk fault returns
+# the (key, set mask, parity) triples of the real walk with one slip planted:
+# in which vectors it reaches, or in the sign it gives them.
 _composition_terms = pushforward._composition_terms
+_set_quotient = pushforward._set_quotient
 _denominator_table = pushforward._denominator_table
 
 
-def _last_vector_dropped(N, d, r, denominator):
-    return _composition_terms(N, d, r, denominator)[:-1]
-
-
-def _pruned_off_by_one(N, d, r, denominator):
-    # the pruning test compares k_i - i with an earlier k_j - j - 1 instead of k_j - j
-    weight = N - d * (r - d)
-    denominators = _denominator_table(denominator, r + weight)
+def _walk_by_brute_force(weight, d, steps, live, inversions):
+    # every composition of the weight into d parts, in lexicographic order,
+    # kept when ``live`` accepts its shifted parts k_i - i; the sign's parity
+    # is that of ``inversions`` of the shifted parts
     terms = []
     for k in itertools.product(range(weight + 1), repeat=d):
-        if sum(k) == weight and all(k[i] - i != k[j] - j - 1 for i in range(d) for j in range(i)):
-            shifted = [part - i for i, part in enumerate(k)]
-            difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
-            terms.append((k, factorial(N) * difference, prod(denominators[r + s - 1] for s in shifted)))
+        shifted = [part - i for i, part in enumerate(k)]
+        if sum(k) == weight and live(shifted):
+            mask = 0
+            for s in shifted:
+                mask |= 1 << (s + d)
+            terms.append((sum(steps[i][part] for i, part in enumerate(k)), mask, inversions(shifted) & 1))
     return terms
 
 
-def _difference_skips_first_part(N, d, r, denominator):
-    # the difference prefix leaves out the factors against the first placed part, k_0 - 0
-    return [
-        (k, numerator // prod(k[0] - part + i for i, part in enumerate(k) if i), denom)
-        for k, numerator, denom in _composition_terms(N, d, r, denominator)
-    ]
+def _inversions(shifted, first=0):
+    # the pairs i < j, i >= first, whose factor s_i - s_j is negative
+    return sum(shifted[i] < b for i in range(first, len(shifted)) for b in shifted[i + 1 :])
 
 
-def _denominator_one_late(N, d, r, denominator):
-    # the denominator prefix reads D(r + s) instead of D(r + s - 1): the walk
-    # one rank up, at the power N + d that keeps the weight, with N! put back
-    scale = factorial(N + d) // factorial(N)
-    return [
-        (k, numerator // scale, denom)
-        for k, numerator, denom in _composition_terms(N + d, d, r + 1, denominator)
-    ]
+def _last_vector_dropped(weight, d, steps):
+    return _composition_terms(weight, d, steps)[:-1]
+
+
+def _pruned_off_by_one(weight, d, steps):
+    # the set test compares k_i - i with an earlier k_j - j - 1 instead of k_j - j
+    def live(shifted):
+        return all(shifted[i] != shifted[j] - 1 for i in range(d) for j in range(i))
+
+    return _walk_by_brute_force(weight, d, steps, live, _inversions)
+
+
+def _parity_skips_first_part(weight, d, steps):
+    # the parity leaves out the factors against the part placed at depth 0
+    def live(shifted):
+        return len(set(shifted)) == d
+
+    return _walk_by_brute_force(weight, d, steps, live, lambda shifted: _inversions(shifted, first=1))
+
+
+def _denominator_one_late(mask, d, r, n_fact, denominators):
+    # the magnitude reads D(r + s) instead of D(r - 1 + s)
+    return _set_quotient(mask, d, r + 1, n_fact, denominators)
 
 
 def _always_linear(denominator, top):
@@ -497,26 +509,60 @@ def _always_linear(denominator, top):
 ENUMERATOR_FAULTS = [
     ("_composition_terms", _last_vector_dropped),
     ("_composition_terms", _pruned_off_by_one),
-    ("_composition_terms", _difference_skips_first_part),
-    ("_composition_terms", _denominator_one_late),
+    ("_composition_terms", _parity_skips_first_part),
+    ("_set_quotient", _denominator_one_late),
     ("_denominator_table", _always_linear),
 ]
 
 
-# The monomial table, looked up in ``pushforward``, grouping the walk's terms
-# by k as the walk yields it instead of by its parts sorted in decreasing
-# order.  Only the table groups; the rational form, which the remark suite
-# reads, keeps one coefficient per k, so no suite can see this fault.  The
-# formal ``pushforward`` is asserted to catch it: a key such as (0, 2) is no
-# partition, so the command stops with an error.
+# Faults in the monomial table itself, each a copy of ``monomial_coefficients``
+# with one slip, looked up in ``pushforward``.  Only the table groups its
+# terms and keeps a memo of magnitudes; the rational form, which the remark
+# suite reads, keeps one coefficient per k and its own memo, so no suite can
+# see these faults.  The formal ``pushforward`` is asserted to catch them.
+def _table_by_hand(N, d, r, steps, memo_key, decode):
+    weight = N - d * (r - d)
+    denominators = _denominator_table("factorial", r + weight)
+    memo, table = {}, {}
+    for key, mask, odd in _composition_terms(weight, d, steps):
+        slot = memo_key(key, mask)
+        if slot not in memo:
+            numerator, denominator = _set_quotient(mask, d, r, factorial(N), denominators)
+            memo[slot] = numerator // denominator
+        table[key] = table.get(key, 0) + (-1) ** odd * memo[slot]
+    return [(decode(key), table[key]) for key in sorted(table, reverse=True)]
+
+
+def _multiset_steps(N, d, r):
+    # the production key: the sum of (d + 1)^{k_i}, digit v counting the parts v
+    return [[(d + 1) ** v for v in range(N - d * (r - d) + 1)]] * d
+
+
+def _multiset_partition(key, d, weight):
+    return Partition(v for v in range(weight, 0, -1) for _ in range(key // (d + 1) ** v % (d + 1)))
+
+
 def _grouped_by_unsorted_k(N, d, r):
-    table = {}
-    for k, numerator, denominator in _composition_terms(N, d, r, "factorial"):
-        table[k] = table.get(k, 0) + numerator // denominator
-    return [(Partition(mu), table[mu]) for mu in sorted(table, reverse=True)]
+    # a positional key, one group per ordered vector k: a key such as (0, 2)
+    # is no partition, so the command stops with an error
+    base = N - d * (r - d) + 1
+    steps = [[v * base**i for v in range(base)] for i in range(d)]
+    return _table_by_hand(
+        N, d, r, steps, lambda key, mask: mask, lambda key: Partition(key // base**i % base for i in range(d))
+    )
+
+
+def _memo_keyed_by_multiset(N, d, r):
+    # the per-set magnitude is looked up by the multiset of k, so the second
+    # set to reach a multiset reads the first one's magnitude
+    weight = N - d * (r - d)
+    return _table_by_hand(
+        N, d, r, _multiset_steps(N, d, r), lambda key, mask: key, lambda key: _multiset_partition(key, d, weight)
+    )
 
 
 GROUPING_FAULT = ("monomial_coefficients", _grouped_by_unsorted_k)
+MEMO_FAULT = ("monomial_coefficients", _memo_keyed_by_multiset)
 
 # The ring oracle's Segre classes, looked up in ``oracles``: flipping the sign
 # convention (the Segre classes of the dual bundle) negates the odd classes.
@@ -586,13 +632,23 @@ class TestRemarkSuiteCatchesPlantedFaults:
         assert sorted(calls) == sorted(set(grid))
         assert len(calls) < len(grid)
 
+    def test_table_by_hand_without_a_slip_is_the_table(self):
+        # the table faults differ from production by their one slip alone
+        for N, d, r in ((6, 2, 4), (10, 4, 5), (13, 3, 5)):
+            weight = N - d * (r - d)
+            table = _table_by_hand(
+                N, d, r, _multiset_steps(N, d, r), lambda key, mask: mask,
+                lambda key: _multiset_partition(key, d, weight),
+            )
+            assert table == pushforward.monomial_coefficients(N, d, r)
+
     @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS + ORACLES_LOOKUP_FAULTS)
     def test_fault_is_caught(self, monkeypatch, name, fault):
         in_oracles = (name, fault) in ORACLES_LOOKUP_FAULTS
         monkeypatch.setattr(oracles if in_oracles else pushforward, name, fault)
         assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures > 0
 
-    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS + [GROUPING_FAULT])
+    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS + [GROUPING_FAULT, MEMO_FAULT])
     def test_fault_changes_formal_pushforward(self, monkeypatch, capsys, name, fault):
         argv = ["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]
         clean = main(argv), capsys.readouterr().out

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import factorial, prod
 
@@ -31,7 +32,9 @@ from pluckerpush import (
     syt_count_hook,
     syt_count_product,
 )
-from pluckerpush.pushforward import _composition_terms, _denominator_table
+import pluckerpush.pushforward as pushforward_module
+from pluckerpush.cli import main
+from pluckerpush.pushforward import _composition_terms, _denominator_table, _set_quotient
 
 
 def pushforward_schur_class(mu, d, r, segre):
@@ -153,22 +156,45 @@ class TestPluckerPowerPushforward:
             pushforward_plucker_power(4, 3, 2, FormalBundle(base_dim=1, rank=2))
 
 
+def positional_steps(weight, d):
+    """Steps that key each vector k by the digits k_i of base w + 1, k_0 lowest."""
+    return [[v * (weight + 1) ** i for v in range(weight + 1)] for i in range(d)]
+
+
+def walked(weight, d):
+    """The walk's vectors as (k, shifted set in decreasing order, sign)."""
+    base = weight + 1
+    out = []
+    for key, mask, odd in _composition_terms(weight, d, positional_steps(weight, d)):
+        k = tuple(key // base**i % base for i in range(d))
+        shifted = tuple(b - d for b in reversed(range(mask.bit_length())) if mask >> b & 1)
+        out.append((k, shifted, -1 if odd else 1))
+    return out
+
+
 class TestCompositionTerms:
     def test_examples(self):
-        # d=r=3, N=2: of the compositions of 2 into 3 parts only these are live
-        # k=(0,2,0): shifted (0,1,-2), difference (-1)(2)(3), denominator 2! 3! 0!
-        # k=(1,1,0): shifted (1,0,-2), difference (1)(3)(2), denominator 3! 2! 0!
-        # k=(2,0,0): shifted (2,-1,-2), difference (3)(4)(1), denominator 4! 1! 0!
-        assert _composition_terms(2, 3, 3, "factorial") == [
-            ((0, 2, 0), -12, 12),
-            ((1, 1, 0), 12, 12),
-            ((2, 0, 0), 24, 24),
+        # d=3, w=2: of the compositions of 2 into 3 parts only these are live
+        # k=(0,2,0): shifted (0,1,-2), difference (-1)(2)(3), negative
+        # k=(1,1,0): shifted (1,0,-2), the same set, difference (1)(3)(2)
+        # k=(2,0,0): shifted (2,-1,-2), difference (3)(4)(1)
+        assert walked(2, 3) == [
+            ((0, 2, 0), (1, 0, -2), -1),
+            ((1, 1, 0), (1, 0, -2), 1),
+            ((2, 0, 0), (2, -1, -2), 1),
         ]
-        assert _composition_terms(2, 2, 2, "factorial") == [((0, 2), -2, 2), ((1, 1), 2, 2), ((2, 0), 6, 6)]
-        assert _composition_terms(3, 1, 1, "factorial") == [((3,), 6, 6)]
-        assert _composition_terms(2, 2, 3, "factorial") == [((0, 0), 2, 2)]
-        # the linear variant at d = r: a zero factor reaches every vector below it
-        assert _composition_terms(2, 2, 2, "linear") == [((0, 2), -2, 2), ((1, 1), 2, 2), ((2, 0), 6, 0)]
+        assert walked(2, 2) == [((0, 2), (1, 0), -1), ((1, 1), (1, 0), 1), ((2, 0), (2, -1), 1)]
+        assert walked(3, 1) == [((3,), (3,), 1)]
+        assert walked(0, 2) == [((0, 0), (0, -1), 1)]
+        # the key is the sum of the steps the caller picks, here (d + 1)^{k_i}
+        assert [key for key, _, _ in _composition_terms(2, 2, [[1, 3, 9]] * 2)] == [10, 6, 10]
+
+    def test_set_quotient_examples(self):
+        # the set {2, -1} of k=(2,0) at d=r=2, N=2: 2! * 3 over D(3) * D(0)
+        mask = 1 << (2 + 2) | 1 << (-1 + 2)
+        assert _set_quotient(mask, 2, 2, 2, _denominator_table("factorial", 4)) == (6, 6)
+        # the linear variant at d = r divides by D(0) = 0
+        assert _set_quotient(mask, 2, 2, 2, _denominator_table("linear", 4)) == (6, 0)
 
     @given(
         st.integers(1, 6),
@@ -179,18 +205,69 @@ class TestCompositionTerms:
     def test_matches_filtered_compositions(self, d, extra_rank, weight, variant):
         # oracle: every vector of d parts in 0..w, in lexicographic order, kept
         # when its parts sum to w and its shifted parts k_i - i are pairwise
-        # distinct, with both products recomputed from the whole vector
+        # distinct, with both products recomputed from the whole vector; each
+        # vector's key, set and sign, and its set's quotient with that sign,
+        # are the vector's term
         r = d + extra_rank
         N = d * (r - d) + weight
         denominators = _denominator_table(variant, r + weight)
+        steps = positional_steps(weight, d)
         expected = []
         for k in itertools.product(range(weight + 1), repeat=d):
             shifted = [part - i for i, part in enumerate(k)]
             if sum(k) == weight and len(set(shifted)) == d:
                 difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
                 denominator = prod(denominators[r + s - 1] for s in shifted)
-                expected.append((k, factorial(N) * difference, denominator))
-        assert _composition_terms(N, d, r, variant) == expected
+                key = sum(steps[i][part] for i, part in enumerate(k))
+                mask = sum(1 << (s + d) for s in shifted)
+                expected.append((key, mask, factorial(N) * difference, denominator))
+        terms = _composition_terms(weight, d, steps)
+        assert [(key, mask) for key, mask, _ in terms] == [(key, mask) for key, mask, _, _ in expected]
+        for (_, mask, odd), (_, _, numerator, denominator) in zip(terms, expected):
+            magnitude, denom = _set_quotient(mask, d, r, factorial(N), denominators)
+            assert ((-1) ** odd * magnitude, denom) == (numerator, denominator)
+
+    def test_sign_is_the_parity_of_inversions(self):
+        for d in range(1, 7):
+            for weight in range(9):
+                for k, shifted, sign in walked(weight, d):
+                    parts = [part - i for i, part in enumerate(k)]
+                    inversions = sum(a < b for i, a in enumerate(parts) for b in parts[i + 1 :])
+                    assert sign == (-1) ** inversions
+
+    def test_sets_are_the_partitions(self):
+        # the sets reached are those of the partitions lam of w with at most
+        # d parts, s_i = lam_i - i; lam is the largest k of its set, and there
+        # the shifted parts decrease, so its sign is positive
+        for d in range(1, 7):
+            for weight in range(9):
+                largest = {}
+                for k, shifted, sign in walked(weight, d):
+                    largest[shifted] = max(largest.get(shifted, (k, sign)), (k, sign))
+                expected = {
+                    tuple(part - i for i, part in enumerate(lam.padded(d))): (lam.padded(d), 1)
+                    for lam in enumerate_partitions(weight, d)
+                }
+                assert largest == expected
+
+    def test_magnitude_is_the_tableau_count(self):
+        for d in range(1, 6):
+            for r in range(d, d + 4):
+                for weight in range(7):
+                    N = d * (r - d) + weight
+                    denominators = _denominator_table("factorial", r + weight)
+                    sets = {mask for _, mask, _ in _composition_terms(weight, d, positional_steps(weight, d))}
+                    for mask in sets:
+                        numerator, denominator = _set_quotient(mask, d, r, factorial(N), denominators)
+                        shifted = sorted((b - d for b in range(mask.bit_length()) if mask >> b & 1), reverse=True)
+                        lam = Partition(s + i for i, s in enumerate(shifted))
+                        assert numerator == syt_count_product(lam, d, r) * denominator
+
+    @pytest.mark.parametrize("d,weight,vectors,sets", [(8, 16, 18185, 186), (6, 20, 15363, 282)])
+    def test_counts_are_pinned(self, d, weight, vectors, sets):
+        terms = _composition_terms(weight, d, [[(d + 1) ** v for v in range(weight + 1)]] * d)
+        assert len(terms) == vectors
+        assert len({mask for _, mask, _ in terms}) == sets == len(enumerate_partitions(weight, d))
 
 
 class TestMonomialTable:
@@ -205,6 +282,32 @@ class TestMonomialTable:
         assert monomial_coefficients(10, 4, 5) == [(Partition(mu), c) for mu, c in table]
         model = FormalBundle(base_dim=2, rank=3)
         assert str(pushforward_plucker_power(4, 2, 3, model)) == "s2 + 2*s1^2"
+
+    def test_one_division_per_set(self, monkeypatch):
+        # d=4, r=5, w=6: 9 sets, one per partition of 6 with at most 4 parts
+        masks = []
+
+        def counted(mask, d, r, n_fact, denominators):
+            masks.append(mask)
+            return _set_quotient(mask, d, r, n_fact, denominators)
+
+        monkeypatch.setattr(pushforward_module, "_set_quotient", counted)
+        assert len(monomial_coefficients(10, 4, 5)) == 9
+        assert len(masks) == len(set(masks)) == 9
+
+    def test_inexact_division_names_the_partition(self, monkeypatch, capsys):
+        # the first set reached at d=2, w=2 is that of k=(0,2), {1, 0}: lam=(1,1)
+        def off_by_one(mask, d, r, n_fact, denominators):
+            numerator, denominator = _set_quotient(mask, d, r, n_fact, denominators)
+            return numerator + 1, denominator
+
+        monkeypatch.setattr(pushforward_module, "_set_quotient", off_by_one)
+        message = "composition term not integral at lam=(1,1) for d=2, r=4"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            monomial_coefficients(6, 2, 4)
+        assert main(["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"internal invariant violated: {message}\n")
 
     def test_empty_below_fiber_dimension(self):
         assert monomial_coefficients(3, 2, 4) == []
@@ -393,6 +496,29 @@ class TestRationalForm:
         # d=3, r=4, w=3: the live compositions of 3 into 3 parts
         vectors = [k for k, _ in rational_form_coefficients(6, 3, 4, "factorial")]
         assert vectors == [(0, 0, 3), (0, 2, 1), (0, 3, 0), (1, 0, 2), (1, 1, 1), (2, 1, 0), (3, 0, 0)]
+
+    def test_walk_is_kept_for_the_last_weight_and_d(self, monkeypatch):
+        # both variants of one (N, d, r) walk once; another (w, d) walks again
+        calls = []
+
+        def counted(weight, d, steps):
+            calls.append((weight, d))
+            return _composition_terms(weight, d, steps)
+
+        monkeypatch.setattr(pushforward_module, "_composition_terms", counted)
+        first = rational_form_coefficients(6, 3, 4, "factorial")
+        assert rational_form_coefficients(6, 3, 4, "linear") != first
+        assert rational_form_coefficients(7, 3, 4, "factorial") != first
+        assert rational_form_coefficients(6, 3, 4, "factorial") == first
+        assert calls == [(3, 3), (4, 3), (3, 3)]
+
+    def test_kept_walk_never_serves_another_walk(self, monkeypatch):
+        # an entry made with one walk is not read back by a call with another
+        clean = rational_form_coefficients(6, 3, 4, "factorial")
+        monkeypatch.setattr(pushforward_module, "_composition_terms", lambda w, d, steps: [])
+        assert rational_form_coefficients(6, 3, 4, "factorial") == []
+        monkeypatch.undo()
+        assert rational_form_coefficients(6, 3, 4, "factorial") == clean
 
     def test_linear_variant_can_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
