@@ -20,10 +20,11 @@ shifted parts fixes the magnitude, the count f(lam + eps) of the partition
 lam of the set, and their order fixes the sign, as in the expansion of
 Delta_lam over permutations.  One depth-first walk over the compositions of
 the weight into d parts, each prefix visited once, carries a bitmask of the
-parts placed, a sign parity and an integer key, and no product.  It feeds
-that table, which divides once per set, and the rational form of either
-denominator variant, which builds one Fraction per set.  One helper turns a
-table into a class; the Jacobi-Trudi sum in the graded ring is their oracle,
+parts placed, a sign parity and an integer key, and no product; the table
+adds each vector's count, read from the Schur-form pairs, with its sign, and
+divides nothing.  The rational form of either denominator variant, a
+reference, enumerates the vectors on its own.  One helper turns a table into
+a class; the Jacobi-Trudi sum in the graded ring is the oracle of both,
 ``oracles.schur_form_pushforward``.
 
 At explicit Chern roots each Delta_lam is a scalar determinant of complete
@@ -34,8 +35,7 @@ degree.  Each count f(lam + eps) is the composition term at k = lam.  Since
 s_k(E) = h_k(twists) * h^k, the push-forward over P^m is the sum of these
 rows times h^w, w = N - d(r-d): the split model reads the scalar Schur rows,
 and only the formal model reads the monomial table.  The factorial rational
-form read at the twists, which walks the exponent vectors, is the split
-model's reference.
+form read at the twists is the split model's reference.
 
 Over a point the degree is the tableau count of the rectangle eps,
 (d(r-d))! over its hook product.  ``degree_grassmannian_classical`` builds it
@@ -47,10 +47,9 @@ nothing.  The factorial quotient is its oracle,
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from math import factorial, isqrt, prod
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
@@ -78,18 +77,13 @@ def schur_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
     return [(lam, syt_count_product(lam, d, r)) for lam in enumerate_partitions(N - fiber_dim, d)]
 
 
-def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:
-    """D(t) for t = 0..top: t for the linear variant, t! for the factorial one."""
-    return [factorial(t) if denominator == "factorial" else t for t in range(top + 1)]
-
-
 def _composition_terms(
     weight: int, d: int, steps: Sequence[Sequence[int]]
 ) -> list[tuple[int, int, int]]:
     """Every live exponent vector k of the composition sum, as (key, set, parity).
 
     The vectors are the compositions of the weight into d parts.  The term at
-    k, N! * prod_{i<j} (s_i - s_j) over prod_i D(r - 1 + s_i) with shifted
+    k, N! * prod_{i<j} (s_i - s_j) over prod_i (r - 1 + s_i)! with shifted
     parts s_i = k_i - i (i from 0), vanishes when two coincide, and the walk
     never reaches it; else the set of the s_i fixes its magnitude and their
     order its sign, so the walk carries no product.  Depth first, each part
@@ -130,25 +124,6 @@ def _composition_terms(
     return terms
 
 
-def _shifted_parts(mask: int, d: int) -> list[int]:
-    """The shifted parts s at the bits s + d of a walk's set mask, in decreasing order."""
-    return [b - d for b in range(mask.bit_length() - 1, 0, -1) if mask >> b & 1]
-
-
-def _set_quotient(
-    mask: int, d: int, r: int, n_fact: int, denominators: list[int]
-) -> tuple[int, int]:
-    """N! * prod_{a > b in S} (a - b) and prod_{s in S} D(r - 1 + s), S the set of a mask:
-    the composition term at the one k of S whose shifted parts decrease."""
-    shifted = _shifted_parts(mask, d)
-    numerator, denominator = n_fact, 1
-    for i, a in enumerate(shifted):
-        denominator *= denominators[r - 1 + a]
-        for b in shifted[i + 1 :]:
-            numerator *= a - b
-    return numerator, denominator
-
-
 def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
     """The push-forward of theta^N as integers on monomials in the Segre classes.
 
@@ -157,31 +132,31 @@ def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]
     d parts: the sum over the distinct permutations k of mu, padded with zeros
     to length d, of N! * prod_{i<j} (k_i - k_j - i + j) / prod_i (r + k_i - i)!.
     The walk keys each k by the sum of (d + 1)^{k_i}, whose digit v counts
-    the parts v.  Each set of shifted parts gets its magnitude, a tableau
-    count, by one division, asserted exact, and each k adds it with its sign
-    to its key; keys order as their partitions do, and each is decoded once.
-    The pair (mu, c) stands for c * s_{mu_1} * ... * s_{mu_l}; the pairs come
-    in reverse-lexicographic order of mu.  Empty below the fiber dimension.
+    the parts v.  Up to its sign, the term at k is the count f(lam + eps) of
+    the partition lam of its set of shifted parts, so each k adds, with its
+    sign, the ``schur_coefficients`` count of its set, and nothing is
+    divided; a set of no partition is an AssertionError.  Keys order as
+    their partitions do, and each is decoded once.  The pair (mu, c) stands
+    for c * s_{mu_1} * ... * s_{mu_l}; the pairs come in reverse-lexicographic
+    order of mu.  Empty below the fiber dimension.
     """
-    require_sizes(d, r, N)
-    weight = N - d * (r - d)
-    if weight < 0:
+    signed: dict[int, tuple[int, int]] = {}
+    for lam, count in schur_coefficients(N, d, r):
+        signed[sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d)))] = (count, -count)
+    if not signed:
         return []
+    weight = N - d * (r - d)
     base = d + 1
     places = [base**v for v in range(weight + 1)]
-    denominators = _denominator_table("factorial", r + weight)
-    n_fact = factorial(N)
-    magnitudes: dict[int, tuple[int, int]] = {}
     table: dict[int, int] = {}
-    for key, mask, odd in _composition_terms(weight, d, [places] * d):
-        signed = magnitudes.get(mask)
-        if signed is None:
-            magnitude, rem = divmod(*_set_quotient(mask, d, r, n_fact, denominators))
-            assert rem == 0, "composition term not integral at lam={} for d={}, r={}".format(
-                Partition(s + i for i, s in enumerate(_shifted_parts(mask, d))), d, r
-            )
-            signed = magnitudes[mask] = (magnitude, -magnitude)
-        table[key] = table.get(key, 0) + signed[odd]
+    terms = _composition_terms(weight, d, [places] * d)
+    try:
+        for key, mask, odd in terms:
+            table[key] = table.get(key, 0) + signed[mask][odd]
+    except KeyError as missing:
+        (mask,) = missing.args
+        stray = [b - d for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
+        raise AssertionError(f"walk reached the set {stray}, of no partition, for d={d}, r={r}") from None
     return [
         (Partition(v for v in range(weight, 0, -1) for _ in range(key // places[v] % base)), c)
         for key, c in sorted(table.items(), reverse=True)
@@ -337,21 +312,9 @@ def degree_grassmannian_classical(d: int, r: int) -> int:
     return _balanced_product(powers)
 
 
-@lru_cache(maxsize=1)
-def _vectors_in_order(
-    weight: int, d: int, walk: Callable[..., list[tuple[int, int, int]]]
-) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """The live vectors (k, set, parity) of the walk, k read off a positional key.
-
-    The key of k is the sum of k_i * (w + 1)^i.  One entry is kept, that of
-    the last (w, d): the remark suite reads both denominator variants of one
-    instance back to back.  The walk, ``_composition_terms``, is part of the
-    key, so an entry never serves a call that passes another walk.
-    """
-    base = weight + 1
-    places = [base**i for i in range(d)]
-    terms = walk(weight, d, [range(0, p * base, p) for p in places])
-    return tuple((tuple([key // p % base for p in places]), mask, odd) for key, mask, odd in terms)
+def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:
+    """D(t) for t = 0..top: t for the linear variant, t! for the factorial one."""
+    return [factorial(t) if denominator == "factorial" else t for t in range(top + 1)]
 
 
 def rational_form_coefficients(
@@ -360,37 +323,40 @@ def rational_form_coefficients(
     """Coefficients of the composition-sum form of the push-forward.
 
     The sum runs over all vectors k of d nonnegative integers with
-    |k| = N - d(r-d), in lexicographic order, on the walk of the monomial
-    table; the k-th coefficient is
+    |k| = N - d(r-d), in lexicographic order; the k-th coefficient is
 
         N! * prod_{i<j} (k_i - k_j - i + j) / prod_i D_i
 
     with D_i = (r + k_i - i) for the ``linear`` variant and (r + k_i - i)!
     for the ``factorial`` variant.  Vectors whose difference product vanishes
-    are skipped.  The vectors come from ``_vectors_in_order``; each set of
-    shifted parts gets one Fraction, which a vector of odd sign negates.
-    Raises ZeroDivisionError, naming the first k whose term divides by zero,
-    which can happen for the linear variant when d = r.
+    are skipped.  The vectors are enumerated here, apart from the monomial
+    table's walk: every choice of the first d - 1 parts, the last forced to
+    what is left, each term computed from its whole vector.  Raises
+    ZeroDivisionError, naming the first k whose term divides by zero, which
+    can happen for the linear variant when d = r.
     """
     require_sizes(d, r, N)
     if denominator not in ("linear", "factorial"):
         raise ValueError(f"unknown denominator variant {denominator!r}")
-    fiber_dim = d * (r - d)
-    if N < fiber_dim:
-        raise ValueError(f"power {N} is below the fiber dimension {fiber_dim}")
-    denominators = _denominator_table(denominator, r + N - fiber_dim)
+    weight = N - d * (r - d)
+    if weight < 0:
+        raise ValueError(f"power {N} is below the fiber dimension {N - weight}")
+    denominators = _denominator_table(denominator, r + weight)
     n_fact = factorial(N)
-    values: dict[int, Fraction] = {}
     out = []
-    for k, mask, odd in _vectors_in_order(N - fiber_dim, d, _composition_terms):
-        value = values.get(mask)
-        if value is None:
-            numerator, denom = _set_quotient(mask, d, r, n_fact, denominators)
-            if denom == 0:
-                message = f"{denominator} denominator vanishes at k={k} for d={d}, r={r}"
-                raise ZeroDivisionError(message)
-            value = values[mask] = Fraction(numerator, denom)
-        out.append((k, -value if odd else value))
+    for head in product(range(weight + 1), repeat=d - 1):
+        last = weight - sum(head)
+        if last < 0:
+            continue
+        k = (*head, last)
+        shifted = [part - i for i, part in enumerate(k)]
+        if len(set(shifted)) < d:
+            continue
+        denom = prod(denominators[r - 1 + s] for s in shifted)
+        if denom == 0:
+            raise ZeroDivisionError(f"{denominator} denominator vanishes at k={k} for d={d}, r={r}")
+        difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
+        out.append((k, Fraction(n_fact * difference, denom)))
     return out
 
 

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
@@ -447,13 +447,12 @@ class TestTheoremSuiteCatchesPlantedFaults:
         assert class_line(push) != clean_class
 
 
-# Faults in the walk over exponent vectors that the monomial table and the
-# rational form share, and in the per-set quotient and the denominator table
-# that both read; all are looked up in ``pushforward``.  A walk fault returns
-# the (key, set mask, parity) triples of the real walk with one slip planted:
-# in which vectors it reaches, or in the sign it gives them.
+# Faults in the walk over exponent vectors that the monomial table reads,
+# looked up in ``pushforward``.  A walk fault returns the (key, set mask,
+# parity) triples of the real walk with one slip planted: in which vectors it
+# reaches, or in the sign it gives them.  The rational form enumerates its own
+# vectors, so the remark suite sees these faults through its table check.
 _composition_terms = pushforward._composition_terms
-_set_quotient = pushforward._set_quotient
 _denominator_table = pushforward._denominator_table
 
 
@@ -497,71 +496,70 @@ def _parity_skips_first_part(weight, d, steps):
     return _walk_by_brute_force(weight, d, steps, live, lambda shifted: _inversions(shifted, first=1))
 
 
-def _denominator_one_late(mask, d, r, n_fact, denominators):
-    # the magnitude reads D(r + s) instead of D(r - 1 + s)
-    return _set_quotient(mask, d, r + 1, n_fact, denominators)
+WALK_FAULTS = [
+    ("_composition_terms", _last_vector_dropped),
+    ("_composition_terms", _parity_skips_first_part),
+]
+# a vector with a repeated shifted part reaches a set of no partition
+PRUNING_FAULT = ("_composition_terms", _pruned_off_by_one)
+
+
+# Faults in the rational form's own denominator table, looked up in
+# ``pushforward``; the monomial table reads no denominator, so only the
+# remark suite sees them.
+def _denominator_one_late(denominator, top):
+    # the term reads D(r + s) instead of D(r - 1 + s)
+    return _denominator_table(denominator, top + 1)[1:]
 
 
 def _always_linear(denominator, top):
     return _denominator_table("linear", top)
 
 
-ENUMERATOR_FAULTS = [
-    ("_composition_terms", _last_vector_dropped),
-    ("_composition_terms", _pruned_off_by_one),
-    ("_composition_terms", _parity_skips_first_part),
-    ("_set_quotient", _denominator_one_late),
+DENOMINATOR_FAULTS = [
+    ("_denominator_table", _denominator_one_late),
     ("_denominator_table", _always_linear),
 ]
 
 
 # Faults in the monomial table itself, each a copy of ``monomial_coefficients``
-# with one slip, looked up in ``pushforward``.  Only the table groups its
-# terms and keeps a memo of magnitudes; the rational form, which the remark
-# suite reads, keeps one coefficient per k and its own memo, so no suite can
-# see these faults.  The formal ``pushforward`` is asserted to catch them.
-def _table_by_hand(N, d, r, steps, memo_key, decode):
+# with one slip, looked up in ``pushforward``: both keep the partitions of
+# the table and get their coefficients wrong.  The remark suite sees them
+# through its table check.
+def _table_by_hand(N, d, r, slip=None):
     weight = N - d * (r - d)
-    denominators = _denominator_table("factorial", r + weight)
-    memo, table = {}, {}
-    for key, mask, odd in _composition_terms(weight, d, steps):
-        slot = memo_key(key, mask)
-        if slot not in memo:
-            numerator, denominator = _set_quotient(mask, d, r, factorial(N), denominators)
-            memo[slot] = numerator // denominator
-        table[key] = table.get(key, 0) + (-1) ** odd * memo[slot]
-    return [(decode(key), table[key]) for key in sorted(table, reverse=True)]
-
-
-def _multiset_steps(N, d, r):
-    # the production key: the sum of (d + 1)^{k_i}, digit v counting the parts v
-    return [[(d + 1) ** v for v in range(N - d * (r - d) + 1)]] * d
+    places = [(d + 1) ** v for v in range(weight + 1)]
+    partition_key, counts = {}, {}
+    for lam, count in pushforward.schur_coefficients(N, d, r):
+        mask = sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d)))
+        partition_key[mask] = sum(places[part] for part in lam.padded(d))
+        counts[partition_key[mask] if slip == "memo" else mask] = count
+    table = {}
+    for key, mask, odd in _composition_terms(weight, d, [places] * d):
+        count = counts[key if slip == "memo" else mask]
+        group = partition_key[mask] if slip == "grouping" else key
+        table[group] = table.get(group, 0) + (-1) ** odd * count
+    return [(_multiset_partition(key, d, weight), table[key]) for key in sorted(table, reverse=True)]
 
 
 def _multiset_partition(key, d, weight):
+    # the production key: the sum of (d + 1)^{k_i}, digit v counting the parts v
     return Partition(v for v in range(weight, 0, -1) for _ in range(key // (d + 1) ** v % (d + 1)))
 
 
-def _grouped_by_unsorted_k(N, d, r):
-    # a positional key, one group per ordered vector k: a key such as (0, 2)
-    # is no partition, so the command stops with an error
-    base = N - d * (r - d) + 1
-    steps = [[v * base**i for v in range(base)] for i in range(d)]
-    return _table_by_hand(
-        N, d, r, steps, lambda key, mask: mask, lambda key: Partition(key // base**i % base for i in range(d))
-    )
+def _grouped_by_set(N, d, r):
+    # each k adds its term to the partition of its set instead of to its
+    # sorted k: the table holds the Schur-form counts, read as monomials
+    return _table_by_hand(N, d, r, slip="grouping")
 
 
 def _memo_keyed_by_multiset(N, d, r):
-    # the per-set magnitude is looked up by the multiset of k, so the second
-    # set to reach a multiset reads the first one's magnitude
-    weight = N - d * (r - d)
-    return _table_by_hand(
-        N, d, r, _multiset_steps(N, d, r), lambda key, mask: key, lambda key: _multiset_partition(key, d, weight)
-    )
+    # each k reads the count of the partition of its sorted parts instead of
+    # that of its set
+    return _table_by_hand(N, d, r, slip="memo")
 
 
-GROUPING_FAULT = ("monomial_coefficients", _grouped_by_unsorted_k)
+GROUPING_FAULT = ("monomial_coefficients", _grouped_by_set)
 MEMO_FAULT = ("monomial_coefficients", _memo_keyed_by_multiset)
 
 # The ring oracle's Segre classes, looked up in ``oracles``: flipping the sign
@@ -606,8 +604,9 @@ ORACLES_LOOKUP_FAULTS = [
 
 
 class TestRemarkSuiteCatchesPlantedFaults:
-    """Each planted fault makes the remark suite fail; those in the shared
-    enumerator also change what a formal ``pushforward`` call prints or returns."""
+    """Each planted fault makes the remark suite fail; those in the walk and
+    the monomial table also change what a formal ``pushforward`` call prints
+    or returns."""
 
     def test_unpatched_suite_passes(self):
         assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures == 0
@@ -635,26 +634,56 @@ class TestRemarkSuiteCatchesPlantedFaults:
     def test_table_by_hand_without_a_slip_is_the_table(self):
         # the table faults differ from production by their one slip alone
         for N, d, r in ((6, 2, 4), (10, 4, 5), (13, 3, 5)):
-            weight = N - d * (r - d)
-            table = _table_by_hand(
-                N, d, r, _multiset_steps(N, d, r), lambda key, mask: mask,
-                lambda key: _multiset_partition(key, d, weight),
-            )
-            assert table == pushforward.monomial_coefficients(N, d, r)
+            assert _table_by_hand(N, d, r) == pushforward.monomial_coefficients(N, d, r)
 
-    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS + ORACLES_LOOKUP_FAULTS)
+    @pytest.mark.parametrize(
+        "name,fault", WALK_FAULTS + DENOMINATOR_FAULTS + [GROUPING_FAULT, MEMO_FAULT] + ORACLES_LOOKUP_FAULTS
+    )
     def test_fault_is_caught(self, monkeypatch, name, fault):
         in_oracles = (name, fault) in ORACLES_LOOKUP_FAULTS
         monkeypatch.setattr(oracles if in_oracles else pushforward, name, fault)
         assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures > 0
 
-    @pytest.mark.parametrize("name,fault", ENUMERATOR_FAULTS + [GROUPING_FAULT, MEMO_FAULT])
+    @pytest.mark.parametrize("name,fault", WALK_FAULTS + [GROUPING_FAULT, MEMO_FAULT])
+    def test_table_fault_fails_the_table_check(self, monkeypatch, name, fault):
+        # both variants still decide as before; only the table check fails
+        monkeypatch.setattr(pushforward, name, fault)
+        report = suite_remark(max_d=2, max_r=4, extra_powers=2)
+        assert report.payload["matching_variant"] == "factorial"
+        mismatches = [line for line in report.verbose_lines if line.endswith(" table: mismatch")]
+        assert report.failures == len(mismatches) > 0
+
+    def test_memo_fault_fails_two_instances(self, monkeypatch):
+        # at d=2 the k=(0,2) of the set of (1,1) reads the count of (2), which
+        # differs from its own once the rectangle eps is not empty, r > 2
+        monkeypatch.setattr(pushforward, *MEMO_FAULT)
+        report = suite_remark(max_d=2, max_r=4, extra_powers=2)
+        assert report.failures == 2
+        assert [line for line in report.verbose_lines if "table" in line] == [
+            "d=2 r=3 N=4 table: mismatch",
+            "d=2 r=4 N=6 table: mismatch",
+        ]
+
+    def test_pruning_fault_stops_the_table(self, monkeypatch):
+        monkeypatch.setattr(pushforward, *PRUNING_FAULT)
+        with pytest.raises(AssertionError, match=r"walk reached the set \[.*\], of no partition"):
+            suite_remark(max_d=2, max_r=4, extra_powers=2)
+
+    @pytest.mark.parametrize("name,fault", WALK_FAULTS + [PRUNING_FAULT, GROUPING_FAULT, MEMO_FAULT])
     def test_fault_changes_formal_pushforward(self, monkeypatch, capsys, name, fault):
         argv = ["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]
         clean = main(argv), capsys.readouterr().out
         assert clean[0] == 0
         monkeypatch.setattr(pushforward, name, fault)
         assert (main(argv), capsys.readouterr().out) != clean
+
+    @pytest.mark.parametrize("name,fault", DENOMINATOR_FAULTS)
+    def test_denominator_fault_leaves_formal_pushforward(self, monkeypatch, capsys, name, fault):
+        # the table reads counts, not denominators
+        argv = ["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]
+        clean = main(argv), capsys.readouterr().out
+        monkeypatch.setattr(pushforward, name, fault)
+        assert (main(argv), capsys.readouterr().out) == clean
 
 
 # The classical degree: production builds it from prime exponents, and the

@@ -33,8 +33,9 @@ from pluckerpush import (
     syt_count_product,
 )
 import pluckerpush.pushforward as pushforward_module
+import pluckerpush.tableaux as tableaux_module
 from pluckerpush.cli import main
-from pluckerpush.pushforward import _composition_terms, _denominator_table, _set_quotient
+from pluckerpush.pushforward import _composition_terms
 
 
 def pushforward_schur_class(mu, d, r, segre):
@@ -189,13 +190,6 @@ class TestCompositionTerms:
         # the key is the sum of the steps the caller picks, here (d + 1)^{k_i}
         assert [key for key, _, _ in _composition_terms(2, 2, [[1, 3, 9]] * 2)] == [10, 6, 10]
 
-    def test_set_quotient_examples(self):
-        # the set {2, -1} of k=(2,0) at d=r=2, N=2: 2! * 3 over D(3) * D(0)
-        mask = 1 << (2 + 2) | 1 << (-1 + 2)
-        assert _set_quotient(mask, 2, 2, 2, _denominator_table("factorial", 4)) == (6, 6)
-        # the linear variant at d = r divides by D(0) = 0
-        assert _set_quotient(mask, 2, 2, 2, _denominator_table("linear", 4)) == (6, 0)
-
     @given(
         st.integers(1, 6),
         st.integers(0, 3),
@@ -205,27 +199,33 @@ class TestCompositionTerms:
     def test_matches_filtered_compositions(self, d, extra_rank, weight, variant):
         # oracle: every vector of d parts in 0..w, in lexicographic order, kept
         # when its parts sum to w and its shifted parts k_i - i are pairwise
-        # distinct, with both products recomputed from the whole vector; each
-        # vector's key, set and sign, and its set's quotient with that sign,
-        # are the vector's term
+        # distinct, with both products recomputed from the whole vector; the
+        # walk gives each vector's key, set and the sign of its difference
+        # product, and the rational form the term itself, or the
+        # ZeroDivisionError of the first vector whose denominator vanishes
         r = d + extra_rank
         N = d * (r - d) + weight
-        denominators = _denominator_table(variant, r + weight)
+        D = factorial if variant == "factorial" else (lambda t: t)
         steps = positional_steps(weight, d)
-        expected = []
+        walk, terms = [], []
         for k in itertools.product(range(weight + 1), repeat=d):
             shifted = [part - i for i, part in enumerate(k)]
             if sum(k) == weight and len(set(shifted)) == d:
                 difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
-                denominator = prod(denominators[r + s - 1] for s in shifted)
+                denominator = prod(D(r + s - 1) for s in shifted)
                 key = sum(steps[i][part] for i, part in enumerate(k))
                 mask = sum(1 << (s + d) for s in shifted)
-                expected.append((key, mask, factorial(N) * difference, denominator))
-        terms = _composition_terms(weight, d, steps)
-        assert [(key, mask) for key, mask, _ in terms] == [(key, mask) for key, mask, _, _ in expected]
-        for (_, mask, odd), (_, _, numerator, denominator) in zip(terms, expected):
-            magnitude, denom = _set_quotient(mask, d, r, factorial(N), denominators)
-            assert ((-1) ** odd * magnitude, denom) == (numerator, denominator)
+                walk.append((key, mask, int(difference < 0)))
+                terms.append((k, factorial(N) * difference, denominator))
+        assert _composition_terms(weight, d, steps) == walk
+        vanishing = [k for k, _, denominator in terms if denominator == 0]
+        if vanishing:
+            message = f"{variant} denominator vanishes at k={vanishing[0]} for d={d}, r={r}"
+            with pytest.raises(ZeroDivisionError, match=re.escape(message)):
+                rational_form_coefficients(N, d, r, variant)
+        else:
+            expected = [(k, Fraction(numerator, denominator)) for k, numerator, denominator in terms]
+            assert rational_form_coefficients(N, d, r, variant) == expected
 
     def test_sign_is_the_parity_of_inversions(self):
         for d in range(1, 7):
@@ -251,15 +251,17 @@ class TestCompositionTerms:
                 assert largest == expected
 
     def test_magnitude_is_the_tableau_count(self):
+        # the term of the set at its one k with decreasing shifted parts,
+        # N! * prod_{a > b} (a - b) over prod_s (r - 1 + s)!, is f(lam + eps)
         for d in range(1, 6):
             for r in range(d, d + 4):
                 for weight in range(7):
                     N = d * (r - d) + weight
-                    denominators = _denominator_table("factorial", r + weight)
                     sets = {mask for _, mask, _ in _composition_terms(weight, d, positional_steps(weight, d))}
                     for mask in sets:
-                        numerator, denominator = _set_quotient(mask, d, r, factorial(N), denominators)
                         shifted = sorted((b - d for b in range(mask.bit_length()) if mask >> b & 1), reverse=True)
+                        numerator = factorial(N) * prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
+                        denominator = prod(factorial(r - 1 + s) for s in shifted)
                         lam = Partition(s + i for i, s in enumerate(shifted))
                         assert numerator == syt_count_product(lam, d, r) * denominator
 
@@ -283,26 +285,38 @@ class TestMonomialTable:
         model = FormalBundle(base_dim=2, rank=3)
         assert str(pushforward_plucker_power(4, 2, 3, model)) == "s2 + 2*s1^2"
 
-    def test_one_division_per_set(self, monkeypatch):
-        # d=4, r=5, w=6: 9 sets, one per partition of 6 with at most 4 parts
-        masks = []
+    def test_one_count_per_partition(self, monkeypatch):
+        # d=4, r=5, w=6: 9 counts, one per partition of 6 with at most 4 parts
+        shapes = []
 
-        def counted(mask, d, r, n_fact, denominators):
-            masks.append(mask)
-            return _set_quotient(mask, d, r, n_fact, denominators)
+        def counted(lam, d, r):
+            shapes.append(lam)
+            return syt_count_product(lam, d, r)
 
-        monkeypatch.setattr(pushforward_module, "_set_quotient", counted)
+        monkeypatch.setattr(pushforward_module, "syt_count_product", counted)
         assert len(monomial_coefficients(10, 4, 5)) == 9
-        assert len(masks) == len(set(masks)) == 9
+        assert shapes == enumerate_partitions(6, 4)
 
     def test_inexact_division_names_the_partition(self, monkeypatch, capsys):
-        # the first set reached at d=2, w=2 is that of k=(0,2), {1, 0}: lam=(1,1)
-        def off_by_one(mask, d, r, n_fact, denominators):
-            numerator, denominator = _set_quotient(mask, d, r, n_fact, denominators)
-            return numerator + 1, denominator
+        # the table divides nothing: the counts it reads come from
+        # syt_count_product, whose own assert stops a denominator one too
+        # large at the first partition, lam=(2)
+        monkeypatch.setattr(tableaux_module, "prod", lambda factors: prod(factors) + 1)
+        message = "product formula division not exact for (2), d=2, r=4"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            monomial_coefficients(6, 2, 4)
+        assert main(["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"internal invariant violated: {message}\n")
 
-        monkeypatch.setattr(pushforward_module, "_set_quotient", off_by_one)
-        message = "composition term not integral at lam=(1,1) for d=2, r=4"
+    def test_set_of_no_partition_is_named(self, monkeypatch, capsys):
+        # a walk that yields the set {1} at d=2, a repeated shifted part, is
+        # an internal fault: the table names the set and the command exits 3
+        walk = _composition_terms
+        monkeypatch.setattr(
+            pushforward_module, "_composition_terms", lambda w, d, steps: walk(w, d, steps) + [(0, 1 << 3, 0)]
+        )
+        message = "walk reached the set [1], of no partition, for d=2, r=4"
         with pytest.raises(AssertionError, match=re.escape(message)):
             monomial_coefficients(6, 2, 4)
         assert main(["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]) == 3
@@ -497,28 +511,16 @@ class TestRationalForm:
         vectors = [k for k, _ in rational_form_coefficients(6, 3, 4, "factorial")]
         assert vectors == [(0, 0, 3), (0, 2, 1), (0, 3, 0), (1, 0, 2), (1, 1, 1), (2, 1, 0), (3, 0, 0)]
 
-    def test_walk_is_kept_for_the_last_weight_and_d(self, monkeypatch):
-        # both variants of one (N, d, r) walk once; another (w, d) walks again
-        calls = []
+    def test_reads_no_walk(self, monkeypatch):
+        # the rational form enumerates its own vectors: with the table's walk
+        # refused, both variants give what they gave before
+        def refused(weight, d, steps):
+            raise AssertionError("the walk was reached")
 
-        def counted(weight, d, steps):
-            calls.append((weight, d))
-            return _composition_terms(weight, d, steps)
-
-        monkeypatch.setattr(pushforward_module, "_composition_terms", counted)
-        first = rational_form_coefficients(6, 3, 4, "factorial")
-        assert rational_form_coefficients(6, 3, 4, "linear") != first
-        assert rational_form_coefficients(7, 3, 4, "factorial") != first
-        assert rational_form_coefficients(6, 3, 4, "factorial") == first
-        assert calls == [(3, 3), (4, 3), (3, 3)]
-
-    def test_kept_walk_never_serves_another_walk(self, monkeypatch):
-        # an entry made with one walk is not read back by a call with another
-        clean = rational_form_coefficients(6, 3, 4, "factorial")
-        monkeypatch.setattr(pushforward_module, "_composition_terms", lambda w, d, steps: [])
-        assert rational_form_coefficients(6, 3, 4, "factorial") == []
-        monkeypatch.undo()
-        assert rational_form_coefficients(6, 3, 4, "factorial") == clean
+        clean = {(N, v): rational_form_coefficients(N, 3, 4, v) for N in (6, 7) for v in ("linear", "factorial")}
+        monkeypatch.setattr(pushforward_module, "_composition_terms", refused)
+        for (N, v), coefficients in clean.items():
+            assert rational_form_coefficients(N, 3, 4, v) == coefficients
 
     def test_linear_variant_can_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
