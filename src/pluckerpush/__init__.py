@@ -29,6 +29,7 @@ from .pushforward import (
     monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
+    pushforward_terms,
     rational_form_coefficients,
     schur_coefficients,
     schur_form_terms,
@@ -75,6 +76,7 @@ __all__ = [
     "monomial_coefficients",
     "pushforward_plucker_power",
     "pushforward_rational_form",
+    "pushforward_terms",
     "rational_form_coefficients",
     "schur_coefficients",
     "schur_form_terms",

@@ -22,8 +22,7 @@ from .partitions import parse_partition
 from .pushforward import (
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
-    pushforward_plucker_power,
-    schur_coefficients,
+    pushforward_terms,
 )
 from .tableaux import syt_count_hook, syt_count_product, syt_enumerate
 
@@ -83,8 +82,7 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
     if not 1 <= args.d <= args.r:
         raise UsageError(f"need 1 <= d <= r, got d={args.d}, r={args.r}")
     model = _build_model(args, args.r)
-    image = pushforward_plucker_power(args.N, args.d, args.r, model)
-    schur_pairs = schur_coefficients(args.N, args.d, args.r)
+    schur_pairs, image = pushforward_terms(args.N, args.d, args.r, model)
     schur_terms = [(str(lam), str(coeff)) for lam, coeff in schur_pairs]
     class_terms = image.terms()
     data = {

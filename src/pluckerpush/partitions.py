@@ -51,6 +51,13 @@ class Partition(tuple):
         return f"Partition({tuple(self)!r})"
 
 
+def _trusted(parts: Iterable[int]) -> Partition:
+    """The Partition of parts already positive ints, weakly decreasing, with
+    no trailing zero; for the package's own constructions, which skip the
+    checks of ``Partition(...)``."""
+    return tuple.__new__(Partition, parts)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the textual notation ``"(3,1)"``; ``"()"`` is the empty partition."""
     s = text.strip()
@@ -87,7 +94,7 @@ def enumerate_partitions(weight: int, max_parts: int) -> list[Partition]:
         raise ValueError(f"weight must be nonnegative, got {weight}")
     if max_parts < 1:
         raise ValueError(f"max_parts must be positive, got {max_parts}")
-    return [Partition(t) for t in _descending(weight, weight, max_parts)]
+    return [_trusted(t) for t in _descending(weight, weight, max_parts)]
 
 
 def rectangle(height: int, width: int) -> Partition:

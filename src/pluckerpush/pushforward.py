@@ -34,8 +34,9 @@ bundle over P^m these are the per-shape integrals of the Grassmann bundle's
 degree.  Each count f(lam + eps) is the composition term at k = lam.  Since
 s_k(E) = h_k(twists) * h^k, the push-forward over P^m is the sum of these
 rows times h^w, w = N - d(r-d): the split model reads the scalar Schur rows,
-and only the formal model reads the monomial table.  The factorial rational
-form read at the twists is the split model's reference.
+and only the formal model reads the monomial table.  On either model
+``pushforward_terms`` returns the class with the pairs of its one count pass.
+The factorial rational form read at the twists is the split model's reference.
 
 Over a point the degree is the tableau count of the rectangle eps,
 (d(r-d))! over its hook product.  ``degree_grassmannian_classical`` builds it
@@ -53,16 +54,18 @@ from itertools import compress, product
 from math import factorial, isqrt, prod
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, _trusted, enumerate_partitions
 from .records import require_exact, require_sizes
 from .schur import complete_homogeneous_values, jacobi_trudi_det
 from .tableaux import syt_count_product
 
 #: "linear" or "factorial", the denominator convention of the rational form.
 DenominatorVariant = str
+#: (partition, integer) pairs: the Schur-form terms, or the monomial table.
+Pairs = list[tuple[Partition, int]]
 
 
-def schur_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
+def schur_coefficients(N: int, d: int, r: int) -> Pairs:
     """The Schur-form terms (lam, f(lam + eps)) of the push-forward of theta^N.
 
     One pair per partition lam of N - d(r-d) with at most d parts, in
@@ -124,24 +127,31 @@ def _composition_terms(
     return terms
 
 
-def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]:
+def monomial_coefficients(N: int, d: int, r: int) -> Pairs:
     """The push-forward of theta^N as integers on monomials in the Segre classes.
 
     Grouping the ``factorial`` composition-sum form by the sorted exponent
     vector gives one coefficient per partition mu of N - d(r-d) with at most
     d parts: the sum over the distinct permutations k of mu, padded with zeros
     to length d, of N! * prod_{i<j} (k_i - k_j - i + j) / prod_i (r + k_i - i)!.
+    The pair (mu, c) stands for c * s_{mu_1} * ... * s_{mu_l}; the pairs come
+    in reverse-lexicographic order of mu.  Empty below the fiber dimension.
+    """
+    return _monomial_table(N, d, r, schur_coefficients(N, d, r))
+
+
+def _monomial_table(N: int, d: int, r: int, pairs: Pairs) -> Pairs:
+    """The ``monomial_coefficients`` table, from the ``schur_coefficients`` pairs.
+
     The walk keys each k by the sum of (d + 1)^{k_i}, whose digit v counts
     the parts v.  Up to its sign, the term at k is the count f(lam + eps) of
     the partition lam of its set of shifted parts, so each k adds, with its
-    sign, the ``schur_coefficients`` count of its set, and nothing is
-    divided; a set of no partition is an AssertionError.  Keys order as
-    their partitions do, and each is decoded once.  The pair (mu, c) stands
-    for c * s_{mu_1} * ... * s_{mu_l}; the pairs come in reverse-lexicographic
-    order of mu.  Empty below the fiber dimension.
+    sign, the pair's count of its set, and nothing is divided; a set of no
+    partition is an AssertionError.  Keys order as their partitions do, and
+    each is decoded once, with no check, into the partition it encodes.
     """
     signed: dict[int, tuple[int, int]] = {}
-    for lam, count in schur_coefficients(N, d, r):
+    for lam, count in pairs:
         signed[sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d)))] = (count, -count)
     if not signed:
         return []
@@ -158,7 +168,7 @@ def monomial_coefficients(N: int, d: int, r: int) -> list[tuple[Partition, int]]
         stray = [b - d for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
         raise AssertionError(f"walk reached the set {stray}, of no partition, for d={d}, r={r}") from None
     return [
-        (Partition(v for v in range(weight, 0, -1) for _ in range(key // places[v] % base)), c)
+        (_trusted(v for v in range(weight, 0, -1) for _ in range(key // places[v] % base)), c)
         for key, c in sorted(table.items(), reverse=True)
     ]
 
@@ -195,24 +205,34 @@ def _class_of_table(
     return GradedPoly(ring, {(weight,): value})
 
 
-def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
-    """Push the N-th power of the Pluecker class down to the base of the model.
+def pushforward_terms(N: int, d: int, r: int, model: BundleModel) -> tuple[Pairs, GradedPoly]:
+    """The Schur-form pairs and the class of the push-forward of theta^N, from one count pass.
 
-    Homogeneous of degree w = N - d(r-d); the zero class when N is below
+    The pairs (lam, f(lam + eps)) are the ``schur_coefficients``.  The class
+    is homogeneous of degree w = N - d(r-d); the zero class when N is below
     the fiber dimension d(r-d), or when w exceeds the base dimension.  Over
     P^m it is the sum of count * value over the ``schur_form_terms`` rows at
-    the twists, times h^w, the rows that the degree sums; over a formal base
-    it is the class of the ``monomial_coefficients`` table.
+    the twists, times h^w, the rows that the degree sums, and the pairs are
+    read off those rows; over a formal base it is the class of the monomial
+    table built from the pairs.
     """
     require_exact((model,), "model", (FormalBundle, SplitBundle))
     require_sizes(d, r, N, model)
     weight = N - d * (r - d)
     if not 0 <= weight <= model.base_dim:
-        return ring_of(model).zero()
+        return schur_coefficients(N, d, r), ring_of(model).zero()
     if isinstance(model, FormalBundle):
-        return _class_of_table(monomial_coefficients(N, d, r), weight, model)
+        pairs = schur_coefficients(N, d, r)
+        return pairs, _class_of_table(_monomial_table(N, d, r, pairs), weight, model)
     rows = schur_form_terms(N, d, [model.twists])[0]
-    return GradedPoly(ring_of(model), {(weight,): sum(count * value for _, count, value in rows)})
+    pairs = [(lam, count) for lam, count, _ in rows]
+    return pairs, GradedPoly(ring_of(model), {(weight,): sum(count * value for _, count, value in rows)})
+
+
+def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
+    """Push the N-th power of the Pluecker class down to the base of the model:
+    the class of ``pushforward_terms``."""
+    return pushforward_terms(N, d, r, model)[1]
 
 
 def schur_form_terms(

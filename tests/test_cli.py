@@ -364,7 +364,7 @@ class TestSplitModelReadsSchurRows:
     FORMAL = ("pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2")
 
     def test_split_pushforward_builds_no_table(self, capsys, monkeypatch):
-        for name in ("monomial_coefficients", "_composition_terms"):
+        for name in ("monomial_coefficients", "_monomial_table", "_composition_terms"):
             monkeypatch.setattr(pluckerpush.pushforward, name, _table_refused)
         code, out = run_cli(capsys, *self.SPLIT)
         assert code == 0
@@ -383,6 +383,43 @@ class TestSplitModelReadsSchurRows:
         assert run_cli(capsys, *self.SPLIT)[0] == 0
         assert run_cli(capsys, "degree", "--d", "2", "--pm", "2", "--twists=-1,0,2,3")[0] == 0
         assert calls == [(6, 2, [(-1, 0, 2, 3)])] * 2
+
+
+class TestOneCountPassPerPushforward:
+    """Both lines of ``pushforward`` read the pairs of one count pass: one
+    enumeration of the partitions and one tableau count per partition, on
+    either model, with the weight inside or above the base dimension."""
+
+    PUSH = ("pushforward", "--N", "10", "--d", "4", "--r", "5")
+
+    @pytest.mark.parametrize(
+        "model",
+        [("--base-dim", "6"), ("--base-dim", "5"), ("--pm", "6", "--twists=-2,0,1,3,4"),
+         ("--pm", "5", "--twists=1,1,0,-1,2")],
+        ids=" ".join,
+    )
+    def test_each_count_is_computed_once(self, capsys, monkeypatch, model):
+        # w = 6 at d = 4: nine partitions, (6) to (2,2,1,1)
+        shapes, enumerations = [], []
+        syt_count_product = pluckerpush.pushforward.syt_count_product
+        enumerate_partitions = pluckerpush.pushforward.enumerate_partitions
+
+        def counted(lam, d, r):
+            shapes.append(lam)
+            return syt_count_product(lam, d, r)
+
+        def enumerated(weight, max_parts):
+            enumerations.append((weight, max_parts))
+            return enumerate_partitions(weight, max_parts)
+
+        monkeypatch.setattr(pluckerpush.pushforward, "syt_count_product", counted)
+        monkeypatch.setattr(pluckerpush.pushforward, "enumerate_partitions", enumerated)
+        code, out = run_cli(capsys, *self.PUSH, *model)
+        assert code == 0
+        assert out.count("Delta") == 9
+        assert shapes == enumerate_partitions(6, 4)
+        assert len(shapes) == 9
+        assert enumerations == [(6, 4)]
 
 
 DEGREE = ["degree", "--d", "1", "--pm", "1", "--twists", "1,2"]
@@ -593,7 +630,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "name,argv",
         [
-            ("pushforward_plucker_power", PUSH + ("--base-dim", "1")),
+            ("pushforward_terms", PUSH + ("--base-dim", "1")),
             ("degree_grassmann_bundle_terms", ("degree", "--d", "1", "--pm", "1", "--twists", "1,2")),
             ("run_suites", ("verify", "--suite", "degrees")),
         ],

@@ -522,15 +522,16 @@ DENOMINATOR_FAULTS = [
 ]
 
 
-# Faults in the monomial table itself, each a copy of ``monomial_coefficients``
-# with one slip, looked up in ``pushforward``: both keep the partitions of
-# the table and get their coefficients wrong.  The remark suite sees them
-# through its table check.
-def _table_by_hand(N, d, r, slip=None):
+# Faults in the monomial table itself, each a copy of ``_monomial_table``
+# with one slip, looked up in ``pushforward``, where the formal push-forward
+# builds its table from the Schur-form pairs: both keep the partitions of the
+# table and get their coefficients wrong.  The remark suite sees them through
+# its table check, and a formal ``pushforward`` call prints them.
+def _table_by_hand(N, d, r, pairs, slip=None):
     weight = N - d * (r - d)
     places = [(d + 1) ** v for v in range(weight + 1)]
     partition_key, counts = {}, {}
-    for lam, count in pushforward.schur_coefficients(N, d, r):
+    for lam, count in pairs:
         mask = sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d)))
         partition_key[mask] = sum(places[part] for part in lam.padded(d))
         counts[partition_key[mask] if slip == "memo" else mask] = count
@@ -547,20 +548,20 @@ def _multiset_partition(key, d, weight):
     return Partition(v for v in range(weight, 0, -1) for _ in range(key // (d + 1) ** v % (d + 1)))
 
 
-def _grouped_by_set(N, d, r):
+def _grouped_by_set(N, d, r, pairs):
     # each k adds its term to the partition of its set instead of to its
     # sorted k: the table holds the Schur-form counts, read as monomials
-    return _table_by_hand(N, d, r, slip="grouping")
+    return _table_by_hand(N, d, r, pairs, slip="grouping")
 
 
-def _memo_keyed_by_multiset(N, d, r):
+def _memo_keyed_by_multiset(N, d, r, pairs):
     # each k reads the count of the partition of its sorted parts instead of
     # that of its set
-    return _table_by_hand(N, d, r, slip="memo")
+    return _table_by_hand(N, d, r, pairs, slip="memo")
 
 
-GROUPING_FAULT = ("monomial_coefficients", _grouped_by_set)
-MEMO_FAULT = ("monomial_coefficients", _memo_keyed_by_multiset)
+GROUPING_FAULT = ("_monomial_table", _grouped_by_set)
+MEMO_FAULT = ("_monomial_table", _memo_keyed_by_multiset)
 
 # The ring oracle's Segre classes, looked up in ``oracles``: flipping the sign
 # convention (the Segre classes of the dual bundle) negates the odd classes.
@@ -634,7 +635,8 @@ class TestRemarkSuiteCatchesPlantedFaults:
     def test_table_by_hand_without_a_slip_is_the_table(self):
         # the table faults differ from production by their one slip alone
         for N, d, r in ((6, 2, 4), (10, 4, 5), (13, 3, 5)):
-            assert _table_by_hand(N, d, r) == pushforward.monomial_coefficients(N, d, r)
+            pairs = pushforward.schur_coefficients(N, d, r)
+            assert _table_by_hand(N, d, r, pairs) == pushforward.monomial_coefficients(N, d, r)
 
     @pytest.mark.parametrize(
         "name,fault", WALK_FAULTS + DENOMINATOR_FAULTS + [GROUPING_FAULT, MEMO_FAULT] + ORACLES_LOOKUP_FAULTS

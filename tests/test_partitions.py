@@ -114,6 +114,17 @@ class TestEnumeration:
             for k in range(1, 7):
                 assert len(enumerate_partitions(n, k)) == count_with_bounded_parts(n, k)
 
+    def test_items_equal_the_checked_partitions(self):
+        # the enumeration builds its items without the constructor's checks;
+        # each must still be the Partition that Partition(...) accepts
+        for n in range(13):
+            for k in range(1, n + 2):
+                for lam in enumerate_partitions(n, k):
+                    checked = Partition(tuple(lam))
+                    assert type(lam) is Partition
+                    assert lam == checked and hash(lam) == hash(checked)
+                    assert tuple(lam) == tuple(checked) and repr(lam) == repr(checked)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_partitions(-1, 2)

@@ -22,6 +22,7 @@ from pluckerpush import (
     monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
+    pushforward_terms,
     rational_form_coefficients,
     rectangle,
     ring_of,
@@ -297,6 +298,17 @@ class TestMonomialTable:
         assert len(monomial_coefficients(10, 4, 5)) == 9
         assert shapes == enumerate_partitions(6, 4)
 
+    def test_decoded_partitions_equal_the_checked_ones(self):
+        # the table decodes each mu from its key without the constructor's checks
+        for d in range(1, 6):
+            for r in range(d, d + 3):
+                for w in range(9):
+                    for mu, _ in monomial_coefficients(d * (r - d) + w, d, r):
+                        checked = Partition(tuple(mu))
+                        assert type(mu) is Partition
+                        assert mu == checked and hash(mu) == hash(checked)
+                        assert tuple(mu) == tuple(checked) and mu.weight == w
+
     def test_inexact_division_names_the_partition(self, monkeypatch, capsys):
         # the table divides nothing: the counts it reads come from
         # syt_count_product, whose own assert stops a denominator one too
@@ -367,6 +379,25 @@ class TestMonomialTable:
                             for exps, coeff in image.monomials.items()
                         )
                         assert value == localization_pushforward(N, d, roots)
+
+    def test_terms_are_the_pairs_and_the_class(self):
+        # one entry, one count pass: the pairs of schur_coefficients and the
+        # class of pushforward_plucker_power, on both models, with the base
+        # dimension below, at and above the output degree
+        for d in range(1, 4):
+            for r in range(d, 6):
+                twists = tuple(range(-1, r - 1))
+                for w in range(-1, 5):
+                    N = d * (r - d) + w
+                    if N < 0:
+                        continue
+                    for base_dim in sorted({max(w - 1, 0), max(w, 0), w + 1}):
+                        for model in (
+                            FormalBundle(base_dim=base_dim, rank=r),
+                            SplitBundle(base_dim=base_dim, twists=twists),
+                        ):
+                            expected = (schur_coefficients(N, d, r), pushforward_plucker_power(N, d, r, model))
+                            assert pushforward_terms(N, d, r, model) == expected
 
     def test_split_grid_matches_jacobi_trudi_oracle(self):
         for twists in [(0, -1), (2, -3, 1), (-2, -1, 0, 3), (1, -4, 2, -1, 3)]:

@@ -19,6 +19,7 @@ from pluckerpush import (
     monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
+    pushforward_terms,
     rational_form_coefficients,
     schur_coefficients,
     schur_form_at_roots,
@@ -43,6 +44,10 @@ ENTRIES = {
     "monomial_coefficients": (lambda N, d, r, rank: monomial_coefficients(N, d, r), "N r"),
     "pushforward_plucker_power": (
         lambda N, d, r, rank: pushforward_plucker_power(N, d, r, model(rank)),
+        "N r model",
+    ),
+    "pushforward_terms": (
+        lambda N, d, r, rank: pushforward_terms(N, d, r, model(rank)),
         "N r model",
     ),
     "rational_form_coefficients": (
@@ -133,6 +138,7 @@ MODEL_ENTRIES = {
         lambda m: pushforward_rational_form(3, 1, 2, m, "factorial"),
         BOTH,
     ),
+    "pushforward_terms": (lambda m: pushforward_terms(3, 1, 2, m), BOTH),
     "schur_form_pushforward": (lambda m: schur_form_pushforward(3, 1, 2, m), BOTH),
     "degree_grassmann_bundle_terms": (lambda m: degree_grassmann_bundle_terms(1, m), "SplitBundle"),
 }
