@@ -26,7 +26,6 @@ from .chowring import (
 from .pushforward import (
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
-    monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
     pushforward_terms,
@@ -73,7 +72,6 @@ __all__ = [
     "segre_classes",
     "degree_grassmann_bundle_terms",
     "degree_grassmannian_classical",
-    "monomial_coefficients",
     "pushforward_plucker_power",
     "pushforward_rational_form",
     "pushforward_terms",

@@ -18,10 +18,11 @@ Four oracles, none of which shares code with the production formula it checks:
     evaluated for all the root sets of a theorem-suite cell at once.
   * ``schur_form_pushforward``: the Schur-form sum in a model's graded ring,
     one Jacobi-Trudi determinant of Segre classes per shape; the oracle of the
-    monomial table behind ``pushforward_plucker_power`` and of the rational
-    form, which does not read the table's walk.  Over formal bundles a
-    determinant depends on (d, shape) and not on the rank, so the remark
-    suite computes each one once for all the ranks of its grid.
+    class ``pushforward_plucker_power`` builds from the walk's keys, and of
+    the rational form, which enumerates its vectors apart from that walk.
+    Over formal bundles a determinant depends on (d, shape) and not on the
+    rank, so the remark suite computes each one once for all the ranks of
+    its grid.
   * ``pieri_walk``: theta^N as a sum of Schur classes by repeated Pieri
     steps, whose counts are the hook-length tableau counts the production
     formulas read; ``box_pieri_degree`` truncates it to the d x (r-d) box and

@@ -12,19 +12,20 @@ Delta_lam is the Jacobi-Trudi determinant det[s_{lam_i + j - i}].  Below the
 critical power d(r-d) the push-forward vanishes for degree reasons.
 
 Over a formal base the production path does not expand those determinants.
-It reads the same class off an integer table, one coefficient per monomial
-in the Segre classes (``monomial_coefficients``), built from the
-composition-sum form with factorial denominators.  The term of that form at
-an exponent vector depends on the vector in two ways only: the set of its
-shifted parts fixes the magnitude, the count f(lam + eps) of the partition
-lam of the set, and their order fixes the sign, as in the expansion of
-Delta_lam over permutations.  One depth-first walk over the compositions of
-the weight into d parts, each prefix visited once, carries a bitmask of the
-parts placed, a sign parity and an integer key, and no product; the table
-adds each vector's count, read from the Schur-form pairs, with its sign, and
-divides nothing.  The rational form of either denominator variant, a
-reference, enumerates the vectors on its own.  One helper turns a table into
-a class; the Jacobi-Trudi sum in the graded ring is the oracle of both,
+It builds the same class as an integer table, one coefficient per monomial
+in the Segre classes, from the composition-sum form with factorial
+denominators.  The term of that form at an exponent vector depends on the
+vector in two ways only: the set of its shifted parts fixes the magnitude,
+the count f(lam + eps) of the partition lam of the set, and their order
+fixes the sign, as in the expansion of Delta_lam over permutations.  One
+depth-first walk over the compositions of the weight into d parts, each
+prefix visited once, carries a bitmask of the parts placed, a sign parity
+and an integer key, and no product; the digits of the key are the
+exponents of the vector's monomial, and the table adds each vector's count,
+read from the Schur-form pairs, with its sign, and divides nothing.  The
+rational form of either denominator variant, a reference, enumerates the
+vectors on its own and ``_class_of_table`` reads it as a class; the
+Jacobi-Trudi sum in the graded ring is the oracle of both,
 ``oracles.schur_form_pushforward``.
 
 At explicit Chern roots each Delta_lam is a scalar determinant of complete
@@ -54,14 +55,14 @@ from itertools import compress, product
 from math import factorial, isqrt, prod
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
-from .partitions import Partition, _trusted, enumerate_partitions
+from .partitions import Partition, enumerate_partitions
 from .records import require_exact, require_sizes
 from .schur import complete_homogeneous_values, jacobi_trudi_det
 from .tableaux import syt_count_product
 
 #: "linear" or "factorial", the denominator convention of the rational form.
 DenominatorVariant = str
-#: (partition, integer) pairs: the Schur-form terms, or the monomial table.
+#: (partition, integer) pairs: the Schur-form terms.
 Pairs = list[tuple[Partition, int]]
 
 
@@ -127,34 +128,20 @@ def _composition_terms(
     return terms
 
 
-def monomial_coefficients(N: int, d: int, r: int) -> Pairs:
-    """The push-forward of theta^N as integers on monomials in the Segre classes.
+def _monomial_table(N: int, d: int, r: int, pairs: Pairs, width: int) -> dict[tuple[int, ...], int]:
+    """The push-forward over a formal base as {exponent vector of s_1..s_width: coefficient}.
 
-    Grouping the ``factorial`` composition-sum form by the sorted exponent
-    vector gives one coefficient per partition mu of N - d(r-d) with at most
-    d parts: the sum over the distinct permutations k of mu, padded with zeros
-    to length d, of N! * prod_{i<j} (k_i - k_j - i + j) / prod_i (r + k_i - i)!.
-    The pair (mu, c) stands for c * s_{mu_1} * ... * s_{mu_l}; the pairs come
-    in reverse-lexicographic order of mu.  Empty below the fiber dimension.
-    """
-    return _monomial_table(N, d, r, schur_coefficients(N, d, r))
-
-
-def _monomial_table(N: int, d: int, r: int, pairs: Pairs) -> Pairs:
-    """The ``monomial_coefficients`` table, from the ``schur_coefficients`` pairs.
-
-    The walk keys each k by the sum of (d + 1)^{k_i}, whose digit v counts
-    the parts v.  Up to its sign, the term at k is the count f(lam + eps) of
-    the partition lam of its set of shifted parts, so each k adds, with its
-    sign, the pair's count of its set, and nothing is divided; a set of no
-    partition is an AssertionError.  Keys order as their partitions do, and
-    each is decoded once, with no check, into the partition it encodes.
+    Read from the ``schur_coefficients`` pairs.  The walk keys each k by the
+    sum of (d + 1)^{k_i}, whose digit v is the exponent of s_v in the
+    monomial of k, padded with zeros up to the width.  Up to its sign, the
+    term at k is the count f(lam + eps) of the partition lam of its set of
+    shifted parts, so each k adds, with its sign, the pair's count of its
+    set, and nothing is divided; a set of no partition is an AssertionError.
+    Monomials whose terms cancel stay in, with coefficient 0.
     """
     signed: dict[int, tuple[int, int]] = {}
     for lam, count in pairs:
         signed[sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d)))] = (count, -count)
-    if not signed:
-        return []
     weight = N - d * (r - d)
     base = d + 1
     places = [base**v for v in range(weight + 1)]
@@ -167,25 +154,23 @@ def _monomial_table(N: int, d: int, r: int, pairs: Pairs) -> Pairs:
         (mask,) = missing.args
         stray = [b - d for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
         raise AssertionError(f"walk reached the set {stray}, of no partition, for d={d}, r={r}") from None
-    return [
-        (_trusted(v for v in range(weight, 0, -1) for _ in range(key // places[v] % base)), c)
-        for key, c in sorted(table.items(), reverse=True)
-    ]
+    padding = (0,) * (width - weight)
+    return {tuple(key // place % base for place in places[1:]) + padding: c for key, c in table.items()}
 
 
 def _class_of_table(
     table: list[tuple[Sequence[int], int | Fraction]], weight: int, model: BundleModel
 ) -> GradedPoly:
-    """The class of degree ``weight`` that a monomial table stands for in the model.
+    """The class of degree ``weight`` that a rational-form table stands for in the model.
 
-    Each entry (k, c) is an exponent vector k, a partition or any vector of
-    nonnegative parts, whose zero parts are skipped.  Over a formal base it
-    is the monomial c * s_{k_1} * ... * s_{k_d}; over P^m it contributes
+    Each entry (k, c) is a vector k of nonnegative parts, whose zero parts
+    are skipped.  Over a formal base it is the monomial
+    c * s_{k_1} * ... * s_{k_d}; over P^m it contributes
     c * h_{k_1}(a) * ... * h_{k_d}(a) to the coefficient of h^weight, with a
-    the twists.  Only the rational form reaches the P^m branch: it is that
-    form's read at the twists, the reference of the split push-forward.
-    Entries that name the same monomial add up.  The zero class when the
-    weight is negative or exceeds the base dimension.
+    the twists.  The rational form is the reference of both push-forwards,
+    and no production path reads a table through here.  Entries that name
+    the same monomial add up.  The zero class when the weight is negative or
+    exceeds the base dimension.
     """
     ring = ring_of(model)
     if not 0 <= weight <= model.base_dim:
@@ -223,7 +208,7 @@ def pushforward_terms(N: int, d: int, r: int, model: BundleModel) -> tuple[Pairs
         return schur_coefficients(N, d, r), ring_of(model).zero()
     if isinstance(model, FormalBundle):
         pairs = schur_coefficients(N, d, r)
-        return pairs, _class_of_table(_monomial_table(N, d, r, pairs), weight, model)
+        return pairs, GradedPoly(ring_of(model), _monomial_table(N, d, r, pairs, model.base_dim))
     rows = schur_form_terms(N, d, [model.twists])[0]
     pairs = [(lam, count) for lam, count, _ in rows]
     return pairs, GradedPoly(ring_of(model), {(weight,): sum(count * value for _, count, value in rows)})
@@ -385,8 +370,8 @@ def pushforward_rational_form(
 ) -> GradedPoly:
     """Composition-sum form of the push-forward, with rational coefficients.
 
-    The class of the ``rational_form_coefficients`` in the model, read as
-    the formal model's production path reads its table, and at the twists
+    The class of the ``rational_form_coefficients`` in the model, read by
+    ``_class_of_table`` as monomials over a formal base and at the twists
     over P^m; no Segre classes are multiplied.
     The remark suite determines empirically which denominator variant agrees
     with the Jacobi-Trudi Schur form.

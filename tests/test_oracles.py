@@ -524,10 +524,10 @@ DENOMINATOR_FAULTS = [
 
 # Faults in the monomial table itself, each a copy of ``_monomial_table``
 # with one slip, looked up in ``pushforward``, where the formal push-forward
-# builds its table from the Schur-form pairs: both keep the partitions of the
+# builds its class from the Schur-form pairs: both keep the monomials of the
 # table and get their coefficients wrong.  The remark suite sees them through
 # its table check, and a formal ``pushforward`` call prints them.
-def _table_by_hand(N, d, r, pairs, slip=None):
+def _table_by_hand(N, d, r, pairs, width, slip=None):
     weight = N - d * (r - d)
     places = [(d + 1) ** v for v in range(weight + 1)]
     partition_key, counts = {}, {}
@@ -538,26 +538,27 @@ def _table_by_hand(N, d, r, pairs, slip=None):
     table = {}
     for key, mask, odd in _composition_terms(weight, d, [places] * d):
         count = counts[key if slip == "memo" else mask]
-        group = partition_key[mask] if slip == "grouping" else key
-        table[group] = table.get(group, 0) + (-1) ** odd * count
-    return [(_multiset_partition(key, d, weight), table[key]) for key in sorted(table, reverse=True)]
+        exps = _exponents(partition_key[mask] if slip == "grouping" else key, d, width)
+        table[exps] = table.get(exps, 0) + (-1) ** odd * count
+    return table
 
 
-def _multiset_partition(key, d, weight):
-    # the production key: the sum of (d + 1)^{k_i}, digit v counting the parts v
-    return Partition(v for v in range(weight, 0, -1) for _ in range(key // (d + 1) ** v % (d + 1)))
+def _exponents(key, d, width):
+    # the production key: the sum of (d + 1)^{k_i}, digit v the exponent of
+    # s_v; the digits above the weight are zero
+    return tuple(key // (d + 1) ** v % (d + 1) for v in range(1, width + 1))
 
 
-def _grouped_by_set(N, d, r, pairs):
+def _grouped_by_set(N, d, r, pairs, width):
     # each k adds its term to the partition of its set instead of to its
     # sorted k: the table holds the Schur-form counts, read as monomials
-    return _table_by_hand(N, d, r, pairs, slip="grouping")
+    return _table_by_hand(N, d, r, pairs, width, slip="grouping")
 
 
-def _memo_keyed_by_multiset(N, d, r, pairs):
+def _memo_keyed_by_multiset(N, d, r, pairs, width):
     # each k reads the count of the partition of its sorted parts instead of
     # that of its set
-    return _table_by_hand(N, d, r, pairs, slip="memo")
+    return _table_by_hand(N, d, r, pairs, width, slip="memo")
 
 
 GROUPING_FAULT = ("_monomial_table", _grouped_by_set)
@@ -572,12 +573,11 @@ def _odd_segre_negated(model, top):
     return [-s if k % 2 else s for k, s in enumerate(_segre_classes(model, top))]
 
 
-# The one table-to-class builder, as the remark suite looks it up in
-# ``oracles``, with entries that name the same monomial overwriting each other
-# instead of adding up.  The monomial table has one entry per partition, so
-# only the rational form, whose orderings of one multiset share a monomial,
-# shows the fault: it changes no ``pushforward`` output, and only the suite is
-# asserted to catch it (factorial matches 18/21, no variant wins).
+# The rational form's table-to-class reader, as the remark suite looks it up
+# in ``oracles``, with entries that name the same monomial overwriting each
+# other instead of adding up.  Production builds no class through it, so the
+# fault changes no ``pushforward`` output, and only the suite is asserted to
+# catch it (factorial matches 18/21, no variant wins).
 _class_of_table = oracles._class_of_table
 
 
@@ -633,10 +633,17 @@ class TestRemarkSuiteCatchesPlantedFaults:
         assert len(calls) < len(grid)
 
     def test_table_by_hand_without_a_slip_is_the_table(self):
-        # the table faults differ from production by their one slip alone
-        for N, d, r in ((6, 2, 4), (10, 4, 5), (13, 3, 5)):
-            pairs = pushforward.schur_coefficients(N, d, r)
-            assert _table_by_hand(N, d, r, pairs) == pushforward.monomial_coefficients(N, d, r)
+        # the table faults differ from production by their one slip alone; a
+        # base dimension above the weight pads the exponent vectors with zeros
+        for d in range(1, 5):
+            for r in range(d, d + 4):
+                for w in range(7):
+                    N = d * (r - d) + w
+                    pairs = pushforward.schur_coefficients(N, d, r)
+                    for width in (w, w + 1):
+                        assert _table_by_hand(N, d, r, pairs, width) == pushforward._monomial_table(
+                            N, d, r, pairs, width
+                        )
 
     @pytest.mark.parametrize(
         "name,fault", WALK_FAULTS + DENOMINATOR_FAULTS + [GROUPING_FAULT, MEMO_FAULT] + ORACLES_LOOKUP_FAULTS

@@ -19,7 +19,6 @@ from pluckerpush import (
     integrate_over_pm,
     jacobi_trudi_det,
     localization_pushforward,
-    monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
     pushforward_terms,
@@ -36,7 +35,7 @@ from pluckerpush import (
 import pluckerpush.pushforward as pushforward_module
 import pluckerpush.tableaux as tableaux_module
 from pluckerpush.cli import main
-from pluckerpush.pushforward import _composition_terms
+from pluckerpush.pushforward import _composition_terms, _monomial_table
 
 
 def pushforward_schur_class(mu, d, r, segre):
@@ -275,14 +274,17 @@ class TestCompositionTerms:
 
 class TestMonomialTable:
     def test_example(self):
-        # d=2, r=3, N=4 over a surface: the class s2 + 2*s1^2 of the README
-        assert monomial_coefficients(4, 2, 3) == [(Partition((2,)), 1), (Partition((1, 1)), 2)]
-        # d=4, r=5, w=6: the partitions of 6 with at most 4 parts, in reverse-lexicographic order
+        # d=2, r=3, N=4 over a surface: the class s2 + 2*s1^2 of the README,
+        # keyed by the exponent vectors of s1, s2
+        assert _monomial_table(4, 2, 3, schur_coefficients(4, 2, 3), 2) == {(0, 1): 1, (2, 0): 2}
+        # d=4, r=5, w=6: one monomial per partition of 6 with at most 4 parts
         table = [
             ((6,), -41), ((5, 1), 74), ((4, 2), 84), ((4, 1, 1), -81), ((3, 3), 42),
             ((3, 2, 1), -252), ((3, 1, 1, 1), 48), ((2, 2, 2), -42), ((2, 2, 1, 1), 252),
         ]
-        assert monomial_coefficients(10, 4, 5) == [(Partition(mu), c) for mu, c in table]
+        expected = {tuple(mu.count(v) for v in range(1, 7)): c for mu, c in table}
+        assert _monomial_table(10, 4, 5, schur_coefficients(10, 4, 5), 6) == expected
+        assert pushforward_plucker_power(10, 4, 5, FormalBundle(base_dim=6, rank=5)).monomials == expected
         model = FormalBundle(base_dim=2, rank=3)
         assert str(pushforward_plucker_power(4, 2, 3, model)) == "s2 + 2*s1^2"
 
@@ -295,19 +297,8 @@ class TestMonomialTable:
             return syt_count_product(lam, d, r)
 
         monkeypatch.setattr(pushforward_module, "syt_count_product", counted)
-        assert len(monomial_coefficients(10, 4, 5)) == 9
+        assert len(pushforward_plucker_power(10, 4, 5, FormalBundle(base_dim=6, rank=5)).monomials) == 9
         assert shapes == enumerate_partitions(6, 4)
-
-    def test_decoded_partitions_equal_the_checked_ones(self):
-        # the table decodes each mu from its key without the constructor's checks
-        for d in range(1, 6):
-            for r in range(d, d + 3):
-                for w in range(9):
-                    for mu, _ in monomial_coefficients(d * (r - d) + w, d, r):
-                        checked = Partition(tuple(mu))
-                        assert type(mu) is Partition
-                        assert mu == checked and hash(mu) == hash(checked)
-                        assert tuple(mu) == tuple(checked) and mu.weight == w
 
     def test_inexact_division_names_the_partition(self, monkeypatch, capsys):
         # the table divides nothing: the counts it reads come from
@@ -316,7 +307,7 @@ class TestMonomialTable:
         monkeypatch.setattr(tableaux_module, "prod", lambda factors: prod(factors) + 1)
         message = "product formula division not exact for (2), d=2, r=4"
         with pytest.raises(AssertionError, match=re.escape(message)):
-            monomial_coefficients(6, 2, 4)
+            pushforward_plucker_power(6, 2, 4, FormalBundle(base_dim=2, rank=4))
         assert main(["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"internal invariant violated: {message}\n")
@@ -330,13 +321,13 @@ class TestMonomialTable:
         )
         message = "walk reached the set [1], of no partition, for d=2, r=4"
         with pytest.raises(AssertionError, match=re.escape(message)):
-            monomial_coefficients(6, 2, 4)
+            pushforward_plucker_power(6, 2, 4, FormalBundle(base_dim=2, rank=4))
         assert main(["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"internal invariant violated: {message}\n")
 
     def test_empty_below_fiber_dimension(self):
-        assert monomial_coefficients(3, 2, 4) == []
+        assert pushforward_plucker_power(3, 2, 4, FormalBundle(base_dim=2, rank=4)) == 0
         assert schur_coefficients(3, 2, 4) == []
 
     def test_schur_coefficients_are_shifted_tableau_counts(self):
@@ -495,8 +486,8 @@ class TestSizesMustBeInts:
         [
             lambda: schur_coefficients(True, 1, 2),
             lambda: schur_coefficients(2, True, 2),
-            lambda: monomial_coefficients(3, 1, True),
-            lambda: monomial_coefficients(3.0, 1, 2),
+            lambda: pushforward_terms(3, 1, True, FormalBundle(base_dim=1, rank=2)),
+            lambda: pushforward_terms(3.0, 1, 2, FormalBundle(base_dim=1, rank=2)),
             lambda: pushforward_plucker_power(True, 1, 1, FormalBundle(base_dim=1, rank=1)),
             lambda: rational_form_coefficients(1, True, 1, "factorial"),
             lambda: rational_form_coefficients(Fraction(2), 1, 2, "linear"),

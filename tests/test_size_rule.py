@@ -16,7 +16,6 @@ from pluckerpush import (
     degree_grassmannian_classical,
     degree_grassmannian_factorial,
     localization_pushforward,
-    monomial_coefficients,
     pushforward_plucker_power,
     pushforward_rational_form,
     pushforward_terms,
@@ -41,7 +40,6 @@ def roots(r):
 # an entry that reads r off its roots takes no r of its own
 ENTRIES = {
     "schur_coefficients": (lambda N, d, r, rank: schur_coefficients(N, d, r), "N r"),
-    "monomial_coefficients": (lambda N, d, r, rank: monomial_coefficients(N, d, r), "N r"),
     "pushforward_plucker_power": (
         lambda N, d, r, rank: pushforward_plucker_power(N, d, r, model(rank)),
         "N r model",
