@@ -300,6 +300,22 @@ class TestMonomialTable:
         assert len(pushforward_plucker_power(10, 4, 5, FormalBundle(base_dim=6, rank=5)).monomials) == 9
         assert shapes == enumerate_partitions(6, 4)
 
+    def test_exponent_vectors_are_the_partitions_of_the_weight(self):
+        # the table reads each vector off the digits of its walk key: one
+        # vector per partition of w with at most d parts, padded to the width
+        for d in range(1, 6):
+            for r in range(d, d + 3):
+                for w in range(9):
+                    N = d * (r - d) + w
+                    for width in (w, w + 2):
+                        table = _monomial_table(N, d, r, schur_coefficients(N, d, r), width)
+                        expected = {
+                            tuple(tuple(mu).count(v) for v in range(1, width + 1))
+                            for mu in enumerate_partitions(w, d)
+                        }
+                        assert set(table) == expected
+                        assert all(type(e) is int for exps in table for e in exps)
+
     def test_inexact_division_names_the_partition(self, monkeypatch, capsys):
         # the table divides nothing: the counts it reads come from
         # syt_count_product, whose own assert stops a denominator one too

@@ -32,6 +32,10 @@ def model(rank):
     return FormalBundle(base_dim=3, rank=rank)
 
 
+def split(rank):
+    return SplitBundle(base_dim=3, twists=range(1, rank + 1))
+
+
 def roots(r):
     return list(range(1, r + 1))
 
@@ -46,6 +50,11 @@ ENTRIES = {
     ),
     "pushforward_terms": (
         lambda N, d, r, rank: pushforward_terms(N, d, r, model(rank)),
+        "N r model",
+    ),
+    # the split branch, which reads the Schur rows at the twists
+    "pushforward_terms over P^m": (
+        lambda N, d, r, rank: pushforward_terms(N, d, r, split(rank)),
         "N r model",
     ),
     "rational_form_coefficients": (
