@@ -85,22 +85,23 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
     schur_pairs, image = pushforward_terms(args.N, args.d, args.r, model)
     schur_terms = [(str(lam), str(coeff)) for lam, coeff in schur_pairs]
     class_terms = image.terms()
-    data = {
-        "schema": SCHEMA_VERSION,
-        "command": "pushforward",
-        "N": args.N,
-        "d": args.d,
-        "r": args.r,
-        "model": _model_json(model),
-        "schur_terms": [{"shape": s, "coefficient": c} for s, c in schur_terms],
-        "class_terms": [{"monomial": m, "coefficient": c} for m, c in class_terms],
-        "class_text": render_terms(class_terms),
-    }
+    class_text = render_terms(class_terms)
     if args.json:
+        data = {
+            "schema": SCHEMA_VERSION,
+            "command": "pushforward",
+            "N": args.N,
+            "d": args.d,
+            "r": args.r,
+            "model": _model_json(model),
+            "schur_terms": [{"shape": s, "coefficient": c} for s, c in schur_terms],
+            "class_terms": [{"monomial": m, "coefficient": c} for m, c in class_terms],
+            "class_text": class_text,
+        }
         print(json.dumps(data, indent=2))
     else:
         print(f"schur form: {render_schur_terms(schur_terms)}")
-        print(f"class: {data['class_text']}")
+        print(f"class: {class_text}")
     return EXIT_OK
 
 
@@ -113,18 +114,18 @@ def cmd_degree(args: argparse.Namespace) -> int:
     model = SplitBundle(base_dim=args.pm, twists=twists)
     rows = degree_grassmann_bundle_terms(args.d, model)
     degree = sum(count * integral for _, count, integral in rows)
-    data = {
-        "schema": SCHEMA_VERSION,
-        "command": "degree",
-        "d": args.d,
-        "model": _model_json(model),
-        "degree": str(degree),
-        "table": [
-            {"shape": str(lam), "syt_count": str(count), "integral": str(integral)}
-            for lam, count, integral in rows
-        ],
-    }
     if args.json:
+        data = {
+            "schema": SCHEMA_VERSION,
+            "command": "degree",
+            "d": args.d,
+            "model": _model_json(model),
+            "degree": str(degree),
+            "table": [
+                {"shape": str(lam), "syt_count": str(count), "integral": str(integral)}
+                for lam, count, integral in rows
+            ],
+        }
         print(json.dumps(data, indent=2))
     else:
         print(f"degree: {degree}")
@@ -145,22 +146,16 @@ def cmd_syt(args: argparse.Namespace) -> int:
         raise UsageError(f"--d and --r go only with --method product, not --method {args.method}")
     try:
         shape = parse_partition(args.shape)
+        if args.method == "hook":
+            count = syt_count_hook(shape)
+        elif args.method == "enumerate":
+            count = syt_enumerate(shape)
+        else:  # product interprets the shape as the unshifted partition
+            if args.d is None or args.r is None:
+                raise UsageError("--method product needs --d and --r")
+            count = syt_count_product(shape, args.d, args.r)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.method == "hook":
-        count = syt_count_hook(shape)
-    elif args.method == "enumerate":
-        try:
-            count = syt_enumerate(shape)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    else:  # product interprets the shape as the unshifted partition
-        if args.d is None or args.r is None:
-            raise UsageError("--method product needs --d and --r")
-        try:
-            count = syt_count_product(shape, args.d, args.r)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     print(count)
     return EXIT_OK
 

@@ -192,9 +192,7 @@ def pieri_walk(steps: int, rows: int, width: int) -> dict[tuple[int, ...], int]:
                     continue
                 if i > 0 and current + 1 > shape[i - 1]:
                     continue
-                new_shape = list(shape) + [0] * (i + 1 - len(shape))
-                new_shape[i] += 1
-                key = tuple(p for p in new_shape if p)
+                key = shape[:i] + (current + 1,) + shape[i + 1 :]
                 grown[key] = grown.get(key, 0) + count
         state = grown
     return state

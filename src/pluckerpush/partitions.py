@@ -76,8 +76,6 @@ def _descending(remaining: int, max_part: int, slots: int) -> Iterator[tuple[int
     if remaining == 0:
         yield ()
         return
-    if slots == 0 or max_part == 0:
-        return
     smallest_first = -(-remaining // slots)  # ceil; anything smaller cannot fill the weight
     for first in range(min(remaining, max_part), smallest_first - 1, -1):
         for rest in _descending(remaining - first, first, slots - 1):

@@ -38,11 +38,7 @@ class SplitMix64:
         span = hi - lo + 1
         if count > span:
             raise ValueError(f"cannot draw {count} distinct values from [{lo}, {hi}]")
-        drawn: list[int] = []
-        seen: set[int] = set()
+        drawn: dict[int, None] = {}  # insertion-ordered; a repeat is a no-op
         while len(drawn) < count:
-            value = lo + self.next_u64() % span
-            if value not in seen:
-                seen.add(value)
-                drawn.append(value)
-        return drawn
+            drawn[lo + self.next_u64() % span] = None
+        return list(drawn)

@@ -81,6 +81,12 @@ class TestRingStructure:
         with pytest.raises(ValueError):
             GradedRing(names=("a",), weights=(0,), top_degree=2)
 
+    def test_rejects_unequal_names_and_weights_and_a_negative_top_degree(self):
+        with pytest.raises(ValueError, match="^names and weights must have equal length$"):
+            GradedRing(names=("a", "b"), weights=(1,), top_degree=2)
+        with pytest.raises(ValueError, match="^top_degree must be nonnegative, got -1$"):
+            GradedRing(names=("a",), weights=(1,), top_degree=-1)
+
     def test_refuses_sizes_and_weights_that_are_not_ints(self):
         for weights, top in [((1.5,), 2), ((1,), 2.5), ((True,), 2), ((1,), False), ((Fraction(1),), 2)]:
             with pytest.raises(TypeError, match="must be int"):
@@ -143,6 +149,24 @@ class TestRingStructure:
         with pytest.raises(TypeError):
             RING.one() * 0.5
         assert (RING.one() == 1.0) is False
+
+    def test_refuses_bad_exponent_vectors(self):
+        ring = GradedRing(("a", "b"), (1, 1), 2)
+        for exps in ((1,), (1, 0, 0), (1, -1)):
+            with pytest.raises(ValueError) as raised:
+                GradedPoly(ring, {exps: 1})
+            assert str(raised.value) == f"bad exponent vector {exps} for ring with 2 generators"
+
+    def test_adding_or_subtracting_a_float_is_a_type_error(self):
+        element = RING.generator(0)
+        for combine, operands in [
+            (lambda: element + 1.5, "+: 'GradedPoly' and 'float'"),
+            (lambda: 1.5 + element, "+: 'float' and 'GradedPoly'"),
+            (lambda: element - 1.5, "-: 'GradedPoly' and 'float'"),
+        ]:
+            with pytest.raises(TypeError) as raised:
+                combine()
+            assert str(raised.value) == f"unsupported operand type(s) for {operands}"
 
     def test_refuses_exponents_that_are_not_ints(self):
         ring = GradedRing(("h",), (1,), 2)
@@ -217,6 +241,15 @@ class TestModels:
         with pytest.raises(ValueError):
             SplitBundle(base_dim=1, twists=())
 
+    def test_split_base_dim_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^base_dim must be nonnegative, got -1$"):
+            SplitBundle(base_dim=-1, twists=(1, 2))
+
+    def test_segre_classes_refuse_a_negative_top(self):
+        for model in (FormalBundle(base_dim=2, rank=3), SplitBundle(base_dim=2, twists=(1, 2))):
+            with pytest.raises(ValueError, match="^top must be nonnegative, got -1$"):
+                segre_classes(model, -1)
+
     def test_models_refuse_sizes_that_are_not_ints(self):
         for base_dim, rank in [(2.5, 3), (2, 3.0), (True, 3), (2, True), (Fraction(2), 3)]:
             with pytest.raises(TypeError, match="must be int"):
@@ -264,6 +297,13 @@ class TestRecords:
         assert len(split) == 1
         assert FormalBundle(base_dim=1, rank=2) != FormalBundle(base_dim=2, rank=1)
         assert RING != GradedRing(names=("s1", "s2", "s3"), weights=(1, 2, 3), top_degree=5)
+
+    def test_records_of_two_classes_are_never_equal(self):
+        formal, split = FormalBundle(base_dim=2, rank=2), SplitBundle(base_dim=2, twists=(1, 1))
+        assert (formal == split) is False and (split == formal) is False
+        assert formal != split
+        # equal field values do not make records of two classes equal
+        assert (formal == (2, 2)) is False
 
     def test_list_descriptor_is_the_tuple_descriptor(self):
         listed = GradedRing(["h"], [1], 2)

@@ -231,6 +231,23 @@ class TestSytCommand:
         code, _ = run_cli(capsys, "syt", "--shape", "2,1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("(13) --method enumerate", "shape has 13 cells, enumeration is capped at 12"),
+            ("2,1", "expected parenthesized partition like (3,1), got '2,1'"),
+            ("(1,2) --method hook", "partition parts must be weakly decreasing, got (1, 2)"),
+            ("(1) --method product", "--method product needs --d and --r"),
+            ("(1) --method product --d 4 --r 3", "need 1 <= d <= r, got d=4, r=3"),
+            ("(3,1) --method product --d 1 --r 3", "partition (3,1) has more than 1 parts"),
+        ],
+        ids=["enumeration-cap", "malformed", "increasing", "product-no-sizes", "d-above-r", "too-many-parts"],
+    )
+    def test_refusal_is_one_error_line(self, capsys, argv, message):
+        code = main(["syt", "--shape", *argv.split()])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("method", ["hook", "enumerate"])
     @pytest.mark.parametrize("sizes", [("--d", "9"), ("--r", "1"), ("--d", "9", "--r", "1")])
     def test_d_and_r_refused_without_product(self, capsys, method, sizes):
@@ -281,6 +298,24 @@ class TestVerifyCommand:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["reports"][0]["suite"] == "degrees"
+
+    @pytest.mark.parametrize(
+        "ignored",
+        [
+            "--suite degrees --max-r 3 --max-d 2 --seed 5 --trials 3 --extra-N 1",
+            "--suite remark --max-r 5 --seed 9 --trials 2",
+        ],
+        ids=["degrees", "remark"],
+    )
+    def test_options_a_suite_does_not_read_change_nothing(self, capsys, ignored):
+        # the README's claim: such options are accepted and ignored without a word
+        outputs = []
+        for argv in (ignored.split(), ignored.split()[:4]):  # then only --suite and --max-r
+            code = main(["verify", *argv])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err.startswith("elapsed: ")
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
 
     def test_seed_and_trials_default_to_the_theorem_suite_defaults(self, capsys):
         code, out = run_cli(

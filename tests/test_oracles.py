@@ -265,6 +265,10 @@ class TestVerifyDrivers:
             t.localization for t in second.trials
         ]
 
+    def test_cell_refuses_no_trials(self):
+        with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
+            verify_pushforward(2, 4, 5, trials=0, seed=11)
+
     def test_constant_cell_value(self):
         report = verify_pushforward(2, 4, 4, trials=5, seed=3)
         assert report.failures == 0

@@ -147,6 +147,12 @@ class TestRectangleShift:
                 with pytest.raises(TypeError, match="height and width must be int"):
                     make()
 
+    def test_rectangles_refuse_no_rows_and_a_negative_width(self):
+        with pytest.raises(ValueError, match="^height must be positive, got 0$"):
+            rectangle(0, 2)
+        with pytest.raises(ValueError, match="^width must be nonnegative, got -1$"):
+            rectangle(2, -1)
+
 
 class TestHooks:
     def test_examples(self):

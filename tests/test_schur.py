@@ -195,6 +195,10 @@ class TestCompleteHomogeneous:
         with pytest.raises(TypeError):
             schur_form_terms(3, 1, [[1, 2], [0.5, 1.5]])
 
+    def test_refuses_a_negative_top(self):
+        with pytest.raises(ValueError, match="^top must be nonnegative, got -1$"):
+            complete_homogeneous_values([1, 2], -1)
+
     def test_one_repeated_root_gives_binomials(self):
         d = 4
         values = complete_homogeneous_values([1] * d, 6)
