@@ -1,12 +1,16 @@
 import itertools
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pluckerpush
 from pluckerpush import (
+    FormalBundle,
     Partition,
     SplitMix64,
     box_pieri_degree,
@@ -22,7 +26,7 @@ from pluckerpush import (
     syt_count_hook,
     verify_pushforward,
 )
-from pluckerpush import oracles, pushforward
+from pluckerpush import oracles, pushforward, tableaux
 from pluckerpush.cli import main
 from pluckerpush.oracles import CellReport, SuiteReport, TrialRecord
 
@@ -351,115 +355,52 @@ class TestReportRecords:
             hash(report)
 
 
-# The unpatched functions, which the planted faults below wrap.  The Schur
-# side of the theorem suite is the production evaluator, which looks its
-# helpers up in ``pushforward``, so its faults are planted there; the
-# localization fault is planted in ``oracles``.
-_schur_coefficients = pushforward.schur_coefficients
-_complete_homogeneous_values = pushforward.complete_homogeneous_values
-_syt_count_product = pushforward.syt_count_product
-_localization_pushforward = oracles.localization_pushforward
-
-
-def _off_by_one_coefficient(N, d, r):
-    terms = _schur_coefficients(N, d, r)
+# Planted faults.  Each takes the function it replaces, as planted, and
+# plants one slip in its result.  The Schur side of the theorem suite is the
+# production evaluator, which looks its helpers up in ``pushforward``; the
+# oracles look theirs up in ``oracles``, and the hook count in ``tableaux``.
+def _off_by_one_coefficient(real, N, d, r):
+    terms = real(N, d, r)
     if terms:
         lam, count = terms[0]
         terms[0] = (lam, count + 1)
     return terms
 
 
-def _odd_h_flipped(roots, top):
-    return [-v if k % 2 else v for k, v in enumerate(_complete_homogeneous_values(roots, top))]
+def _odd_h_flipped(real, roots, top):
+    return [-v if k % 2 else v for k, v in enumerate(real(roots, top))]
 
 
-def _roots_negated(N, d, roots):
-    return _localization_pushforward(N, d, [-y for y in roots])
+def _rectangle_one_column_wider(real, lam, d, r):
+    return real(lam, d, r + 1)
 
 
-def _rectangle_one_column_wider(lam, d, r):
-    return _syt_count_product(lam, d, r + 1)
+def _last_partition_dropped(real, weight, max_parts):
+    return real(weight, max_parts)[:-1]
 
 
-_subset_plan = oracles._subset_plan
+def _negated_from_two_rows(real, indices, values):
+    det = real(indices, values)
+    return -det if len(indices) >= 2 else det
 
 
-def _first_subset_missing_a_cross_pair(r, d):
-    pairs, subsets = _subset_plan(r, d)
+def _roots_negated(real, N, d, roots):
+    return real(N, d, [-y for y in roots])
+
+
+def _first_subset_missing_a_cross_pair(real, r, d):
+    # the missing pair still divides the Vandermonde product, so the suite's
+    # comparison, not the divisibility assert, catches it
+    pairs, subsets = real(r, d)
     (subset, cross), *rest = subsets
     return pairs, [(subset, cross[:-1]), *rest]
 
 
-SCHUR_SIDE_FAULTS = [
-    ("schur_coefficients", _off_by_one_coefficient),
-    ("complete_homogeneous_values", _odd_h_flipped),
-    ("syt_count_product", _rectangle_one_column_wider),
-]
-
-
-class TestTheoremSuiteCatchesPlantedFaults:
-    """Each planted fault makes the theorem suite fail; the Schur-side ones
-    also change what the ``degree`` command and the split ``pushforward`` print."""
-
-    def test_unpatched_suite_passes(self):
-        assert suite_theorem(max_d=2, max_r=4, trials=2).failures == 0
-
-    def test_tableau_counts_are_computed_once_per_cell(self, monkeypatch):
-        calls = []
-
-        def counted(N, d, r):
-            calls.append((N, d, r))
-            return _schur_coefficients(N, d, r)
-
-        monkeypatch.setattr(pushforward, "schur_coefficients", counted)
-        report = suite_theorem(max_d=2, max_r=4, trials=3)
-        assert report.failures == 0
-        assert len(calls) == report.payload["cells"]
-
-    @pytest.mark.parametrize(
-        "name,fault",
-        SCHUR_SIDE_FAULTS
-        + [
-            ("localization_pushforward", _roots_negated),
-            ("_subset_plan", _first_subset_missing_a_cross_pair),
-        ],
-    )
-    def test_fault_is_caught(self, monkeypatch, name, fault):
-        in_oracles = name in ("localization_pushforward", "_subset_plan")
-        monkeypatch.setattr(oracles if in_oracles else pushforward, name, fault)
-        # a missing cross pair still divides the Vandermonde product, so the
-        # suite's comparison, not the divisibility assert, catches it
-        assert suite_theorem(max_d=2, max_r=4, trials=2).failures > 0
-
-    @pytest.mark.parametrize("name,fault", SCHUR_SIDE_FAULTS)
-    def test_schur_side_fault_changes_degree(self, monkeypatch, capsys, name, fault):
-        # the split push-forward sums the same Schur rows, so its class line
-        # moves too; w = 3 is odd, since _odd_h_flipped keeps even weights
-        degree = ["degree", "--d", "2", "--pm", "3", "--twists=-1,0,0,2"]
-        push = ["pushforward", "--N", "7", "--d", "2", "--r", "4", "--pm", "3", "--twists=-1,0,0,2"]
-
-        def class_line(argv):
-            assert main(argv) == 0
-            return [line for line in capsys.readouterr().out.splitlines() if line.startswith("class:")]
-
-        assert main(degree) == 0
-        clean = capsys.readouterr().out
-        clean_class = class_line(push)
-        monkeypatch.setattr(pushforward, name, fault)
-        assert main(degree) == 0
-        assert capsys.readouterr().out != clean
-        assert class_line(push) != clean_class
-
-
-# Faults in the walk over exponent vectors that the monomial table reads,
-# looked up in ``pushforward``.  A walk fault returns the (key, set mask,
-# parity) triples of the real walk with one slip planted: in which vectors it
-# reaches, or in the sign it gives them.  The rational form enumerates its own
-# vectors, so the remark suite sees these faults through its table check.
-_composition_terms = pushforward._composition_terms
-_denominator_table = pushforward._denominator_table
-
-
+# Faults in the walk over the exponent vectors that the monomial table reads.
+# Each returns the (key, set mask, parity) triples of the walk with one slip:
+# in which vectors it reaches, in the sign it gives them, or in the key or
+# set it reports.  The rational form enumerates its own vectors, so the
+# remark suite sees these faults through its table check.
 def _walk_by_brute_force(weight, d, steps, live, inversions):
     # every composition of the weight into d parts, in lexicographic order,
     # kept when ``live`` accepts its shifted parts k_i - i; the sign's parity
@@ -480,19 +421,21 @@ def _inversions(shifted, first=0):
     return sum(shifted[i] < b for i in range(first, len(shifted)) for b in shifted[i + 1 :])
 
 
-def _last_vector_dropped(weight, d, steps):
-    return _composition_terms(weight, d, steps)[:-1]
+def _last_vector_dropped(real, weight, d, steps):
+    return real(weight, d, steps)[:-1]
 
 
-def _pruned_off_by_one(weight, d, steps):
-    # the set test compares k_i - i with an earlier k_j - j - 1 instead of k_j - j
+def _pruned_off_by_one(_, weight, d, steps):
+    # the set test compares k_i - i with an earlier k_j - j - 1 instead of
+    # k_j - j, so a vector with a repeated shifted part reaches a set of no
+    # partition
     def live(shifted):
         return all(shifted[i] != shifted[j] - 1 for i in range(d) for j in range(i))
 
     return _walk_by_brute_force(weight, d, steps, live, _inversions)
 
 
-def _parity_skips_first_part(weight, d, steps):
+def _parity_skips_first_part(_, weight, d, steps):
     # the parity leaves out the factors against the part placed at depth 0
     def live(shifted):
         return len(set(shifted)) == d
@@ -500,128 +443,237 @@ def _parity_skips_first_part(weight, d, steps):
     return _walk_by_brute_force(weight, d, steps, live, lambda shifted: _inversions(shifted, first=1))
 
 
-WALK_FAULTS = [
-    ("_composition_terms", _last_vector_dropped),
-    ("_composition_terms", _parity_skips_first_part),
-]
-# a vector with a repeated shifted part reaches a set of no partition
-PRUNING_FAULT = ("_composition_terms", _pruned_off_by_one)
+def _grouped_by_set(real, weight, d, steps):
+    # each k adds its term to the monomial of the partition lam of its set,
+    # lam_i = s_i + i over the shifted parts in decreasing order, instead of
+    # to its own: the table holds the Schur-form counts, read as monomials
+    terms = []
+    for _, mask, odd in real(weight, d, steps):
+        shifted = [b - d for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
+        terms.append((sum(steps[0][s + i] for i, s in enumerate(shifted)), mask, odd))
+    return terms
 
 
-# Faults in the rational form's own denominator table, looked up in
-# ``pushforward``; the monomial table reads no denominator, so only the
-# remark suite sees them.
-def _denominator_one_late(denominator, top):
+def _memo_keyed_by_multiset(real, weight, d, steps):
+    # each k reads the count of the partition mu of its sorted parts, the
+    # base-(d + 1) digits of its key, instead of that of its set
+    terms = []
+    for key, _, odd in real(weight, d, steps):
+        mu = [v for v in range(weight, -1, -1) for _ in range(key // (d + 1) ** v % (d + 1))]
+        terms.append((key, sum(1 << (part - i + d) for i, part in enumerate(mu)), odd))
+    return terms
+
+
+# Faults in the rational form's own denominator table; the monomial table
+# reads no denominator, so only the remark suite sees them.
+def _denominator_one_late(real, denominator, top):
     # the term reads D(r + s) instead of D(r - 1 + s)
-    return _denominator_table(denominator, top + 1)[1:]
+    return real(denominator, top + 1)[1:]
 
 
-def _always_linear(denominator, top):
-    return _denominator_table("linear", top)
+def _always_linear(real, denominator, top):
+    return real("linear", top)
 
 
-DENOMINATOR_FAULTS = [
-    ("_denominator_table", _denominator_one_late),
-    ("_denominator_table", _always_linear),
-]
+def _odd_segre_negated(real, model, top):
+    # the Segre classes of the dual bundle: the other sign convention
+    return [-s if k % 2 else s for k, s in enumerate(real(model, top))]
 
 
-# Faults in the monomial table itself, each a copy of ``_monomial_table``
-# with one slip, looked up in ``pushforward``, where the formal push-forward
-# builds its class from the Schur-form pairs: both keep the monomials of the
-# table and get their coefficients wrong.  The remark suite sees them through
-# its table check, and a formal ``pushforward`` call prints them.
-def _table_by_hand(N, d, r, pairs, width, slip=None):
-    weight = N - d * (r - d)
-    places = [(d + 1) ** v for v in range(weight + 1)]
-    partition_key, counts = {}, {}
-    for lam, count in pairs:
-        mask = sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d)))
-        partition_key[mask] = sum(places[part] for part in lam.padded(d))
-        counts[partition_key[mask] if slip == "memo" else mask] = count
-    table = {}
-    for key, mask, odd in _composition_terms(weight, d, [places] * d):
-        count = counts[key if slip == "memo" else mask]
-        exps = _exponents(partition_key[mask] if slip == "grouping" else key, d, width)
-        table[exps] = table.get(exps, 0) + (-1) ** odd * count
-    return table
-
-
-def _exponents(key, d, width):
-    # the production key: the sum of (d + 1)^{k_i}, digit v the exponent of
-    # s_v; the digits above the weight are zero
-    return tuple(key // (d + 1) ** v % (d + 1) for v in range(1, width + 1))
-
-
-def _grouped_by_set(N, d, r, pairs, width):
-    # each k adds its term to the partition of its set instead of to its
-    # sorted k: the table holds the Schur-form counts, read as monomials
-    return _table_by_hand(N, d, r, pairs, width, slip="grouping")
-
-
-def _memo_keyed_by_multiset(N, d, r, pairs, width):
-    # each k reads the count of the partition of its sorted parts instead of
-    # that of its set
-    return _table_by_hand(N, d, r, pairs, width, slip="memo")
-
-
-GROUPING_FAULT = ("_monomial_table", _grouped_by_set)
-MEMO_FAULT = ("_monomial_table", _memo_keyed_by_multiset)
-
-# The ring oracle's Segre classes, looked up in ``oracles``: flipping the sign
-# convention (the Segre classes of the dual bundle) negates the odd classes.
-_segre_classes = oracles.segre_classes
-
-
-def _odd_segre_negated(model, top):
-    return [-s if k % 2 else s for k, s in enumerate(_segre_classes(model, top))]
-
-
-# The rational form's table-to-class reader, as the remark suite looks it up
-# in ``oracles``, with entries that name the same monomial overwriting each
-# other instead of adding up.  Production builds no class through it, so the
-# fault changes no ``pushforward`` output, and only the suite is asserted to
-# catch it (factorial matches 18/21, no variant wins).
-_class_of_table = oracles._class_of_table
-
-
-def _class_of_table_overwriting(table, weight, model):
+def _class_of_table_overwriting(real, table, weight, model):
+    # entries that name the same monomial overwrite each other instead of
+    # adding up (factorial matches 18/21, no variant wins); production builds
+    # no class through here
     last = {tuple(sorted((part for part in k if part), reverse=True)): (k, c) for k, c in table}
-    return _class_of_table(list(last.values()), weight, model)
+    return real(list(last.values()), weight, model)
 
 
-# The determinant the remark suite shares across ranks, looked up in
-# ``oracles``: the Delta stored for the shape (1, 1) is that of (2).
-_jacobi_trudi_det = oracles.jacobi_trudi_det
-
-
-def _wrong_shape_for_one_lam(indices, values):
+def _wrong_shape_for_one_lam(real, indices, values):
+    # the Delta the remark suite stores for the shape (1, 1) is that of (2)
     if Partition(indices) == Partition((1, 1)):
         indices = Partition((2,)).padded(len(indices))
-    return _jacobi_trudi_det(indices, values)
+    return real(indices, values)
 
 
-ORACLES_LOOKUP_FAULTS = [
-    ("segre_classes", _odd_segre_negated),
-    ("_class_of_table", _class_of_table_overwriting),
-    ("jacobi_trudi_det", _wrong_shape_for_one_lam),
+def _largest_hook_dropped(real, d, r):
+    hooks = real(d, r)
+    hooks[r - 1] -= 1
+    return hooks
+
+
+def _largest_prime_dropped(real, n):
+    return real(n)[:-1]
+
+
+def _hook_two_overcounted(real, d, r):
+    # planted only in rectangles of at least two rows and two columns, so the
+    # degrees suite first trips at d=2, r=4; for r < 3 there is no index 2
+    hooks = real(d, r)
+    if min(d, r - d) >= 2:
+        hooks[2] += d * (r - d)
+    return hooks
+
+
+def _first_hook_doubled(real, lam):
+    hooks = real(lam)
+    return [2 * hooks[0], *hooks[1:]] if hooks else hooks
+
+
+# A fault, where it is planted, and the suite whose ``verify`` run must exit
+# with the code: 1 for a failed comparison, 3 for a tripped invariant.
+Row = namedtuple("Row", "namespace name fault suite code")
+
+
+def plant(monkeypatch, row):
+    real = getattr(row.namespace, row.name)
+    monkeypatch.setattr(row.namespace, row.name, partial(row.fault, real))
+
+
+FAULTS = [
+    Row(pushforward, "schur_coefficients", _off_by_one_coefficient, "theorem", 1),
+    Row(pushforward, "complete_homogeneous_values", _odd_h_flipped, "theorem", 1),
+    Row(pushforward, "syt_count_product", _rectangle_one_column_wider, "theorem", 1),
+    Row(pushforward, "enumerate_partitions", _last_partition_dropped, "theorem", 1),
+    Row(pushforward, "jacobi_trudi_det", _negated_from_two_rows, "theorem", 1),
+    Row(oracles, "localization_pushforward", _roots_negated, "theorem", 1),
+    Row(oracles, "_subset_plan", _first_subset_missing_a_cross_pair, "theorem", 1),
+    Row(pushforward, "_composition_terms", _last_vector_dropped, "remark", 1),
+    Row(pushforward, "_composition_terms", _parity_skips_first_part, "remark", 1),
+    Row(pushforward, "_composition_terms", _pruned_off_by_one, "remark", 3),
+    Row(pushforward, "_composition_terms", _grouped_by_set, "remark", 1),
+    Row(pushforward, "_composition_terms", _memo_keyed_by_multiset, "remark", 1),
+    Row(pushforward, "_denominator_table", _denominator_one_late, "remark", 1),
+    Row(pushforward, "_denominator_table", _always_linear, "remark", 1),
+    Row(oracles, "segre_classes", _odd_segre_negated, "remark", 1),
+    Row(oracles, "_class_of_table", _class_of_table_overwriting, "remark", 1),
+    Row(oracles, "jacobi_trudi_det", _wrong_shape_for_one_lam, "remark", 1),
+    Row(pushforward, "_rectangle_hooks", _largest_hook_dropped, "degrees", 1),
+    Row(pushforward, "_primes_upto", _largest_prime_dropped, "degrees", 1),
+    Row(pushforward, "_rectangle_hooks", _hook_two_overcounted, "degrees", 3),
+    Row(tableaux, "hook_lengths", _first_hook_doubled, "degrees", 3),
 ]
+ROW = {row.fault: row for row in FAULTS}
+SUITES = {
+    "theorem": ["verify", "--suite", "theorem", "--max-d", "2", "--max-r", "4", "--trials", "2"],
+    "remark": ["verify", "--suite", "remark", "--max-d", "2", "--max-r", "4", "--extra-N", "2"],
+    "degrees": ["verify", "--suite", "degrees"],
+}
+
+
+def rows_of(*faults):
+    """The rows of the faults, as test parameters with ids name-fault."""
+    return [pytest.param(ROW[fault], id=f"{ROW[fault].name}-{fault.__name__}") for fault in faults]
+
+
+SCHUR_SIDE = (_off_by_one_coefficient, _odd_h_flipped, _rectangle_one_column_wider,
+              _last_partition_dropped, _negated_from_two_rows)
+WALK = (_last_vector_dropped, _parity_skips_first_part, _grouped_by_set, _memo_keyed_by_multiset)
+FORMAL = FormalBundle(base_dim=2, rank=4)
+# Each production callable that a row corrupts: the row's fault, and a call
+# whose result the fault changes, made through the row's namespace.
+COVERED = {
+    "enumerate_partitions": (_last_partition_dropped, (4, 2)),
+    "hook_lengths": (_first_hook_doubled, (Partition((2, 1)),)),
+    "syt_count_hook": (_first_hook_doubled, (Partition((2, 1)),)),
+    "syt_count_product": (_rectangle_one_column_wider, (Partition((1,)), 2, 4)),
+    "complete_homogeneous_values": (_odd_h_flipped, ([1, 2], 3)),
+    "jacobi_trudi_det": (_negated_from_two_rows, ((1, 0), [1, 2, 3])),
+    "segre_classes": (_odd_segre_negated, (FORMAL, 2)),
+    "schur_coefficients": (_off_by_one_coefficient, (6, 2, 4)),
+    "schur_form_terms": (_odd_h_flipped, (5, 2, [[0, 1, 2, 3]])),
+    "pushforward_terms": (_last_vector_dropped, (6, 2, 4, FORMAL)),
+    "pushforward_plucker_power": (_last_vector_dropped, (6, 2, 4, FORMAL)),
+    "rational_form_coefficients": (_always_linear, (6, 2, 4, "factorial")),
+    "pushforward_rational_form": (_always_linear, (6, 2, 4, FORMAL, "factorial")),
+    "degree_grassmannian_classical": (_largest_prime_dropped, (2, 5)),
+}
+# The production callables that no row corrupts, and why.
+UNFAULTED = {
+    # containers and parsing, which the refusal tests and stdout goldens guard
+    *("Partition", "parse_partition", "rectangle", "FormalBundle", "SplitBundle"),
+    *("GradedRing", "GradedPoly", "ring_of"),
+    # the oracle of the tableau counts
+    "syt_enumerate",
+    # only the tests and the bench tracer integrate over P^m
+    "integrate_over_pm",
+    # no suite reads the split model's degree rows; nor the SplitBundle branch
+    # of pushforward_terms, which COVERED reaches by its formal branch alone
+    "degree_grassmann_bundle_terms",
+}
+
+
+class TestPlantedFaults:
+    """Each fault, planted where its row says, makes its suite's ``verify``
+    run exit with the row's code."""
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_unpatched_suite_passes(self, suite):
+        assert main(SUITES[suite]) == 0
+
+    @pytest.mark.parametrize("row", rows_of(*ROW))
+    def test_fault_fails_its_suite(self, monkeypatch, row):
+        plant(monkeypatch, row)
+        assert main(SUITES[row.suite]) == row.code
+
+    def test_every_production_callable_has_a_row_or_a_reason(self, monkeypatch):
+        production = set()
+        for name in pluckerpush.__all__:
+            value = getattr(pluckerpush, name)
+            if callable(value) and value.__module__ not in ("pluckerpush.oracles", "pluckerpush.rng"):
+                production.add(name)
+        assert COVERED.keys() | UNFAULTED == production
+        assert not COVERED.keys() & UNFAULTED
+        for name, (fault, args) in COVERED.items():
+            row = ROW[fault]
+            clean = getattr(row.namespace, name)(*args)
+            with monkeypatch.context() as patch:
+                plant(patch, row)
+                assert getattr(row.namespace, name)(*args) != clean, name
+
+
+class TestTheoremSuiteCatchesPlantedFaults:
+    def test_tableau_counts_are_computed_once_per_cell(self, monkeypatch):
+        calls, real = [], pushforward.schur_coefficients
+
+        def counted(N, d, r):
+            calls.append((N, d, r))
+            return real(N, d, r)
+
+        monkeypatch.setattr(pushforward, "schur_coefficients", counted)
+        report = suite_theorem(max_d=2, max_r=4, trials=3)
+        assert report.failures == 0
+        assert len(calls) == report.payload["cells"]
+
+    @pytest.mark.parametrize("row", rows_of(*SCHUR_SIDE))
+    def test_schur_side_fault_changes_degree(self, monkeypatch, capsys, row):
+        # the split push-forward sums the same Schur rows, so its class line
+        # moves too; w = 3 is odd, since _odd_h_flipped keeps even weights
+        degree = ["degree", "--d", "2", "--pm", "3", "--twists=-1,0,0,2"]
+        push = ["pushforward", "--N", "7", "--d", "2", "--r", "4", "--pm", "3", "--twists=-1,0,0,2"]
+
+        def class_line(argv):
+            assert main(argv) == 0
+            return [line for line in capsys.readouterr().out.splitlines() if line.startswith("class:")]
+
+        assert main(degree) == 0
+        clean = capsys.readouterr().out
+        clean_class = class_line(push)
+        plant(monkeypatch, row)
+        assert main(degree) == 0
+        assert capsys.readouterr().out != clean
+        assert class_line(push) != clean_class
 
 
 class TestRemarkSuiteCatchesPlantedFaults:
-    """Each planted fault makes the remark suite fail; those in the walk and
-    the monomial table also change what a formal ``pushforward`` call prints
-    or returns."""
-
-    def test_unpatched_suite_passes(self):
-        assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures == 0
+    """Faults in the walk also change what a formal ``pushforward`` call
+    prints or returns; faults in the denominators do not."""
 
     def test_determinants_are_computed_once_per_d_and_shape(self, monkeypatch):
-        calls = []
+        calls, real = [], oracles.jacobi_trudi_det
 
         def counted(indices, values):
             calls.append((len(indices), Partition(indices)))
-            return _jacobi_trudi_det(indices, values)
+            return real(indices, values)
 
         monkeypatch.setattr(oracles, "jacobi_trudi_det", counted)
         report = suite_remark(max_d=3, max_r=6, extra_powers=3)
@@ -636,31 +688,10 @@ class TestRemarkSuiteCatchesPlantedFaults:
         assert sorted(calls) == sorted(set(grid))
         assert len(calls) < len(grid)
 
-    def test_table_by_hand_without_a_slip_is_the_table(self):
-        # the table faults differ from production by their one slip alone; a
-        # base dimension above the weight pads the exponent vectors with zeros
-        for d in range(1, 5):
-            for r in range(d, d + 4):
-                for w in range(7):
-                    N = d * (r - d) + w
-                    pairs = pushforward.schur_coefficients(N, d, r)
-                    for width in (w, w + 1):
-                        assert _table_by_hand(N, d, r, pairs, width) == pushforward._monomial_table(
-                            N, d, r, pairs, width
-                        )
-
-    @pytest.mark.parametrize(
-        "name,fault", WALK_FAULTS + DENOMINATOR_FAULTS + [GROUPING_FAULT, MEMO_FAULT] + ORACLES_LOOKUP_FAULTS
-    )
-    def test_fault_is_caught(self, monkeypatch, name, fault):
-        in_oracles = (name, fault) in ORACLES_LOOKUP_FAULTS
-        monkeypatch.setattr(oracles if in_oracles else pushforward, name, fault)
-        assert suite_remark(max_d=2, max_r=4, extra_powers=2).failures > 0
-
-    @pytest.mark.parametrize("name,fault", WALK_FAULTS + [GROUPING_FAULT, MEMO_FAULT])
-    def test_table_fault_fails_the_table_check(self, monkeypatch, name, fault):
+    @pytest.mark.parametrize("row", rows_of(*WALK))
+    def test_table_fault_fails_the_table_check(self, monkeypatch, row):
         # both variants still decide as before; only the table check fails
-        monkeypatch.setattr(pushforward, name, fault)
+        plant(monkeypatch, row)
         report = suite_remark(max_d=2, max_r=4, extra_powers=2)
         assert report.payload["matching_variant"] == "factorial"
         mismatches = [line for line in report.verbose_lines if line.endswith(" table: mismatch")]
@@ -669,7 +700,7 @@ class TestRemarkSuiteCatchesPlantedFaults:
     def test_memo_fault_fails_two_instances(self, monkeypatch):
         # at d=2 the k=(0,2) of the set of (1,1) reads the count of (2), which
         # differs from its own once the rectangle eps is not empty, r > 2
-        monkeypatch.setattr(pushforward, *MEMO_FAULT)
+        plant(monkeypatch, ROW[_memo_keyed_by_multiset])
         report = suite_remark(max_d=2, max_r=4, extra_powers=2)
         assert report.failures == 2
         assert [line for line in report.verbose_lines if "table" in line] == [
@@ -678,24 +709,24 @@ class TestRemarkSuiteCatchesPlantedFaults:
         ]
 
     def test_pruning_fault_stops_the_table(self, monkeypatch):
-        monkeypatch.setattr(pushforward, *PRUNING_FAULT)
+        plant(monkeypatch, ROW[_pruned_off_by_one])
         with pytest.raises(AssertionError, match=r"walk reached the set \[.*\], of no partition"):
             suite_remark(max_d=2, max_r=4, extra_powers=2)
 
-    @pytest.mark.parametrize("name,fault", WALK_FAULTS + [PRUNING_FAULT, GROUPING_FAULT, MEMO_FAULT])
-    def test_fault_changes_formal_pushforward(self, monkeypatch, capsys, name, fault):
+    @pytest.mark.parametrize("row", rows_of(*WALK, _pruned_off_by_one))
+    def test_fault_changes_formal_pushforward(self, monkeypatch, capsys, row):
         argv = ["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]
         clean = main(argv), capsys.readouterr().out
         assert clean[0] == 0
-        monkeypatch.setattr(pushforward, name, fault)
+        plant(monkeypatch, row)
         assert (main(argv), capsys.readouterr().out) != clean
 
-    @pytest.mark.parametrize("name,fault", DENOMINATOR_FAULTS)
-    def test_denominator_fault_leaves_formal_pushforward(self, monkeypatch, capsys, name, fault):
+    @pytest.mark.parametrize("row", rows_of(_denominator_one_late, _always_linear))
+    def test_denominator_fault_leaves_formal_pushforward(self, monkeypatch, capsys, row):
         # the table reads counts, not denominators
         argv = ["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]
         clean = main(argv), capsys.readouterr().out
-        monkeypatch.setattr(pushforward, name, fault)
+        plant(monkeypatch, row)
         assert (main(argv), capsys.readouterr().out) == clean
 
 
@@ -721,35 +752,6 @@ def _classical_mismatches(expected):
     return [key for key, value in expected.items() if degree_grassmannian_classical(*key) != value]
 
 
-_rectangle_hooks = pushforward._rectangle_hooks
-_primes_upto = pushforward._primes_upto
-
-
-def _largest_hook_dropped(d, r):
-    hooks = _rectangle_hooks(d, r)
-    hooks[r - 1] -= 1
-    return hooks
-
-
-def _largest_prime_dropped(n):
-    return _primes_upto(n)[:-1]
-
-
-def _hook_two_overcounted(d, r):
-    # planted only in rectangles of at least two rows and two columns, so the
-    # degrees suite first trips at d=2, r=4; for r < 3 there is no index 2
-    hooks = _rectangle_hooks(d, r)
-    if min(d, r - d) >= 2:
-        hooks[2] += d * (r - d)
-    return hooks
-
-
-CLASSICAL_FAULTS = [
-    ("_rectangle_hooks", _largest_hook_dropped),
-    ("_primes_upto", _largest_prime_dropped),
-]
-
-
 class TestClassicalDegree:
     def test_production_equals_the_factorial_form_and_the_hook_count(self, classical_oracle):
         assert _classical_mismatches(classical_oracle) == []
@@ -768,7 +770,7 @@ class TestClassicalDegree:
     def test_sieve(self):
         for n in range(60):
             expected = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
-            assert _primes_upto(n) == expected
+            assert pushforward._primes_upto(n) == expected
 
     def test_forms_no_factorial(self, monkeypatch):
         def refused(n):
@@ -777,17 +779,13 @@ class TestClassicalDegree:
         monkeypatch.setattr(pushforward, "factorial", refused)
         assert degree_grassmannian_classical(96, 194) == degree_grassmannian_factorial(96, 194)
 
-    def test_unpatched_suite_passes(self):
-        assert suite_degrees().failures == 0
-
-    @pytest.mark.parametrize("name,fault", CLASSICAL_FAULTS)
-    def test_fault_is_caught(self, monkeypatch, classical_oracle, name, fault):
-        monkeypatch.setattr(pushforward, name, fault)
-        assert suite_degrees().failures > 0
+    @pytest.mark.parametrize("row", rows_of(_largest_hook_dropped, _largest_prime_dropped))
+    def test_fault_fails_the_grid(self, monkeypatch, classical_oracle, row):
+        plant(monkeypatch, row)
         assert _classical_mismatches(classical_oracle) != []
 
     def test_negative_exponent_trips_the_assert(self, monkeypatch, capsys, classical_oracle):
-        monkeypatch.setattr(pushforward, "_rectangle_hooks", _hook_two_overcounted)
+        plant(monkeypatch, ROW[_hook_two_overcounted])
         message = "degree formula exponent of 2 negative for d=2, r=4"
         with pytest.raises(AssertionError, match=message):
             suite_degrees()

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluckerpush import (
@@ -190,6 +190,8 @@ class TestCompositionTerms:
         # the key is the sum of the steps the caller picks, here (d + 1)^{k_i}
         assert [key for key, _, _ in _composition_terms(2, 2, [[1, 3, 9]] * 2)] == [10, 6, 10]
 
+    # no deadline: the d=6, w=6 examples use much of the default 200 ms, more under a tracer
+    @settings(deadline=None)
     @given(
         st.integers(1, 6),
         st.integers(0, 3),
