@@ -13,12 +13,18 @@ instances cover everything the package computes with:
   * a split bundle over projective space P^m, a single hyperplane generator h
     truncated at m, where the Segre classes are the complete homogeneous
     values of the twists times powers of h.
+
+Ring elements are the container of the oracle side.  The production
+push-forward hands out a plain {exponent vector: coefficient} table, valid
+by construction, and ``table_terms`` renders it as ``GradedPoly.terms``
+renders an element, without re-checking each monomial.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 
 from .records import EXACT_TYPES, FrozenRecord, require_exact
@@ -47,7 +53,7 @@ class GradedRing(FrozenRecord):
         self._freeze(names, weights, top_degree)
 
     def monomial_weight(self, exponents: tuple[int, ...]) -> int:
-        return sum(w * e for w, e in zip(self.weights, exponents))
+        return sum(map(mul, self.weights, exponents))
 
     def zero(self) -> "GradedPoly":
         return GradedPoly(self, {})
@@ -156,25 +162,27 @@ class GradedPoly(FrozenRecord):
     # -- rendering --------------------------------------------------------
 
     def terms(self) -> list[tuple[str, str]]:
-        """(monomial text, coefficient text) pairs in the canonical order:
-        by weight, then lexicographic exponents."""
-        weight = self.ring.monomial_weight
-        ordered = sorted(self.monomials.items(), key=lambda item: (weight(item[0]), item[0]))
-        out = []
-        for exps, coeff in ordered:
-            pieces = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.ring.names, exps)
-                if e
-            ]
-            out.append((" ".join(pieces), str(coeff)))
-        return out
+        """(monomial text, coefficient text) pairs, as ``table_terms`` renders them."""
+        return table_terms(self.ring, self.monomials)
 
     def __str__(self) -> str:
         return render_terms(self.terms())
 
     def __repr__(self) -> str:
         return f"GradedPoly({self})"
+
+
+def table_terms(ring: GradedRing, table: Mapping[tuple[int, ...], Scalar]) -> list[tuple[str, str]]:
+    """(monomial text, coefficient text) pairs of a {exponent vector: coefficient}
+    table over the ring, in the canonical order: by weight, then lexicographic
+    exponents.  Zero coefficients are dropped; nothing else is checked."""
+    weight = ring.monomial_weight
+    out = []
+    for exps, coeff in sorted(table.items(), key=lambda item: (weight(item[0]), item[0])):
+        if coeff:
+            pieces = [name if e == 1 else f"{name}^{e}" for name, e in zip(ring.names, exps) if e]
+            out.append((" ".join(pieces), str(coeff)))
+    return out
 
 
 def render_terms(terms: list[tuple[str, str]]) -> str:

@@ -11,12 +11,12 @@ goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
-from .chowring import BundleModel, FormalBundle, SplitBundle, render_terms
+from .chowring import BundleModel, FormalBundle, SplitBundle, render_terms, ring_of, table_terms
 from .oracles import run_suites
 from .partitions import parse_partition
 from .pushforward import (
@@ -37,6 +37,37 @@ EXIT_BROKEN_PIPE = 141
 
 class UsageError(Exception):
     pass
+
+
+def to_json(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the payloads' types.
+
+    Covers str, int, bool, None, list and dict with str keys; anything else,
+    a float or a tuple included, raises TypeError.  Strings go through the
+    json module's C escaper and ints through ``int.__repr__``, as there.
+    """
+    kind = value.__class__
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is list:
+        items = [to_json(item, inner) for item in value]
+        brackets = "[]"
+    elif kind is dict:
+        items = [f"{encode_basestring_ascii(key)}: {to_json(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON: {value!r}")
+    if not items:
+        return brackets
+    separator = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{separator.join(items)}\n{indent}{brackets[1]}"
 
 
 def render_schur_terms(terms: list[tuple[str, str]]) -> str:
@@ -82,9 +113,9 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
     if not 1 <= args.d <= args.r:
         raise UsageError(f"need 1 <= d <= r, got d={args.d}, r={args.r}")
     model = _build_model(args, args.r)
-    schur_pairs, image = pushforward_terms(args.N, args.d, args.r, model)
+    schur_pairs, table = pushforward_terms(args.N, args.d, args.r, model)
     schur_terms = [(str(lam), str(coeff)) for lam, coeff in schur_pairs]
-    class_terms = image.terms()
+    class_terms = table_terms(ring_of(model), table)
     class_text = render_terms(class_terms)
     if args.json:
         data = {
@@ -98,7 +129,7 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
             "class_terms": [{"monomial": m, "coefficient": c} for m, c in class_terms],
             "class_text": class_text,
         }
-        print(json.dumps(data, indent=2))
+        print(to_json(data))
     else:
         print(f"schur form: {render_schur_terms(schur_terms)}")
         print(f"class: {class_text}")
@@ -126,7 +157,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
                 for lam, count, integral in rows
             ],
         }
-        print(json.dumps(data, indent=2))
+        print(to_json(data))
     else:
         print(f"degree: {degree}")
         for lam, count, integral in rows:
@@ -183,7 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "failures": failures,
             "passed": failures == 0,
         }
-        print(json.dumps(data, indent=2))
+        print(to_json(data))
     else:
         print("\n\n".join(rep.to_text(verbose=args.verbose) for rep in reports))
         if len(reports) > 1:

@@ -36,7 +36,10 @@ degree.  Each count f(lam + eps) is the composition term at k = lam.  Since
 s_k(E) = h_k(twists) * h^k, the push-forward over P^m is the sum of these
 rows times h^w, w = N - d(r-d): the split model reads the scalar Schur rows,
 and only the formal model reads the monomial table.  On either model
-``pushforward_terms`` returns the class with the pairs of its one count pass.
+``pushforward_terms`` returns the pairs of its one count pass with the class
+as a plain {exponent vector: coefficient} table, which the command line
+renders without building a ring element; ``pushforward_plucker_power``
+wraps that table in a ``GradedPoly``, the container of the oracle side.
 The factorial rational form read at the twists is the split model's reference.
 
 Over a point the degree is the tableau count of the rectangle eps,
@@ -64,6 +67,8 @@ from .tableaux import syt_count_product
 DenominatorVariant = str
 #: (partition, integer) pairs: the Schur-form terms.
 Pairs = list[tuple[Partition, int]]
+#: {exponent vector: coefficient}: a class as a plain table.
+Table = dict[tuple[int, ...], int]
 
 
 def schur_coefficients(N: int, d: int, r: int) -> Pairs:
@@ -128,7 +133,7 @@ def _composition_terms(
     return terms
 
 
-def _monomial_table(N: int, d: int, r: int, pairs: Pairs, width: int) -> dict[tuple[int, ...], int]:
+def _monomial_table(N: int, d: int, r: int, pairs: Pairs, width: int) -> Table:
     """The push-forward over a formal base as {exponent vector of s_1..s_width: coefficient}.
 
     Read from the ``schur_coefficients`` pairs.  The walk keys each k by the
@@ -190,34 +195,37 @@ def _class_of_table(
     return GradedPoly(ring, {(weight,): value})
 
 
-def pushforward_terms(N: int, d: int, r: int, model: BundleModel) -> tuple[Pairs, GradedPoly]:
+def pushforward_terms(N: int, d: int, r: int, model: BundleModel) -> tuple[Pairs, Table]:
     """The Schur-form pairs and the class of the push-forward of theta^N, from one count pass.
 
     The pairs (lam, f(lam + eps)) are the ``schur_coefficients``.  The class
-    is homogeneous of degree w = N - d(r-d); the zero class when N is below
-    the fiber dimension d(r-d), or when w exceeds the base dimension.  Over
-    P^m it is the sum of count * value over the ``schur_form_terms`` rows at
-    the twists, times h^w, the rows that the degree sums, and the pairs are
-    read off those rows; over a formal base it is the class of the monomial
-    table built from the pairs.
+    is homogeneous of degree w = N - d(r-d), a plain table {exponent vector:
+    coefficient} over the generators of ``ring_of(model)``, which
+    ``chowring.table_terms`` renders; it is empty, the zero class, when N is
+    below the fiber dimension d(r-d) or when w exceeds the base dimension.
+    Over P^m it is {(w,): value}, with value the sum of count * value over
+    the ``schur_form_terms`` rows at the twists, the rows that the degree
+    sums, and the pairs are read off those rows; over a formal base it is
+    the monomial table built from the pairs, zero coefficients included.
     """
     require_exact((model,), "model", (FormalBundle, SplitBundle))
     require_sizes(d, r, N, model)
     weight = N - d * (r - d)
     if not 0 <= weight <= model.base_dim:
-        return schur_coefficients(N, d, r), ring_of(model).zero()
+        return schur_coefficients(N, d, r), {}
     if isinstance(model, FormalBundle):
         pairs = schur_coefficients(N, d, r)
-        return pairs, GradedPoly(ring_of(model), _monomial_table(N, d, r, pairs, model.base_dim))
+        return pairs, _monomial_table(N, d, r, pairs, model.base_dim)
     rows = schur_form_terms(N, d, [model.twists])[0]
     pairs = [(lam, count) for lam, count, _ in rows]
-    return pairs, GradedPoly(ring_of(model), {(weight,): sum(count * value for _, count, value in rows)})
+    return pairs, {(weight,): sum(count * value for _, count, value in rows)}
 
 
 def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
     """Push the N-th power of the Pluecker class down to the base of the model:
-    the class of ``pushforward_terms``."""
-    return pushforward_terms(N, d, r, model)[1]
+    the table of ``pushforward_terms`` as a ring element."""
+    table = pushforward_terms(N, d, r, model)[1]  # refuses a model of the wrong class first
+    return GradedPoly(ring_of(model), table)
 
 
 def schur_form_terms(

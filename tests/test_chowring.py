@@ -15,7 +15,7 @@ from pluckerpush import (
     ring_of,
     segre_classes,
 )
-from pluckerpush.chowring import render_terms
+from pluckerpush.chowring import render_terms, table_terms
 
 RING = GradedRing(names=("s1", "s2", "s3"), weights=(1, 2, 3), top_degree=6)
 
@@ -195,6 +195,16 @@ class TestRendering:
     def test_render_terms_round_trip_shape(self):
         p = 3 * RING.generator(1) - RING.generator(0) * RING.generator(0)
         assert render_terms(p.terms()) == str(p)
+
+    def test_table_terms_order_by_weight_then_exponents_and_drop_zeros(self):
+        # a plain table is rendered as it stands: its zeros are dropped, and
+        # it is ordered by weight, then by lexicographic exponents
+        table = {(0, 0, 1): 4, (2, 0, 0): -1, (0, 1, 0): 0, (1, 0, 0): Fraction(1, 2), (0, 0, 0): 7, (1, 1, 0): 1}
+        assert table_terms(RING, table) == [
+            ("", "7"), ("s1", "1/2"), ("s1^2", "-1"), ("s3", "4"), ("s1 s2", "1")
+        ]
+        assert table_terms(RING, {}) == table_terms(RING, {(1, 0, 0): 0}) == []
+        assert GradedPoly(RING, table).terms() == table_terms(RING, table)
 
 
 class TestModels:

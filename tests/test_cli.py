@@ -13,9 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pluckerpush
-from pluckerpush import rectangle, syt_count_hook
+from pluckerpush import (
+    FormalBundle,
+    GradedPoly,
+    SplitBundle,
+    pushforward_plucker_power,
+    pushforward_terms,
+    rectangle,
+    syt_count_hook,
+)
 from pluckerpush.chowring import render_terms
-from pluckerpush.cli import build_parser, main, parse_args, render_schur_terms
+from pluckerpush.cli import build_parser, main, parse_args, render_schur_terms, to_json
 
 
 def run_cli(capsys, *argv):
@@ -385,6 +393,140 @@ def test_command_output_is_pinned(capsys, argv, digest):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def model_argv(model):
+    """The options that name the model on the command line."""
+    if isinstance(model, FormalBundle):
+        return ("--base-dim", str(model.base_dim))
+    return ("--pm", str(model.base_dim), "--twists=" + ",".join(map(str, model.twists)))
+
+
+# (N, d, r, model, class text or None): classes whose plain table renders at an edge
+RENDER_EDGES = {
+    # the table holds s1^4 s4 with coefficient 0, which the class drops
+    "cancelled-monomial": (28, 5, 9, FormalBundle(base_dim=8, rank=9), None),
+    "below-fiber-dimension": (3, 2, 4, FormalBundle(base_dim=2, rank=4), "0"),
+    "weight-above-base-dimension": (7, 2, 4, FormalBundle(base_dim=2, rank=4), "0"),
+    "split-weight-above-base-dimension": (6, 2, 4, SplitBundle(base_dim=1, twists=(-1, 0, 2, 3)), "0"),
+    "base-dim-0": (4, 2, 4, FormalBundle(base_dim=0, rank=4), "2"),
+    "base-dim-0-above": (5, 2, 4, FormalBundle(base_dim=0, rank=4), "0"),
+    "split-h0": (4, 2, 4, SplitBundle(base_dim=2, twists=(-1, 0, 2, 3)), "2"),
+    "split-h": (2, 1, 2, SplitBundle(base_dim=1, twists=(0, 1)), "h"),
+    "split-minus-h": (2, 1, 2, SplitBundle(base_dim=3, twists=(0, -1)), "-h"),
+    "split-3h": (2, 1, 2, SplitBundle(base_dim=1, twists=(1, 2)), "3*h"),
+    # h_1(1, -1) = 0: the table holds {(1,): 0}
+    "split-cancelled": (2, 1, 2, SplitBundle(base_dim=1, twists=(1, -1)), "0"),
+}
+
+
+class TestClassRendering:
+    """The command line renders the plain table of ``pushforward_terms`` as
+    the oracle side renders the ring element of ``pushforward_plucker_power``."""
+
+    @pytest.mark.parametrize("case", RENDER_EDGES)
+    def test_class_line_is_the_ring_elements_text(self, capsys, case):
+        N, d, r, model, text = RENDER_EDGES[case]
+        argv = ("pushforward", "--N", str(N), "--d", str(d), "--r", str(r), *model_argv(model))
+        element = pushforward_plucker_power(N, d, r, model)
+        assert text in (None, str(element))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == f"class: {element}"
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["class_text"] == str(element)
+        assert [(t["monomial"], t["coefficient"]) for t in data["class_terms"]] == element.terms()
+
+    def test_cancelled_monomials_are_in_the_table_only(self):
+        N, d, r, model, _ = RENDER_EDGES["cancelled-monomial"]
+        table = pushforward_terms(N, d, r, model)[1]
+        assert table[(4, 0, 0, 1, 0, 0, 0, 0)] == 0
+        assert len(pushforward_plucker_power(N, d, r, model).monomials) == len(table) - 1 == 17
+        N, d, r, model, _ = RENDER_EDGES["split-cancelled"]
+        assert pushforward_terms(N, d, r, model)[1] == {(1,): 0}
+
+    def test_zero_classes_are_empty_tables(self):
+        for case in ("below-fiber-dimension", "weight-above-base-dimension",
+                     "split-weight-above-base-dimension", "base-dim-0-above"):
+            N, d, r, model, _ = RENDER_EDGES[case]
+            assert pushforward_terms(N, d, r, model)[1] == {}
+
+
+def _ring_element_refused(*args, **kwargs):
+    raise AssertionError("a GradedPoly was built")
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pushforward", "--N", "10", "--d", "2", "--r", "4", "--base-dim", "6"),
+        ("pushforward", "--N", "3", "--d", "2", "--r", "4", "--base-dim", "2"),
+        ("pushforward", "--N", "7", "--d", "2", "--r", "4", "--pm", "3", "--twists=-1,0,0,2"),
+        ("pushforward", "--N", "9", "--d", "2", "--r", "4", "--pm", "3", "--twists=-1,0,0,2"),
+        ("degree", "--d", "2", "--pm", "3", "--twists=-1,0,0,2"),
+    ],
+    ids=["formal", "formal-zero", "split", "split-zero", "degree"],
+)
+def test_production_builds_no_ring_element(capsys, monkeypatch, argv, json_flag):
+    # GradedPoly is the container of the oracle side; the commands render
+    # plain tables and rows, so refusing its constructor changes nothing
+    clean = run_cli(capsys, *argv, *json_flag)
+    assert clean[0] == 0
+    monkeypatch.setattr(GradedPoly, "__init__", _ring_element_refused)
+    assert run_cli(capsys, *argv, *json_flag) == clean
+
+
+# quotes, backslashes, control characters, non-ASCII text and a lone surrogate
+ESCAPED = '"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'
+JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(ESCAPED)))
+PAST_LIMIT = 10**4300  # 4301 digits, past the interpreter's default int/str limit
+JSON_LEAVES = st.one_of(
+    JSON_TEXT,
+    st.integers(),
+    st.integers(PAST_LIMIT, PAST_LIMIT * 10**50),
+    st.integers(-PAST_LIMIT * 10**50, -PAST_LIMIT),
+    st.sampled_from([True, False, 1, 0, -1, None]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def _writer_matches_json_dumps(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+class TestJsonWriter:
+    def test_matches_json_dumps(self):
+        # with the digit limit lifted, as cli.main lifts it around a command
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            _writer_matches_json_dumps()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_layout(self):
+        value = {"a": [1, True, 0, False, None], "b": {}, "c": [], "d": {"e": "\u00e9\"\n"}}
+        assert to_json(value) == (
+            '{\n  "a": [\n    1,\n    true,\n    0,\n    false,\n    null\n  ],\n  "b": {},\n'
+            '  "c": [],\n  "d": {\n    "e": "\\u00e9\\"\\n"\n  }\n}'
+        )
+
+    @pytest.mark.parametrize(
+        "value", [1.5, (1, 2), [0.5], {"a": (1,)}, {1: "a"}, {"a": {"b": [float("nan")]}}],
+        ids=["float", "tuple", "float-in-list", "tuple-in-dict", "int-key", "nested-float"],
+    )
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)
 
 
 def _table_refused(*args):
