@@ -204,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise UsageError(f"{flag} must be at least {least}, got {value}")
             kwargs[keyword] = value
     started = time.monotonic()
-    reports = run_suites(args.suite, **kwargs)
+    reports = run_suites(args.suite, verbose=args.verbose, **kwargs)
     failures = sum(rep.failures for rep in reports)
     if args.json:
         data = {

@@ -352,14 +352,21 @@ class SuiteReport(Record):
 
 
 def suite_theorem(
-    max_d: int = 3, max_r: int = 6, extra_powers: int = 4, trials: int = 20, seed: int = 42
+    max_d: int = 3,
+    max_r: int = 6,
+    extra_powers: int = 4,
+    trials: int = 20,
+    seed: int = 42,
+    verbose: bool = True,
 ) -> SuiteReport:
     """Localization versus Schur form over the full random grid.
 
     Covers every d <= max_d, d <= r <= max_r, and all powers from 0 through
     d(r-d) + extra_powers; powers below the fiber dimension double as the
     vanishing check.  Cell seeds are drawn from one splitmix64 stream seeded
-    as given, in grid order, so the whole run replays from the seed.
+    as given, in grid order, so the whole run replays from the seed.  The
+    per-trial lines are formatted only when ``verbose`` asks for them; else
+    the report's verbose lines stay empty.
     """
     master = SplitMix64(seed)
     comparisons = 0
@@ -375,11 +382,11 @@ def suite_theorem(
                 cells += 1
                 comparisons += len(report.trials)
                 failures += report.failures
-                for t in report.trials:
-                    status = "ok" if t.equal else "MISMATCH"
-                    verbose_lines.append(
-                        f"d={d} r={r} N={N} roots={t.roots} "
-                        f"localization={t.localization} schur={t.schur_form} {status}"
+                if verbose:
+                    verbose_lines.extend(
+                        f"d={d} r={r} N={N} roots={t.roots} localization={t.localization} "
+                        f"schur={t.schur_form} {'ok' if t.equal else 'MISMATCH'}"
+                        for t in report.trials
                     )
     return SuiteReport(
         suite="theorem",
@@ -509,18 +516,20 @@ def suite_degrees(max_r: int = 8) -> SuiteReport:
     )
 
 
-def run_suites(suite: str, **options: int) -> list[SuiteReport]:
+def run_suites(suite: str, verbose: bool = True, **options: int) -> list[SuiteReport]:
     """Run one named suite, or all three.
 
     ``options`` holds the options the caller gave: the grid bounds (max_d,
     max_r, extra_powers) and the theorem suite's trials and seed.  Each
     suite keeps its own defaults for the rest; the remark suite takes the
-    bounds, and the degrees suite only max_r.
+    bounds, and the degrees suite only max_r.  ``verbose`` False lets the
+    theorem suite skip formatting its per-trial lines, which a report
+    rendered without them never reads.
     """
     bounds = {name: value for name, value in options.items() if name not in ("trials", "seed")}
     reports = []
     if suite in ("theorem", "all"):
-        reports.append(suite_theorem(**options))
+        reports.append(suite_theorem(verbose=verbose, **options))
     if suite in ("remark", "all"):
         reports.append(suite_remark(**bounds))
     if suite in ("degrees", "all"):

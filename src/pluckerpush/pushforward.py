@@ -17,12 +17,15 @@ in the Segre classes, from the composition-sum form with factorial
 denominators.  The term of that form at an exponent vector depends on the
 vector in two ways only: the set of its shifted parts fixes the magnitude,
 the count f(lam + eps) of the partition lam of the set, and their order
-fixes the sign, as in the expansion of Delta_lam over permutations.  One
-depth-first walk over the compositions of the weight into d parts, each
-prefix visited once, carries a bitmask of the parts placed, a sign parity
-and an integer key, and no product; the digits of the key are the
-exponents of the vector's monomial, and the table adds each vector's count,
-read from the Schur-form pairs, with its sign, and divides nothing.  The
+fixes the sign, as in the expansion of Delta_lam over permutations.  The
+walk over the compositions of the weight into d parts is memoized by state:
+at each depth the bitmask of the shifted parts placed so far fixes all that
+the rest of the walk reads, so each (depth, placed set) state is visited
+once and returns the signed table of its suffixes, which its parent adds
+in with the key moved and the sign flipped as the placed part requires.
+The walk carries no product; the digits of a key are the exponents of a
+monomial, and each vector adds its set's count, read from the Schur-form
+pairs, with its sign, and nothing is divided.  The
 rational form of either denominator variant, a reference, enumerates the
 vectors on its own and ``_class_of_table`` reads it as a class; the
 Jacobi-Trudi sum in the graded ring is the oracle of both,
@@ -86,62 +89,79 @@ def schur_coefficients(N: int, d: int, r: int) -> Pairs:
     return [(lam, syt_count_product(lam, d, r)) for lam in enumerate_partitions(N - fiber_dim, d)]
 
 
-def _composition_terms(
-    weight: int, d: int, steps: Sequence[Sequence[int]]
-) -> list[tuple[int, int, int]]:
-    """Every live exponent vector k of the composition sum, as (key, set, parity).
+def _suffix_table(
+    weight: int, d: int, places: Sequence[int], signed: dict[int, tuple[int, int]]
+) -> dict[int, int]:
+    """The signed composition sum, as {key: coefficient}, walked once per state.
 
-    The vectors are the compositions of the weight into d parts.  The term at
-    k, N! * prod_{i<j} (s_i - s_j) over prod_i (r - 1 + s_i)! with shifted
-    parts s_i = k_i - i (i from 0), vanishes when two coincide, and the walk
-    never reaches it; else the set of the s_i fixes its magnitude and their
-    order its sign, so the walk carries no product.  Depth first, each part
-    tried from 0 up to what is left, it yields k in lexicographic order; the
-    last part is what is left, tested at its parent.  At depth i the mask
-    holds each placed s at bit s + i + 1, so one AND tests a candidate v at
-    bit v + 1, and the parity gains that of the placed parts below it, the
-    negative factors a - s.  The key sums steps[i][k_i], an encoding the
-    caller picks; the set is the final mask, with s at bit s + d.
+    The vectors are the compositions k of the weight into d parts whose
+    shifted parts s_i = k_i - i (i from 0) are pairwise distinct; the key of
+    k sums places[k_i], and its term is the entry of ``signed`` at its set of
+    shifted parts (s at bit s + d), picked by the parity of the pairs i < j
+    with s_i < s_j.  At depth i the mask of the placed parts, each s at bit
+    s + i + 1, fixes the weight left (the placed k sum to the placed s plus
+    i(i - 1)/2), the candidates v it blocks at bit v + 1, the parity each adds,
+    the count of placed bits below it, and with the suffix the final set.  So
+    the state (i, mask) has one table of its suffixes, memoized for this call,
+    and each state's table adds those of its children, the key moved by
+    places[v] and the sign flipped with the parity.  The last part is what is
+    left, tested at its parent.  Keys come in the order the vectors first
+    reach them, lexicographic; those whose terms cancel stay in, with 0.  A
+    set missing from ``signed`` is a KeyError naming its mask.
     """
     last = d - 1
     if not last:
-        return [(steps[0][weight], 2 << weight, 0)]
-    final = steps[last]
-    terms: list[tuple[int, int, int]] = []
+        return {places[weight]: signed[2 << weight][0]}
+    memo: list[dict[int, dict[int, int]]] = [{} for _ in range(last)]
 
-    def extend(i: int, left: int, key: int, mask: int, odd: int) -> None:
-        row = steps[i]
+    def suffix(i: int, mask: int, left: int) -> dict[int, int]:
+        table = memo[i].get(mask)
+        if table is not None:
+            return table
+        table = {}
+        get = table.get
         bit = 2
         if i < last - 1:
             for v in range(left + 1):
                 if not mask & bit:
-                    parity = odd ^ (mask & bit - 1).bit_count() & 1
-                    extend(i + 1, left - v, key + row[v], (mask | bit) << 1, parity)
+                    child = suffix(i + 1, (mask | bit) << 1, left - v)
+                    step = places[v]
+                    if (mask & bit - 1).bit_count() & 1:
+                        for key, count in child.items():
+                            key += step
+                            table[key] = get(key, 0) - count
+                    else:
+                        for key, count in child.items():
+                            key += step
+                            table[key] = get(key, 0) + count
                 bit <<= 1
-            return
-        forced = 2 << left
-        for v in range(left + 1):
-            if not mask & bit:
-                child = (mask | bit) << 1
-                if not child & forced:
-                    parity = (mask & bit - 1).bit_count() + (child & forced - 1).bit_count()
-                    terms.append((key + row[v] + final[left - v], child | forced, odd ^ parity & 1))
-            bit <<= 1
-            forced >>= 1
+        else:
+            forced = 2 << left
+            for v in range(left + 1):
+                if not mask & bit:
+                    child = (mask | bit) << 1
+                    if not child & forced:
+                        parity = (mask & bit - 1).bit_count() + (child & forced - 1).bit_count()
+                        key = places[v] + places[left - v]
+                        table[key] = get(key, 0) + signed[child | forced][parity & 1]
+                bit <<= 1
+                forced >>= 1
+        memo[i][mask] = table
+        return table
 
-    extend(0, weight, 0, 0, 0)
-    return terms
+    return suffix(0, 0, weight)
 
 
 def _monomial_table(N: int, d: int, r: int, pairs: Pairs, width: int) -> Table:
     """The push-forward over a formal base as {exponent vector of s_1..s_width: coefficient}.
 
-    Read from the ``schur_coefficients`` pairs.  The walk keys each k by the
-    sum of (d + 1)^{k_i}, whose digit v is the exponent of s_v in the
-    monomial of k, padded with zeros up to the width.  Up to its sign, the
-    term at k is the count f(lam + eps) of the partition lam of its set of
-    shifted parts, so each k adds, with its sign, the pair's count of its
-    set, and nothing is divided; a set of no partition is an AssertionError.
+    Read from the ``schur_coefficients`` pairs.  ``_suffix_table`` keys each
+    k by the sum of (d + 1)^{k_i}, whose digit v is the exponent of s_v in
+    the monomial of k; the digits are peeled up to the key's highest nonzero
+    one and padded with zeros up to the width.  Up to its sign, the term at k
+    is the count f(lam + eps) of the partition lam of its set of shifted
+    parts, so each k adds, with its sign, the pair's count of its set, and
+    nothing is divided; a set of no partition is an AssertionError.
     Monomials whose terms cancel stay in, with coefficient 0.
     """
     signed: dict[int, tuple[int, int]] = {}
@@ -149,18 +169,22 @@ def _monomial_table(N: int, d: int, r: int, pairs: Pairs, width: int) -> Table:
         signed[sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d)))] = (count, -count)
     weight = N - d * (r - d)
     base = d + 1
-    places = [base**v for v in range(weight + 1)]
-    table: dict[int, int] = {}
-    terms = _composition_terms(weight, d, [places] * d)
     try:
-        for key, mask, odd in terms:
-            table[key] = table.get(key, 0) + signed[mask][odd]
+        keyed = _suffix_table(weight, d, [base**v for v in range(weight + 1)], signed)
     except KeyError as missing:
         (mask,) = missing.args
         stray = [b - d for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
         raise AssertionError(f"walk reached the set {stray}, of no partition, for d={d}, r={r}") from None
-    padding = (0,) * (width - weight)
-    return {tuple(key // place % base for place in places[1:]) + padding: c for key, c in table.items()}
+    padding = [(0,) * (width - n) for n in range(weight + 1)]
+    table: Table = {}
+    for key, coefficient in keyed.items():
+        exps = []
+        key //= base
+        while key:
+            key, exp = divmod(key, base)
+            exps.append(exp)
+        table[tuple(exps) + padding[len(exps)]] = coefficient
+    return table
 
 
 def _class_of_table(

@@ -541,7 +541,7 @@ class TestSplitModelReadsSchurRows:
     FORMAL = ("pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2")
 
     def test_split_pushforward_builds_no_table(self, capsys, monkeypatch):
-        for name in ("_monomial_table", "_composition_terms"):
+        for name in ("_monomial_table", "_suffix_table"):
             monkeypatch.setattr(pluckerpush.pushforward, name, _table_refused)
         code, out = run_cli(capsys, *self.SPLIT)
         assert code == 0

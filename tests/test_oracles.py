@@ -293,6 +293,15 @@ class TestVerifyDrivers:
         b = suite_theorem(max_d=2, max_r=3, extra_powers=1, trials=3, seed=1)
         assert a.to_text(verbose=True) == b.to_text(verbose=True)
 
+    def test_theorem_suite_formats_trial_lines_only_when_verbose(self):
+        # a report rendered without its trial lines is the same either way
+        bounds = dict(max_d=2, max_r=3, extra_powers=1, trials=3, seed=1)
+        full, quiet = suite_theorem(**bounds), suite_theorem(**bounds, verbose=False)
+        assert len(full.verbose_lines) == full.comparisons > 0
+        assert quiet.verbose_lines == []
+        assert (quiet.to_text(), quiet.to_json_dict()) == (full.to_text(), full.to_json_dict())
+        assert [rep.verbose_lines for rep in run_suites("theorem", verbose=False, **bounds)] == [[]]
+
     def test_remark_suite_names_factorial(self):
         report = suite_remark(max_d=2, max_r=4, extra_powers=2)
         assert report.passed
@@ -396,15 +405,16 @@ def _first_subset_missing_a_cross_pair(real, r, d):
     return pairs, [(subset, cross[:-1]), *rest]
 
 
-# Faults in the walk over the exponent vectors that the monomial table reads.
-# Each returns the (key, set mask, parity) triples of the walk with one slip:
-# in which vectors it reaches, in the sign it gives them, or in the key or
-# set it reports.  The rational form enumerates its own vectors, so the
-# remark suite sees these faults through its table check.
-def _walk_by_brute_force(weight, d, steps, live, inversions):
+# Faults in the walk whose signed suffix table the monomial table reads.
+# Each returns the table {key: coefficient} with one slip: in which vectors
+# it reaches, in the sign it gives them, in the key or set it reports, or in
+# the state it memoizes a suffix under.  A brute-force table with the slip
+# stands in for the state walk.  The rational form enumerates its own
+# vectors, so the remark suite sees these faults through its table check.
+def _walk_by_brute_force(weight, d, places, live, inversions):
     # every composition of the weight into d parts, in lexicographic order,
-    # kept when ``live`` accepts its shifted parts k_i - i; the sign's parity
-    # is that of ``inversions`` of the shifted parts
+    # kept when ``live`` accepts its shifted parts k_i - i, as (key, set
+    # mask, parity); the parity is that of ``inversions`` of the shifted parts
     terms = []
     for k in itertools.product(range(weight + 1), repeat=d):
         shifted = [part - i for i, part in enumerate(k)]
@@ -412,8 +422,20 @@ def _walk_by_brute_force(weight, d, steps, live, inversions):
             mask = 0
             for s in shifted:
                 mask |= 1 << (s + d)
-            terms.append((sum(steps[i][part] for i, part in enumerate(k)), mask, inversions(shifted) & 1))
+            terms.append((sum(places[part] for part in k), mask, inversions(shifted) & 1))
     return terms
+
+
+def _summed(terms, signed):
+    # the table of the terms: each adds its set's entry, with its parity
+    table = {}
+    for key, mask, odd in terms:
+        table[key] = table.get(key, 0) + signed[mask][odd]
+    return table
+
+
+def _distinct(shifted):
+    return len(set(shifted)) == len(shifted)
 
 
 def _inversions(shifted, first=0):
@@ -421,47 +443,81 @@ def _inversions(shifted, first=0):
     return sum(shifted[i] < b for i in range(first, len(shifted)) for b in shifted[i + 1 :])
 
 
-def _last_vector_dropped(real, weight, d, steps):
-    return real(weight, d, steps)[:-1]
+def _last_vector_dropped(_, weight, d, places, signed):
+    return _summed(_walk_by_brute_force(weight, d, places, _distinct, _inversions)[:-1], signed)
 
 
-def _pruned_off_by_one(_, weight, d, steps):
+def _pruned_off_by_one(_, weight, d, places, signed):
     # the set test compares k_i - i with an earlier k_j - j - 1 instead of
     # k_j - j, so a vector with a repeated shifted part reaches a set of no
     # partition
     def live(shifted):
         return all(shifted[i] != shifted[j] - 1 for i in range(d) for j in range(i))
 
-    return _walk_by_brute_force(weight, d, steps, live, _inversions)
+    return _summed(_walk_by_brute_force(weight, d, places, live, _inversions), signed)
 
 
-def _parity_skips_first_part(_, weight, d, steps):
+def _parity_skips_first_part(_, weight, d, places, signed):
     # the parity leaves out the factors against the part placed at depth 0
-    def live(shifted):
-        return len(set(shifted)) == d
-
-    return _walk_by_brute_force(weight, d, steps, live, lambda shifted: _inversions(shifted, first=1))
+    terms = _walk_by_brute_force(weight, d, places, _distinct, lambda shifted: _inversions(shifted, first=1))
+    return _summed(terms, signed)
 
 
-def _grouped_by_set(real, weight, d, steps):
+def _grouped_by_set(_, weight, d, places, signed):
     # each k adds its term to the monomial of the partition lam of its set,
     # lam_i = s_i + i over the shifted parts in decreasing order, instead of
     # to its own: the table holds the Schur-form counts, read as monomials
     terms = []
-    for _, mask, odd in real(weight, d, steps):
+    for _, mask, odd in _walk_by_brute_force(weight, d, places, _distinct, _inversions):
         shifted = [b - d for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1]
-        terms.append((sum(steps[0][s + i] for i, s in enumerate(shifted)), mask, odd))
-    return terms
+        terms.append((sum(places[s + i] for i, s in enumerate(shifted)), mask, odd))
+    return _summed(terms, signed)
 
 
-def _memo_keyed_by_multiset(real, weight, d, steps):
+def _memo_keyed_by_multiset(_, weight, d, places, signed):
     # each k reads the count of the partition mu of its sorted parts, the
     # base-(d + 1) digits of its key, instead of that of its set
     terms = []
-    for key, _, odd in real(weight, d, steps):
+    for key, _, odd in _walk_by_brute_force(weight, d, places, _distinct, _inversions):
         mu = [v for v in range(weight, -1, -1) for _ in range(key // (d + 1) ** v % (d + 1))]
         terms.append((key, sum(1 << (part - i + d) for i, part in enumerate(mu)), odd))
-    return terms
+    return _summed(terms, signed)
+
+
+def _walk_by_states(weight, d, places, signed, state):
+    # the suffix recursion over the shifted parts placed so far: a state
+    # with two or more parts to place keeps its table under ``state(placed,
+    # left)``, and the last part is what is left
+    memo = {}
+
+    def suffix(placed, left):
+        i = len(placed)
+        if i == d - 1:
+            s = left - i
+            if s in placed:
+                return {}
+            mask = sum(1 << (p + d) for p in (*placed, s))
+            return {places[left]: signed[mask][sum(p < s for p in placed) & 1]}
+        key = state(placed, left)
+        if key not in memo:
+            table = {}
+            for v in range(left + 1):
+                s = v - i
+                if s not in placed:
+                    sign = (-1) ** sum(p < s for p in placed)
+                    for rest, count in suffix((*placed, s), left - v).items():
+                        table[rest + places[v]] = table.get(rest + places[v], 0) + sign * count
+            memo[key] = table
+        return memo[key]
+
+    return suffix((), weight)
+
+
+def _memo_keyed_by_weight_left(_, weight, d, places, signed):
+    # a state's table is kept under its depth and the weight left, not its
+    # placed set: at d <= 3 the one memoized depth with more than one state
+    # has its set fixed by the weight left, so the slip shows from d = 4
+    return _walk_by_states(weight, d, places, signed, lambda placed, left: (len(placed), left))
 
 
 # Faults in the rational form's own denominator table; the monomial table
@@ -537,11 +593,12 @@ FAULTS = [
     Row(pushforward, "jacobi_trudi_det", _negated_from_two_rows, "theorem", 1),
     Row(oracles, "localization_pushforward", _roots_negated, "theorem", 1),
     Row(oracles, "_subset_plan", _first_subset_missing_a_cross_pair, "theorem", 1),
-    Row(pushforward, "_composition_terms", _last_vector_dropped, "remark", 1),
-    Row(pushforward, "_composition_terms", _parity_skips_first_part, "remark", 1),
-    Row(pushforward, "_composition_terms", _pruned_off_by_one, "remark", 3),
-    Row(pushforward, "_composition_terms", _grouped_by_set, "remark", 1),
-    Row(pushforward, "_composition_terms", _memo_keyed_by_multiset, "remark", 1),
+    Row(pushforward, "_suffix_table", _last_vector_dropped, "remark", 1),
+    Row(pushforward, "_suffix_table", _parity_skips_first_part, "remark", 1),
+    Row(pushforward, "_suffix_table", _pruned_off_by_one, "remark", 3),
+    Row(pushforward, "_suffix_table", _grouped_by_set, "remark", 1),
+    Row(pushforward, "_suffix_table", _memo_keyed_by_multiset, "remark", 1),
+    Row(pushforward, "_suffix_table", _memo_keyed_by_weight_left, "remark-d4", 1),
     Row(pushforward, "_denominator_table", _denominator_one_late, "remark", 1),
     Row(pushforward, "_denominator_table", _always_linear, "remark", 1),
     Row(oracles, "segre_classes", _odd_segre_negated, "remark", 1),
@@ -556,6 +613,8 @@ ROW = {row.fault: row for row in FAULTS}
 SUITES = {
     "theorem": ["verify", "--suite", "theorem", "--max-d", "2", "--max-r", "4", "--trials", "2"],
     "remark": ["verify", "--suite", "remark", "--max-d", "2", "--max-r", "4", "--extra-N", "2"],
+    # a state memo keyed by less than the placed set shows only from d = 4
+    "remark-d4": ["verify", "--suite", "remark", "--max-d", "4", "--max-r", "5", "--extra-N", "2"],
     "degrees": ["verify", "--suite", "degrees"],
 }
 
@@ -707,6 +766,29 @@ class TestRemarkSuiteCatchesPlantedFaults:
             "d=2 r=3 N=4 table: mismatch",
             "d=2 r=4 N=6 table: mismatch",
         ]
+
+    def test_state_stand_in_keyed_by_the_placed_set_is_the_walk(self):
+        # the weight-left fault's stand-in differs from the walk in its memo
+        # key alone: keyed by the placed set it gives the walk's table
+        for d in range(1, 6):
+            for r in (d, d + 2):
+                for weight in range(8):
+                    N = d * (r - d) + weight
+                    signed = {
+                        sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d))): (count, -count)
+                        for lam, count in pushforward.schur_coefficients(N, d, r)
+                    }
+                    places = [(d + 1) ** v for v in range(weight + 1)]
+                    walk = pushforward._suffix_table(weight, d, places, signed)
+                    by_set = _walk_by_states(weight, d, places, signed, lambda placed, _: frozenset(placed))
+                    assert list(by_set.items()) == list(walk.items())
+
+    def test_weight_left_memo_fails_one_instance_at_d_4(self, monkeypatch):
+        # at d=4, r=5, w=2 two placed sets at depth 2 share the weight left
+        plant(monkeypatch, ROW[_memo_keyed_by_weight_left])
+        report = suite_remark(max_d=4, max_r=5, extra_powers=2)
+        assert report.failures == 1
+        assert [line for line in report.verbose_lines if "table" in line] == ["d=4 r=5 N=6 table: mismatch"]
 
     def test_pruning_fault_stops_the_table(self, monkeypatch):
         plant(monkeypatch, ROW[_pruned_off_by_one])

@@ -35,7 +35,7 @@ from pluckerpush import (
 import pluckerpush.pushforward as pushforward_module
 import pluckerpush.tableaux as tableaux_module
 from pluckerpush.cli import main
-from pluckerpush.pushforward import _composition_terms, _monomial_table
+from pluckerpush.pushforward import _monomial_table, _suffix_table
 
 
 def pushforward_schur_class(mu, d, r, segre):
@@ -157,38 +157,91 @@ class TestPluckerPowerPushforward:
             pushforward_plucker_power(4, 3, 2, FormalBundle(base_dim=1, rank=2))
 
 
-def positional_steps(weight, d):
-    """Steps that key each vector k by the digits k_i of base w + 1, k_0 lowest."""
-    return [[v * (weight + 1) ** i for v in range(weight + 1)] for i in range(d)]
+def partition_masks(weight, d):
+    """The set mask of each partition lam of the weight with at most d parts:
+    each shifted part s_i = lam_i - i at bit s_i + d."""
+    return [sum(1 << (part - i + d) for i, part in enumerate(lam.padded(d))) for lam in enumerate_partitions(weight, d)]
 
 
-def walked(weight, d):
-    """The walk's vectors as (k, shifted set in decreasing order, sign)."""
-    base = weight + 1
-    out = []
-    for key, mask, odd in _composition_terms(weight, d, positional_steps(weight, d)):
-        k = tuple(key // base**i % base for i in range(d))
-        shifted = tuple(b - d for b in reversed(range(mask.bit_length())) if mask >> b & 1)
-        out.append((k, shifted, -1 if odd else 1))
+def shifted_set(mask, d):
+    """The shifted parts of a set mask, in decreasing order."""
+    return tuple(b - d for b in reversed(range(mask.bit_length())) if mask >> b & 1)
+
+
+def state_sums(weight, d):
+    """The state table read one set at a time: {(digits of the key, shifted
+    set): signed number of its vectors}, nonzero entries only.  Digit v of a
+    key counts the parts k_i = v.  Each set is walked with count 1 and every
+    other with 0, so the entries hold the signs alone."""
+    base = d + 1
+    places = [base**v for v in range(weight + 1)]
+    masks = partition_masks(weight, d)
+    out = {}
+    for one in masks:
+        signed = dict.fromkeys(masks, (0, 0))
+        signed[one] = (1, -1)
+        for key, count in _suffix_table(weight, d, places, signed).items():
+            if count:
+                out[tuple(key // base**v % base for v in range(weight + 1)), shifted_set(one, d)] = count
     return out
 
 
-class TestCompositionTerms:
+def brute_sums(vectors, weight):
+    """What ``state_sums`` reads, from a list of live vectors k: each adds the
+    sign of its difference product, the parity of its inversions."""
+    out = {}
+    for k in vectors:
+        shifted = [part - i for i, part in enumerate(k)]
+        inversions = sum(a < b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
+        entry = tuple(k.count(v) for v in range(weight + 1)), tuple(sorted(shifted, reverse=True))
+        out[entry] = out.get(entry, 0) + (-1) ** inversions
+    return {entry: count for entry, count in out.items() if count}
+
+
+def live_vectors(weight, d, head=()):
+    """The compositions of the weight into d parts whose shifted parts
+    k_i - i are pairwise distinct, in lexicographic order."""
+    i = len(head)
+    placed = {part - j for j, part in enumerate(head)}
+    if i == d - 1:
+        return [] if weight - i in placed else [(*head, weight)]
+    out = []
+    for v in range(weight + 1):
+        if v - i not in placed:
+            out += live_vectors(weight - v, d, (*head, v))
+    return out
+
+
+class CountedReads(dict):
+    """A dict that counts the entries read through subscription."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+class TestSuffixTable:
     def test_examples(self):
         # d=3, w=2: of the compositions of 2 into 3 parts only these are live
         # k=(0,2,0): shifted (0,1,-2), difference (-1)(2)(3), negative
         # k=(1,1,0): shifted (1,0,-2), the same set, difference (1)(3)(2)
-        # k=(2,0,0): shifted (2,-1,-2), difference (3)(4)(1)
-        assert walked(2, 3) == [
-            ((0, 2, 0), (1, 0, -2), -1),
-            ((1, 1, 0), (1, 0, -2), 1),
-            ((2, 0, 0), (2, -1, -2), 1),
-        ]
-        assert walked(2, 2) == [((0, 2), (1, 0), -1), ((1, 1), (1, 0), 1), ((2, 0), (2, -1), 1)]
-        assert walked(3, 1) == [((3,), (3,), 1)]
-        assert walked(0, 2) == [((0, 0), (0, -1), 1)]
-        # the key is the sum of the steps the caller picks, here (d + 1)^{k_i}
-        assert [key for key, _, _ in _composition_terms(2, 2, [[1, 3, 9]] * 2)] == [10, 6, 10]
+        # k=(2,0,0): shifted (2,-1,-2), difference (3)(4)(1), and the
+        # monomial of k=(0,2,0)
+        assert state_sums(2, 3) == {
+            ((2, 0, 1), (1, 0, -2)): -1,
+            ((1, 2, 0), (1, 0, -2)): 1,
+            ((2, 0, 1), (2, -1, -2)): 1,
+        }
+        assert state_sums(2, 2) == {((1, 0, 1), (1, 0)): -1, ((0, 2, 0), (1, 0)): 1, ((1, 0, 1), (2, -1)): 1}
+        assert state_sums(3, 1) == {((0, 0, 0, 1), (3,)): 1}
+        assert state_sums(0, 2) == {((2,), (0, -1)): 1}
+        # the key sums places[k_i]; the keys come in the order their first
+        # vectors take, (0,2) and (2,0) at 10, (1,1) at 6, and each adds its
+        # set's entry with its sign: -1 + 100 at 10
+        table = _suffix_table(2, 2, [1, 3, 9], {0b1100: (1, -1), 0b10010: (100, -100)})
+        assert list(table.items()) == [(10, 99), (6, 1)]
 
     # no deadline: the d=6, w=6 examples use much of the default 200 ms, more under a tracer
     @settings(deadline=None)
@@ -202,24 +255,21 @@ class TestCompositionTerms:
         # oracle: every vector of d parts in 0..w, in lexicographic order, kept
         # when its parts sum to w and its shifted parts k_i - i are pairwise
         # distinct, with both products recomputed from the whole vector; the
-        # walk gives each vector's key, set and the sign of its difference
-        # product, and the rational form the term itself, or the
-        # ZeroDivisionError of the first vector whose denominator vanishes
+        # state table gives each (monomial, set) the signed number of its
+        # vectors, and the rational form each term, or the ZeroDivisionError
+        # of the first vector whose denominator vanishes
         r = d + extra_rank
         N = d * (r - d) + weight
         D = factorial if variant == "factorial" else (lambda t: t)
-        steps = positional_steps(weight, d)
-        walk, terms = [], []
+        vectors, terms = [], []
         for k in itertools.product(range(weight + 1), repeat=d):
             shifted = [part - i for i, part in enumerate(k)]
             if sum(k) == weight and len(set(shifted)) == d:
                 difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
                 denominator = prod(D(r + s - 1) for s in shifted)
-                key = sum(steps[i][part] for i, part in enumerate(k))
-                mask = sum(1 << (s + d) for s in shifted)
-                walk.append((key, mask, int(difference < 0)))
+                vectors.append(k)
                 terms.append((k, factorial(N) * difference, denominator))
-        assert _composition_terms(weight, d, steps) == walk
+        assert state_sums(weight, d) == brute_sums(vectors, weight)
         vanishing = [k for k, _, denominator in terms if denominator == 0]
         if vanishing:
             message = f"{variant} denominator vanishes at k={vanishing[0]} for d={d}, r={r}"
@@ -232,25 +282,21 @@ class TestCompositionTerms:
     def test_sign_is_the_parity_of_inversions(self):
         for d in range(1, 7):
             for weight in range(9):
-                for k, shifted, sign in walked(weight, d):
-                    parts = [part - i for i, part in enumerate(k)]
-                    inversions = sum(a < b for i, a in enumerate(parts) for b in parts[i + 1 :])
-                    assert sign == (-1) ** inversions
+                assert state_sums(weight, d) == brute_sums(live_vectors(weight, d), weight)
 
     def test_sets_are_the_partitions(self):
         # the sets reached are those of the partitions lam of w with at most
-        # d parts, s_i = lam_i - i; lam is the largest k of its set, and there
-        # the shifted parts decrease, so its sign is positive
+        # d parts, s_i = lam_i - i: with their entries the walk reads no
+        # other, and with any one left out it stops at that one
         for d in range(1, 7):
             for weight in range(9):
-                largest = {}
-                for k, shifted, sign in walked(weight, d):
-                    largest[shifted] = max(largest.get(shifted, (k, sign)), (k, sign))
-                expected = {
-                    tuple(part - i for i, part in enumerate(lam.padded(d))): (lam.padded(d), 1)
-                    for lam in enumerate_partitions(weight, d)
-                }
-                assert largest == expected
+                masks = partition_masks(weight, d)
+                places = [(d + 1) ** v for v in range(weight + 1)]
+                _suffix_table(weight, d, places, dict.fromkeys(masks, (1, -1)))
+                for mask in masks:
+                    with pytest.raises(KeyError) as missing:
+                        _suffix_table(weight, d, places, dict.fromkeys(set(masks) - {mask}, (1, -1)))
+                    assert missing.value.args == (mask,)
 
     def test_magnitude_is_the_tableau_count(self):
         # the term of the set at its one k with decreasing shifted parts,
@@ -259,19 +305,26 @@ class TestCompositionTerms:
             for r in range(d, d + 4):
                 for weight in range(7):
                     N = d * (r - d) + weight
-                    sets = {mask for _, mask, _ in _composition_terms(weight, d, positional_steps(weight, d))}
-                    for mask in sets:
-                        shifted = sorted((b - d for b in range(mask.bit_length()) if mask >> b & 1), reverse=True)
+                    for mask in partition_masks(weight, d):
+                        shifted = shifted_set(mask, d)
                         numerator = factorial(N) * prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
                         denominator = prod(factorial(r - 1 + s) for s in shifted)
                         lam = Partition(s + i for i, s in enumerate(shifted))
                         assert numerator == syt_count_product(lam, d, r) * denominator
 
-    @pytest.mark.parametrize("d,weight,vectors,sets", [(8, 16, 18185, 186), (6, 20, 15363, 282)])
-    def test_counts_are_pinned(self, d, weight, vectors, sets):
-        terms = _composition_terms(weight, d, [[(d + 1) ** v for v in range(weight + 1)]] * d)
-        assert len(terms) == vectors
-        assert len({mask for _, mask, _ in terms}) == sets == len(enumerate_partitions(weight, d))
+    @pytest.mark.parametrize(
+        "d,weight,vectors,sets,reads", [(8, 16, 18185, 186, 682), (6, 20, 15363, 282, 1828)]
+    )
+    def test_counts_are_pinned(self, d, weight, vectors, sets, reads):
+        # each state is walked once, so the sets' entries are read once per
+        # state and last free part, far fewer times than there are vectors;
+        # the table has one key per set, the monomial of its partition
+        masks = partition_masks(weight, d)
+        signed = CountedReads.fromkeys(masks, (1, -1))
+        table = _suffix_table(weight, d, [(d + 1) ** v for v in range(weight + 1)], signed)
+        assert len(live_vectors(weight, d)) == vectors
+        assert len(table) == len(masks) == sets == len(enumerate_partitions(weight, d))
+        assert signed.reads == reads < vectors
 
 
 class TestMonomialTable:
@@ -289,6 +342,32 @@ class TestMonomialTable:
         assert pushforward_plucker_power(10, 4, 5, FormalBundle(base_dim=6, rank=5)).monomials == expected
         model = FormalBundle(base_dim=2, rank=3)
         assert str(pushforward_plucker_power(4, 2, 3, model)) == "s2 + 2*s1^2"
+
+    @pytest.mark.parametrize(
+        "d,r,weight",
+        [(d, r, w) for d in range(1, 7) for r in range(d, d + 5) for w in range(9)] + [(6, 12, 12)],
+    )
+    def test_equals_the_signed_composition_sum(self, d, r, weight):
+        # oracle: each live vector k of the composition sum adds its term,
+        # N! * prod_{i<j} (s_i - s_j) over prod_i (r - 1 + s_i)!, to its
+        # monomial; keys, values, zero entries and key order must agree
+        N = d * (r - d) + weight
+        width = weight + 1
+        expected = {}
+        for k in live_vectors(weight, d):
+            shifted = [part - i for i, part in enumerate(k)]
+            difference = prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1 :])
+            term = Fraction(factorial(N) * difference, prod(factorial(r - 1 + s) for s in shifted))
+            exps = tuple(k.count(v) for v in range(1, width + 1))
+            expected[exps] = expected.get(exps, 0) + term
+        table = _monomial_table(N, d, r, schur_coefficients(N, d, r), width)
+        assert list(table.items()) == list(expected.items())
+        assert all(type(c) is int for c in table.values())
+
+    def test_cancelled_monomial_stays_in(self):
+        # N=28, d=5, r=9 over an eightfold: the terms of s1^4 s4 cancel
+        table = _monomial_table(28, 5, 9, schur_coefficients(28, 5, 9), 8)
+        assert table[4, 0, 0, 1, 0, 0, 0, 0] == 0
 
     def test_one_count_per_partition(self, monkeypatch):
         # d=4, r=5, w=6: 9 counts, one per partition of 6 with at most 4 parts
@@ -331,12 +410,14 @@ class TestMonomialTable:
         assert (captured.out, captured.err) == ("", f"internal invariant violated: {message}\n")
 
     def test_set_of_no_partition_is_named(self, monkeypatch, capsys):
-        # a walk that yields the set {1} at d=2, a repeated shifted part, is
+        # a walk that reads the set {1} at d=2, a repeated shifted part, is
         # an internal fault: the table names the set and the command exits 3
-        walk = _composition_terms
-        monkeypatch.setattr(
-            pushforward_module, "_composition_terms", lambda w, d, steps: walk(w, d, steps) + [(0, 1 << 3, 0)]
-        )
+        walk = _suffix_table
+
+        def stray(weight, d, places, signed):
+            return {**walk(weight, d, places, signed), 0: signed[1 << 3][0]}
+
+        monkeypatch.setattr(pushforward_module, "_suffix_table", stray)
         message = "walk reached the set [1], of no partition, for d=2, r=4"
         with pytest.raises(AssertionError, match=re.escape(message)):
             pushforward_plucker_power(6, 2, 4, FormalBundle(base_dim=2, rank=4))
@@ -557,11 +638,11 @@ class TestRationalForm:
     def test_reads_no_walk(self, monkeypatch):
         # the rational form enumerates its own vectors: with the table's walk
         # refused, both variants give what they gave before
-        def refused(weight, d, steps):
+        def refused(weight, d, places, signed):
             raise AssertionError("the walk was reached")
 
         clean = {(N, v): rational_form_coefficients(N, 3, 4, v) for N in (6, 7) for v in ("linear", "factorial")}
-        monkeypatch.setattr(pushforward_module, "_composition_terms", refused)
+        monkeypatch.setattr(pushforward_module, "_suffix_table", refused)
         for (N, v), coefficients in clean.items():
             assert rational_form_coefficients(N, 3, 4, v) == coefficients
 
