@@ -247,6 +247,7 @@ BundleModel = FormalBundle | SplitBundle
 
 def ring_of(model: BundleModel) -> GradedRing:
     """The coefficient ring the model's classes live in."""
+    require_exact((model,), "model", (FormalBundle, SplitBundle))
     if isinstance(model, FormalBundle):
         n = model.base_dim
         return GradedRing(

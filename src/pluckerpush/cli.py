@@ -82,7 +82,7 @@ def _parse_twists(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad twists {text!r}: {exc}") from None
 
 
-def _build_model(args: argparse.Namespace, r: int) -> BundleModel:
+def _build_model(args: argparse.Namespace) -> BundleModel:
     has_formal = args.base_dim is not None
     has_split = args.pm is not None or args.twists is not None
     if has_formal == has_split:
@@ -90,14 +90,14 @@ def _build_model(args: argparse.Namespace, r: int) -> BundleModel:
     if has_formal:
         if args.base_dim < 0:
             raise UsageError("--base-dim must be nonnegative")
-        return FormalBundle(base_dim=args.base_dim, rank=r)
+        return FormalBundle(base_dim=args.base_dim, rank=args.r)
     if args.pm is None or args.twists is None:
         raise UsageError("the split model needs both --pm and --twists")
     if args.pm < 0:
         raise UsageError("--pm must be nonnegative")
     twists = _parse_twists(args.twists)
-    if len(twists) != r:
-        raise UsageError(f"--twists lists {len(twists)} values, expected r={r}")
+    if len(twists) != args.r:
+        raise UsageError(f"--twists lists {len(twists)} values, expected r={args.r}")
     return SplitBundle(base_dim=args.pm, twists=twists)
 
 
@@ -112,8 +112,8 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
         raise UsageError(f"--N must be nonnegative, got {args.N}")
     if not 1 <= args.d <= args.r:
         raise UsageError(f"need 1 <= d <= r, got d={args.d}, r={args.r}")
-    model = _build_model(args, args.r)
-    schur_pairs, table = pushforward_terms(args.N, args.d, args.r, model)
+    model = _build_model(args)
+    schur_pairs, table = pushforward_terms(args.N, args.d, model)
     schur_terms = [(str(lam), str(coeff)) for lam, coeff in schur_pairs]
     class_terms = table_terms(ring_of(model), table)
     class_text = render_terms(class_terms)

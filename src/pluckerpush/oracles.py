@@ -136,16 +136,15 @@ def schur_form_at_roots(
     ]
 
 
-def schur_form_pushforward(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
-    """The tableau-weighted Schur sum in the model's graded ring.
+def schur_form_pushforward(N: int, d: int, model: BundleModel) -> GradedPoly:
+    """The tableau-weighted Schur sum in the model's graded ring, at its rank.
 
     Each Delta_lam is a Jacobi-Trudi determinant of the model's Segre classes,
     expanded with ring multiplications; the monomial table of the production
     path is checked against this sum.
     """
     require_exact((model,), "model", (FormalBundle, SplitBundle))
-    require_sizes(d, r, N, model)
-    return _schur_sum(schur_coefficients(N, d, r), d, model, {})
+    return _schur_sum(schur_coefficients(N, d, model.rank), d, model, {})
 
 
 def _schur_sum(
@@ -435,7 +434,7 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
                 instances += 1
                 model = FormalBundle(base_dim=N - fiber_dim, rank=r)
                 expected = _schur_sum(schur_coefficients(N, d, r), d, model, deltas)
-                if pushforward_plucker_power(N, d, r, model) != expected:
+                if pushforward_plucker_power(N, d, model) != expected:
                     table_mismatches += 1
                     verbose_lines.append(f"d={d} r={r} N={N} table: mismatch")
                 for variant in variants:

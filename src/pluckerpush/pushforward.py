@@ -219,21 +219,22 @@ def _class_of_table(
     return GradedPoly(ring, {(weight,): value})
 
 
-def pushforward_terms(N: int, d: int, r: int, model: BundleModel) -> tuple[Pairs, Table]:
+def pushforward_terms(N: int, d: int, model: BundleModel) -> tuple[Pairs, Table]:
     """The Schur-form pairs and the class of the push-forward of theta^N, from one count pass.
 
-    The pairs (lam, f(lam + eps)) are the ``schur_coefficients``.  The class
-    is homogeneous of degree w = N - d(r-d), a plain table {exponent vector:
-    coefficient} over the generators of ``ring_of(model)``, which
-    ``chowring.table_terms`` renders; it is empty, the zero class, when N is
-    below the fiber dimension d(r-d) or when w exceeds the base dimension.
-    Over P^m it is {(w,): value}, with value the sum of count * value over
-    the ``schur_form_terms`` rows at the twists, the rows that the degree
-    sums, and the pairs are read off those rows; over a formal base it is
-    the monomial table built from the pairs, zero coefficients included.
+    r is the model's rank.  The pairs (lam, f(lam + eps)) are the
+    ``schur_coefficients``.  The class, homogeneous of degree w = N - d(r-d),
+    is a plain table {exponent vector: coefficient} over the generators of
+    ``ring_of(model)``, which ``chowring.table_terms`` renders; it is empty,
+    the zero class, when N is below the fiber dimension d(r-d) or when w
+    exceeds the base dimension.  Over P^m it is {(w,): value}, value the sum
+    of count * value over the ``schur_form_terms`` rows at the twists, which
+    the degree sums too, and the pairs are read off those rows; over a formal
+    base it is the monomial table built from the pairs, zeros included.
     """
     require_exact((model,), "model", (FormalBundle, SplitBundle))
-    require_sizes(d, r, N, model)
+    r = model.rank
+    require_sizes(d, r, N)
     weight = N - d * (r - d)
     if not 0 <= weight <= model.base_dim:
         return schur_coefficients(N, d, r), {}
@@ -245,11 +246,10 @@ def pushforward_terms(N: int, d: int, r: int, model: BundleModel) -> tuple[Pairs
     return pairs, {(weight,): sum(count * value for _, count, value in rows)}
 
 
-def pushforward_plucker_power(N: int, d: int, r: int, model: BundleModel) -> GradedPoly:
+def pushforward_plucker_power(N: int, d: int, model: BundleModel) -> GradedPoly:
     """Push the N-th power of the Pluecker class down to the base of the model:
     the table of ``pushforward_terms`` as a ring element."""
-    table = pushforward_terms(N, d, r, model)[1]  # refuses a model of the wrong class first
-    return GradedPoly(ring_of(model), table)
+    return GradedPoly(ring_of(model), pushforward_terms(N, d, model)[1])
 
 
 def schur_form_terms(
@@ -293,6 +293,7 @@ def degree_grassmann_bundle_terms(d: int, model: SplitBundle) -> list[tuple[Part
     degree is the sum of count * integral.
     """
     require_exact((model,), "model", (SplitBundle,))
+    require_sizes(d, model.rank)
     return schur_form_terms(d * (model.rank - d) + model.base_dim, d, [model.twists])[0]
 
 
@@ -398,18 +399,18 @@ def rational_form_coefficients(
 
 
 def pushforward_rational_form(
-    N: int, d: int, r: int, model: BundleModel, denominator: DenominatorVariant
+    N: int, d: int, model: BundleModel, denominator: DenominatorVariant
 ) -> GradedPoly:
     """Composition-sum form of the push-forward, with rational coefficients.
 
-    The class of the ``rational_form_coefficients`` in the model, read by
-    ``_class_of_table`` as monomials over a formal base and at the twists
-    over P^m; no Segre classes are multiplied.
+    The class of the ``rational_form_coefficients`` at the model's rank,
+    read by ``_class_of_table`` as monomials over a formal base and at the
+    twists over P^m; no Segre classes are multiplied.
     The remark suite determines empirically which denominator variant agrees
     with the Jacobi-Trudi Schur form.
     """
     require_exact((model,), "model", (FormalBundle, SplitBundle))
-    require_sizes(d, r, N, model)
+    r = model.rank
     coefficients = rational_form_coefficients(N, d, r, denominator)
     return _class_of_table(coefficients, N - d * (r - d), model)
 

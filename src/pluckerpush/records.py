@@ -4,7 +4,7 @@
 be one of the given types, so neither ``True`` nor ``2.0`` is an int.
 ``require_sizes`` is the one rule for the sizes of a push-forward: a power
 N >= 0 of the Pluecker class on G(d, E), 1 <= d <= r, pushed down from a
-bundle E of rank r; every engine entry that takes them calls it.  A
+bundle E of rank r, read off a model; every entry that takes them calls it.  A
 record subclass lists its fields in ``__slots__``, in constructor order, and
 writes its own ``__init__``.  ``Record`` reads the fields off ``__slots__``
 for equality, a keyword-form repr such as ``FormalBundle(base_dim=3, rank=4)``
@@ -33,10 +33,10 @@ def require_exact(
             raise TypeError(f"{what} must be {names}, got {value!r}")
 
 
-def require_sizes(d: int, r: int, N: int | None = None, model: object = None) -> None:
+def require_sizes(d: int, r: int, N: int | None = None) -> None:
     """Refuse d and r, and the power N when given, unless each is an int
-    (TypeError); refuse d outside 1..r, a negative N, and a model, when
-    given, whose rank is not r (ValueError)."""
+    (TypeError); refuse d outside 1..r and a negative N (ValueError).  An
+    entry that takes a model passes the model's rank as r."""
     if N is None:
         require_exact((d, r), "d and r", (int,))
     else:
@@ -45,8 +45,6 @@ def require_sizes(d: int, r: int, N: int | None = None, model: object = None) ->
         raise ValueError(f"need 1 <= d <= r, got d={d}, r={r}")
     if N is not None and N < 0:
         raise ValueError(f"power must be nonnegative, got {N}")
-    if model is not None and model.rank != r:
-        raise ValueError(f"model has rank {model.rank}, expected {r}")
 
 
 class Record:

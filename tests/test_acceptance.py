@@ -137,7 +137,7 @@ def test_criterion_06_vanishing_term_identity():
                         unrestricted = unrestricted + syt_count_hook(
                             mu
                         ) * pushforward_schur_class(mu, d, r, segre)
-                    assert unrestricted == pushforward_plucker_power(N, d, r, model)
+                    assert unrestricted == pushforward_plucker_power(N, d, model)
 
 
 def test_criterion_07_rank_one_specialization():
@@ -146,7 +146,7 @@ def test_criterion_07_rank_one_specialization():
             for N in range(r + 5):
                 weight = N - (r - 1)
                 model = FormalBundle(base_dim=max(weight, 0), rank=r)
-                image = pushforward_plucker_power(N, 1, r, model)
+                image = pushforward_plucker_power(N, 1, model)
                 if weight < 0:
                     assert image == 0
                 else:
@@ -170,7 +170,7 @@ def test_criterion_08_split_model_degrees(capsys):
                     by_schur_form = sum(count * integral for _, count, integral in rows)
                     top = d * (r - d) + m
                     by_rational_form = integrate_over_pm(
-                        pushforward_rational_form(top, d, r, model, "factorial"), m
+                        pushforward_rational_form(top, d, model, "factorial"), m
                     )
                     assert by_schur_form == by_rational_form
                     assert by_schur_form.denominator == 1

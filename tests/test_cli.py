@@ -428,7 +428,7 @@ class TestClassRendering:
     def test_class_line_is_the_ring_elements_text(self, capsys, case):
         N, d, r, model, text = RENDER_EDGES[case]
         argv = ("pushforward", "--N", str(N), "--d", str(d), "--r", str(r), *model_argv(model))
-        element = pushforward_plucker_power(N, d, r, model)
+        element = pushforward_plucker_power(N, d, model)
         assert text in (None, str(element))
         code, out = run_cli(capsys, *argv)
         assert code == 0
@@ -440,18 +440,18 @@ class TestClassRendering:
         assert [(t["monomial"], t["coefficient"]) for t in data["class_terms"]] == element.terms()
 
     def test_cancelled_monomials_are_in_the_table_only(self):
-        N, d, r, model, _ = RENDER_EDGES["cancelled-monomial"]
-        table = pushforward_terms(N, d, r, model)[1]
+        N, d, _, model, _ = RENDER_EDGES["cancelled-monomial"]
+        table = pushforward_terms(N, d, model)[1]
         assert table[(4, 0, 0, 1, 0, 0, 0, 0)] == 0
-        assert len(pushforward_plucker_power(N, d, r, model).monomials) == len(table) - 1 == 17
-        N, d, r, model, _ = RENDER_EDGES["split-cancelled"]
-        assert pushforward_terms(N, d, r, model)[1] == {(1,): 0}
+        assert len(pushforward_plucker_power(N, d, model).monomials) == len(table) - 1 == 17
+        N, d, _, model, _ = RENDER_EDGES["split-cancelled"]
+        assert pushforward_terms(N, d, model)[1] == {(1,): 0}
 
     def test_zero_classes_are_empty_tables(self):
         for case in ("below-fiber-dimension", "weight-above-base-dimension",
                      "split-weight-above-base-dimension", "base-dim-0-above"):
-            N, d, r, model, _ = RENDER_EDGES[case]
-            assert pushforward_terms(N, d, r, model)[1] == {}
+            N, d, _, model, _ = RENDER_EDGES[case]
+            assert pushforward_terms(N, d, model)[1] == {}
 
 
 def _ring_element_refused(*args, **kwargs):

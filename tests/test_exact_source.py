@@ -42,7 +42,7 @@ def test_the_scan_sees_each_kind():
 
 
 #: The messages of the size rule; the CLI words its own, naming flags.
-SIZE_RULE_TEXTS = ("need 1 <= d <= r", "power must be nonnegative", "model has rank")
+SIZE_RULE_TEXTS = ("need 1 <= d <= r", "power must be nonnegative")
 
 
 def test_the_size_rule_is_stated_once_in_records():
@@ -51,4 +51,4 @@ def test_the_size_rule_is_stated_once_in_records():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "cli.py"
     }
-    assert {name: c for name, c in counts.items() if any(c)} == {"records.py": [1, 1, 1]}
+    assert {name: c for name, c in counts.items() if any(c)} == {"records.py": [1, 1]}

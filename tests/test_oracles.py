@@ -640,10 +640,10 @@ COVERED = {
     "segre_classes": (_odd_segre_negated, (FORMAL, 2)),
     "schur_coefficients": (_off_by_one_coefficient, (6, 2, 4)),
     "schur_form_terms": (_odd_h_flipped, (5, 2, [[0, 1, 2, 3]])),
-    "pushforward_terms": (_last_vector_dropped, (6, 2, 4, FORMAL)),
-    "pushforward_plucker_power": (_last_vector_dropped, (6, 2, 4, FORMAL)),
+    "pushforward_terms": (_last_vector_dropped, (6, 2, FORMAL)),
+    "pushforward_plucker_power": (_last_vector_dropped, (6, 2, FORMAL)),
     "rational_form_coefficients": (_always_linear, (6, 2, 4, "factorial")),
-    "pushforward_rational_form": (_always_linear, (6, 2, 4, FORMAL, "factorial")),
+    "pushforward_rational_form": (_always_linear, (6, 2, FORMAL, "factorial")),
     "degree_grassmannian_classical": (_largest_prime_dropped, (2, 5)),
 }
 # The production callables that no row corrupts, and why.

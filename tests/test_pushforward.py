@@ -84,26 +84,26 @@ class TestSchurClassPushforward:
 class TestPluckerPowerPushforward:
     def test_critical_power_gives_constant_degree(self):
         model = FormalBundle(base_dim=0, rank=4)
-        assert pushforward_plucker_power(4, 2, 4, model) == 2
+        assert pushforward_plucker_power(4, 2, model) == 2
 
     def test_projective_space_top_power(self):
         model = FormalBundle(base_dim=0, rank=3)
-        assert pushforward_plucker_power(2, 1, 3, model) == 1
+        assert pushforward_plucker_power(2, 1, model) == 1
 
     def test_one_above_critical(self):
         model = FormalBundle(base_dim=1, rank=3)
         ring = ring_of(model)
-        assert pushforward_plucker_power(3, 2, 3, model) == 2 * ring.generator(0)
+        assert pushforward_plucker_power(3, 2, model) == 2 * ring.generator(0)
 
     def test_rank_one_quotient_reads_off_segre(self):
         for r in range(2, 6):
             model = FormalBundle(base_dim=2, rank=r)
             ring = ring_of(model)
-            assert pushforward_plucker_power(r + 1, 1, r, model) == ring.generator(1)
+            assert pushforward_plucker_power(r + 1, 1, model) == ring.generator(1)
 
     def test_coefficients_are_ints(self):
-        formal = pushforward_plucker_power(9, 2, 5, FormalBundle(base_dim=3, rank=5))
-        split = pushforward_plucker_power(9, 2, 5, SplitBundle(base_dim=3, twists=(1, -2, 0, 3, 5)))
+        formal = pushforward_plucker_power(9, 2, FormalBundle(base_dim=3, rank=5))
+        split = pushforward_plucker_power(9, 2, SplitBundle(base_dim=3, twists=(1, -2, 0, 3, 5)))
         for image in (formal, split):
             assert image.monomials
             assert all(type(c) is int for c in image.monomials.values())
@@ -111,7 +111,7 @@ class TestPluckerPowerPushforward:
     def test_below_critical_power_is_zero(self):
         model = FormalBundle(base_dim=2, rank=4)
         for N in range(4):
-            assert pushforward_plucker_power(N, 2, 4, model) == 0
+            assert pushforward_plucker_power(N, 2, model) == 0
 
     def test_output_is_homogeneous(self):
         for d in range(1, 4):
@@ -119,7 +119,7 @@ class TestPluckerPowerPushforward:
                 fiber = d * (r - d)
                 for N in range(fiber, fiber + 4):
                     model = FormalBundle(base_dim=N - fiber, rank=r)
-                    image = pushforward_plucker_power(N, d, r, model)
+                    image = pushforward_plucker_power(N, d, model)
                     if image != 0:
                         assert homogeneous_degree(image) == N - fiber
 
@@ -127,7 +127,7 @@ class TestPluckerPowerPushforward:
         for r in range(1, 9):
             for d in range(1, r + 1):
                 model = FormalBundle(base_dim=0, rank=r)
-                value = pushforward_plucker_power(d * (r - d), d, r, model)
+                value = pushforward_plucker_power(d * (r - d), d, model)
                 assert value == degree_grassmannian_classical(d, r)
 
     def test_unrestricted_shape_sum_matches(self):
@@ -146,15 +146,11 @@ class TestPluckerPowerPushforward:
                         total = total + syt_count_hook(mu) * pushforward_schur_class(
                             mu, d, r, segre
                         )
-                    assert total == pushforward_plucker_power(N, d, r, model)
-
-    def test_model_rank_must_match(self):
-        with pytest.raises(ValueError):
-            pushforward_plucker_power(4, 2, 4, FormalBundle(base_dim=1, rank=3))
+                    assert total == pushforward_plucker_power(N, d, model)
 
     def test_rejects_d_above_r(self):
         with pytest.raises(ValueError):
-            pushforward_plucker_power(4, 3, 2, FormalBundle(base_dim=1, rank=2))
+            pushforward_plucker_power(4, 3, FormalBundle(base_dim=1, rank=2))
 
 
 def partition_masks(weight, d):
@@ -339,9 +335,9 @@ class TestMonomialTable:
         ]
         expected = {tuple(mu.count(v) for v in range(1, 7)): c for mu, c in table}
         assert _monomial_table(10, 4, 5, schur_coefficients(10, 4, 5), 6) == expected
-        assert pushforward_plucker_power(10, 4, 5, FormalBundle(base_dim=6, rank=5)).monomials == expected
+        assert pushforward_plucker_power(10, 4, FormalBundle(base_dim=6, rank=5)).monomials == expected
         model = FormalBundle(base_dim=2, rank=3)
-        assert str(pushforward_plucker_power(4, 2, 3, model)) == "s2 + 2*s1^2"
+        assert str(pushforward_plucker_power(4, 2, model)) == "s2 + 2*s1^2"
 
     @pytest.mark.parametrize(
         "d,r,weight",
@@ -378,7 +374,7 @@ class TestMonomialTable:
             return syt_count_product(lam, d, r)
 
         monkeypatch.setattr(pushforward_module, "syt_count_product", counted)
-        assert len(pushforward_plucker_power(10, 4, 5, FormalBundle(base_dim=6, rank=5)).monomials) == 9
+        assert len(pushforward_plucker_power(10, 4, FormalBundle(base_dim=6, rank=5)).monomials) == 9
         assert shapes == enumerate_partitions(6, 4)
 
     def test_exponent_vectors_are_the_partitions_of_the_weight(self):
@@ -404,7 +400,7 @@ class TestMonomialTable:
         monkeypatch.setattr(tableaux_module, "prod", lambda factors: prod(factors) + 1)
         message = "product formula division not exact for (2), d=2, r=4"
         with pytest.raises(AssertionError, match=re.escape(message)):
-            pushforward_plucker_power(6, 2, 4, FormalBundle(base_dim=2, rank=4))
+            pushforward_plucker_power(6, 2, FormalBundle(base_dim=2, rank=4))
         assert main(["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"internal invariant violated: {message}\n")
@@ -420,13 +416,13 @@ class TestMonomialTable:
         monkeypatch.setattr(pushforward_module, "_suffix_table", stray)
         message = "walk reached the set [1], of no partition, for d=2, r=4"
         with pytest.raises(AssertionError, match=re.escape(message)):
-            pushforward_plucker_power(6, 2, 4, FormalBundle(base_dim=2, rank=4))
+            pushforward_plucker_power(6, 2, FormalBundle(base_dim=2, rank=4))
         assert main(["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"internal invariant violated: {message}\n")
 
     def test_empty_below_fiber_dimension(self):
-        assert pushforward_plucker_power(3, 2, 4, FormalBundle(base_dim=2, rank=4)) == 0
+        assert pushforward_plucker_power(3, 2, FormalBundle(base_dim=2, rank=4)) == 0
         assert schur_coefficients(3, 2, 4) == []
 
     def test_schur_coefficients_are_shifted_tableau_counts(self):
@@ -445,8 +441,8 @@ class TestMonomialTable:
                     N = d * (r - d) + w
                     for base_dim in sorted({max(w - 1, 0), w, w + 1}):
                         model = FormalBundle(base_dim=base_dim, rank=r)
-                        table = pushforward_plucker_power(N, d, r, model)
-                        oracle = schur_form_pushforward(N, d, r, model)
+                        table = pushforward_plucker_power(N, d, model)
+                        oracle = schur_form_pushforward(N, d, model)
                         assert table == oracle
                         assert str(table) == str(oracle)
 
@@ -460,7 +456,7 @@ class TestMonomialTable:
             for r in range(d, 7):
                 for w in range(6):
                     N = d * (r - d) + w
-                    image = pushforward_plucker_power(N, d, r, FormalBundle(base_dim=w, rank=r))
+                    image = pushforward_plucker_power(N, d, FormalBundle(base_dim=w, rank=r))
                     for _ in range(2):
                         roots = gen.distinct_integers(r, -3 * r, 3 * r)
                         h = complete_homogeneous_values(roots, w)
@@ -487,10 +483,10 @@ class TestMonomialTable:
                             FormalBundle(base_dim=base_dim, rank=r),
                             SplitBundle(base_dim=base_dim, twists=twists),
                         ):
-                            pairs, table = pushforward_terms(N, d, r, model)
+                            pairs, table = pushforward_terms(N, d, model)
                             assert pairs == schur_coefficients(N, d, r)
                             nonzero = {exps: c for exps, c in table.items() if c}
-                            assert nonzero == pushforward_plucker_power(N, d, r, model).monomials
+                            assert nonzero == pushforward_plucker_power(N, d, model).monomials
 
     def test_split_grid_matches_jacobi_trudi_oracle(self):
         for twists in [(0, -1), (2, -3, 1), (-2, -1, 0, 3), (1, -4, 2, -1, 3)]:
@@ -500,8 +496,8 @@ class TestMonomialTable:
                     N = d * (r - d) + w
                     for m in sorted({max(w - 1, 0), w, w + 2}):
                         model = SplitBundle(base_dim=m, twists=twists)
-                        table = pushforward_plucker_power(N, d, r, model)
-                        oracle = schur_form_pushforward(N, d, r, model)
+                        table = pushforward_plucker_power(N, d, model)
+                        oracle = schur_form_pushforward(N, d, model)
                         assert table == oracle
                         assert str(table) == str(oracle)
 
@@ -556,8 +552,8 @@ class TestDegrees:
             r, m = model.rank, model.base_dim
             for w in range(m + 1):
                 N = d * (r - d) + w
-                push = pushforward_plucker_power(N, d, r, model)
-                reference = pushforward_rational_form(N, d, r, model, "factorial")
+                push = pushforward_plucker_power(N, d, model)
+                reference = pushforward_rational_form(N, d, model, "factorial")
                 assert push == reference
                 assert set(push.monomials) <= {(w,)}
             assert _degree(d, model) == integrate_over_pm(reference, m)
@@ -588,13 +584,13 @@ class TestSizesMustBeInts:
         [
             lambda: schur_coefficients(True, 1, 2),
             lambda: schur_coefficients(2, True, 2),
-            lambda: pushforward_terms(3, 1, True, FormalBundle(base_dim=1, rank=2)),
-            lambda: pushforward_terms(3.0, 1, 2, FormalBundle(base_dim=1, rank=2)),
-            lambda: pushforward_plucker_power(True, 1, 1, FormalBundle(base_dim=1, rank=1)),
+            lambda: pushforward_terms(3, True, FormalBundle(base_dim=1, rank=2)),
+            lambda: pushforward_terms(3.0, 1, FormalBundle(base_dim=1, rank=2)),
+            lambda: pushforward_plucker_power(True, 1, FormalBundle(base_dim=1, rank=1)),
             lambda: rational_form_coefficients(1, True, 1, "factorial"),
             lambda: rational_form_coefficients(Fraction(2), 1, 2, "linear"),
             lambda: schur_form_terms(True, True, [[1, 2]]),
-            lambda: degree_grassmann_bundle_terms(True, SplitBundle(base_dim=1, twists=(1, 2))),
+            lambda: pushforward_rational_form(True, 1, FormalBundle(base_dim=1, rank=2), "factorial"),
         ],
     )
     def test_power_and_sizes_are_refused(self, call):
@@ -622,13 +618,13 @@ class TestRationalForm:
                 for N in range(fiber, fiber + 3):
                     model = FormalBundle(base_dim=N - fiber, rank=r)
                     assert pushforward_rational_form(
-                        N, d, r, model, "factorial"
-                    ) == pushforward_plucker_power(N, d, r, model)
+                        N, d, model, "factorial"
+                    ) == pushforward_plucker_power(N, d, model)
 
     def test_linear_variant_differs(self):
         model = FormalBundle(base_dim=2, rank=3)
-        expected = pushforward_plucker_power(4, 2, 3, model)
-        assert pushforward_rational_form(4, 2, 3, model, "linear") != expected
+        expected = pushforward_plucker_power(4, 2, model)
+        assert pushforward_rational_form(4, 2, model, "linear") != expected
 
     def test_vectors_come_in_lexicographic_order(self):
         # d=3, r=4, w=3: the live compositions of 3 into 3 parts

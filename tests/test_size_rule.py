@@ -1,12 +1,16 @@
 """One size rule across the public API: every entry that takes the sizes of
 a push-forward (a power N, a quotient rank d and a bundle rank r, given or
-read off the roots) or a model refuses the same inputs alike.  So do the two
-sides of each verify suite: the Schur side of the theorem suite once gave 0
-for a negative power, and the box Pieri side of the degrees suite 1 for a
-bool d, where their partners refused."""
+read off the roots or the model) or a model refuses the same inputs alike.
+So do the two sides of each verify suite: the Schur side of the theorem
+suite once gave 0 for a negative power, and the box Pieri side of the
+degrees suite 1 for a bool d, where their partners refused.  An entry that
+takes a model takes no r beside it; the rank is the model's."""
+
+import inspect
 
 import pytest
 
+import pluckerpush
 from pluckerpush import (
     FormalBundle,
     Partition,
@@ -20,10 +24,12 @@ from pluckerpush import (
     pushforward_rational_form,
     pushforward_terms,
     rational_form_coefficients,
+    ring_of,
     schur_coefficients,
     schur_form_at_roots,
     schur_form_pushforward,
     schur_form_terms,
+    segre_classes,
     syt_count_product,
 )
 
@@ -40,54 +46,39 @@ def roots(r):
     return list(range(1, r + 1))
 
 
-# entry -> (call on N, d, r and the model's rank, the sizes it takes besides d);
-# an entry that reads r off its roots takes no r of its own
+# entry -> (call on N, d and r, the sizes it takes besides d); an entry that
+# reads r off its roots takes no r of its own, nor one that reads it off
+# twists.  A formal model takes r as its rank, which its constructor refuses
+# unless it is an int.
 ENTRIES = {
-    "schur_coefficients": (lambda N, d, r, rank: schur_coefficients(N, d, r), "N r"),
-    "pushforward_plucker_power": (
-        lambda N, d, r, rank: pushforward_plucker_power(N, d, r, model(rank)),
-        "N r model",
-    ),
-    "pushforward_terms": (
-        lambda N, d, r, rank: pushforward_terms(N, d, r, model(rank)),
-        "N r model",
-    ),
+    "schur_coefficients": (lambda N, d, r: schur_coefficients(N, d, r), "N r"),
+    "pushforward_plucker_power": (lambda N, d, r: pushforward_plucker_power(N, d, model(r)), "N r"),
+    "pushforward_terms": (lambda N, d, r: pushforward_terms(N, d, model(r)), "N r"),
     # the split branch, which reads the Schur rows at the twists
-    "pushforward_terms over P^m": (
-        lambda N, d, r, rank: pushforward_terms(N, d, r, split(rank)),
-        "N r model",
-    ),
+    "pushforward_terms over P^m": (lambda N, d, r: pushforward_terms(N, d, split(r)), "N"),
     "rational_form_coefficients": (
-        lambda N, d, r, rank: rational_form_coefficients(N, d, r, "factorial"),
+        lambda N, d, r: rational_form_coefficients(N, d, r, "factorial"),
         "N r",
     ),
     "pushforward_rational_form": (
-        lambda N, d, r, rank: pushforward_rational_form(N, d, r, model(rank), "factorial"),
-        "N r model",
+        lambda N, d, r: pushforward_rational_form(N, d, model(r), "factorial"),
+        "N r",
     ),
-    "schur_form_terms": (lambda N, d, r, rank: schur_form_terms(N, d, [roots(r)]), "N"),
-    "degree_grassmannian_classical": (
-        lambda N, d, r, rank: degree_grassmannian_classical(d, r),
-        "r",
+    "schur_form_terms": (lambda N, d, r: schur_form_terms(N, d, [roots(r)]), "N"),
+    "degree_grassmann_bundle_terms": (
+        lambda N, d, r: degree_grassmann_bundle_terms(d, split(r)),
+        "",
     ),
-    "syt_count_product": (lambda N, d, r, rank: syt_count_product(Partition(), d, r), "r"),
-    "localization_pushforward": (
-        lambda N, d, r, rank: localization_pushforward(N, d, roots(r)),
-        "N",
-    ),
-    "schur_form_at_roots": (lambda N, d, r, rank: schur_form_at_roots(N, d, [roots(r)]), "N"),
-    "schur_form_pushforward": (
-        lambda N, d, r, rank: schur_form_pushforward(N, d, r, model(rank)),
-        "N r model",
-    ),
-    "box_pieri_degree": (lambda N, d, r, rank: box_pieri_degree(d, r), "r"),
-    "degree_grassmannian_factorial": (
-        lambda N, d, r, rank: degree_grassmannian_factorial(d, r),
-        "r",
-    ),
+    "degree_grassmannian_classical": (lambda N, d, r: degree_grassmannian_classical(d, r), "r"),
+    "syt_count_product": (lambda N, d, r: syt_count_product(Partition(), d, r), "r"),
+    "localization_pushforward": (lambda N, d, r: localization_pushforward(N, d, roots(r)), "N"),
+    "schur_form_at_roots": (lambda N, d, r: schur_form_at_roots(N, d, [roots(r)]), "N"),
+    "schur_form_pushforward": (lambda N, d, r: schur_form_pushforward(N, d, model(r)), "N r"),
+    "box_pieri_degree": (lambda N, d, r: box_pieri_degree(d, r), "r"),
+    "degree_grassmannian_factorial": (lambda N, d, r: degree_grassmannian_factorial(d, r), "r"),
 }
 
-VALID = {"N": 5, "d": 2, "r": 3, "rank": 3}
+VALID = {"N": 5, "d": 2, "r": 3}
 
 # (case, the size it needs besides d, the changed input, exception, message)
 CASES = [
@@ -100,7 +91,6 @@ CASES = [
     ("N = -1", "N", {"N": -1}, ValueError, "power must be nonnegative, got -1"),
     ("bool r", "r", {"r": True}, TypeError, "must be int, got True"),
     ("float r", "r", {"r": 3.0}, TypeError, "must be int, got 3.0"),
-    ("wrong model rank", "model", {"rank": 4}, ValueError, "model has rank 4, expected 3"),
 ]
 
 
@@ -140,14 +130,13 @@ def test_no_roots_are_refused_alike(call, N, d, error, message):
 # fields is read.
 BOTH = "FormalBundle or SplitBundle"
 MODEL_ENTRIES = {
-    "pushforward_plucker_power": (lambda m: pushforward_plucker_power(3, 1, 2, m), BOTH),
-    "pushforward_rational_form": (
-        lambda m: pushforward_rational_form(3, 1, 2, m, "factorial"),
-        BOTH,
-    ),
-    "pushforward_terms": (lambda m: pushforward_terms(3, 1, 2, m), BOTH),
-    "schur_form_pushforward": (lambda m: schur_form_pushforward(3, 1, 2, m), BOTH),
+    "pushforward_plucker_power": (lambda m: pushforward_plucker_power(3, 1, m), BOTH),
+    "pushforward_rational_form": (lambda m: pushforward_rational_form(3, 1, m, "factorial"), BOTH),
+    "pushforward_terms": (lambda m: pushforward_terms(3, 1, m), BOTH),
+    "schur_form_pushforward": (lambda m: schur_form_pushforward(3, 1, m), BOTH),
     "degree_grassmann_bundle_terms": (lambda m: degree_grassmann_bundle_terms(1, m), "SplitBundle"),
+    "ring_of": (ring_of, BOTH),
+    "segre_classes": (lambda m: segre_classes(m, 2), BOTH),
 }
 
 
@@ -165,3 +154,15 @@ def test_the_degree_refuses_a_formal_model():
         TypeError, match=r"^model must be SplitBundle, got FormalBundle\(base_dim=1, rank=2\)$"
     ):
         degree_grassmann_bundle_terms(1, FormalBundle(base_dim=1, rank=2))
+
+
+def test_every_model_entry_reads_the_rank_off_its_model():
+    # {entry: whether it also takes r}, over the functions that take a model
+    takes_r = {}
+    for name in pluckerpush.__all__:
+        value = getattr(pluckerpush, name)
+        if inspect.isfunction(value):
+            parameters = inspect.signature(value).parameters
+            if "model" in parameters:
+                takes_r[name] = "r" in parameters
+    assert takes_r == dict.fromkeys(MODEL_ENTRIES, False)
