@@ -270,6 +270,7 @@ def segre_classes(model: BundleModel, top: int) -> list[GradedPoly]:
     class of the dual bundle, so for a split bundle s_k is h^k times the
     degree-k complete homogeneous value of the twists.
     """
+    require_exact((top,), "top", (int,))
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
     ring = ring_of(model)
@@ -286,6 +287,7 @@ def segre_classes(model: BundleModel, top: int) -> list[GradedPoly]:
 
 def integrate_over_pm(element: GradedPoly, m: int) -> Scalar:
     """Pair against the fundamental class of P^m: the coefficient of h^m."""
+    require_exact((m,), "m", (int,))
     ring = element.ring
     if len(ring.names) != 1 or ring.weights != (1,):
         raise ValueError("integration is defined only in the single-generator ring of P^m")

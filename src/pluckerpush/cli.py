@@ -6,15 +6,20 @@ invariant, or a ValueError raised inside the engine), 141 (128 + SIGPIPE)
 when the reader closes stdout before the output is written, with nothing on
 stderr.  All stdout is deterministic for a given invocation and seed; timing
 goes to stderr only.
+
+A well-formed command line is read straight off ``_COMMANDS``, the one
+statement of the grammar; ``argparse`` is imported, and parsers filled from
+the same table, only for help, errors and any other argv (``parse_args``).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .chowring import BundleModel, FormalBundle, SplitBundle, render_terms, ring_of, table_terms
 from .oracles import run_suites
@@ -82,7 +87,7 @@ def _parse_twists(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad twists {text!r}: {exc}") from None
 
 
-def _build_model(args: argparse.Namespace) -> BundleModel:
+def _build_model(args: SimpleNamespace) -> BundleModel:
     has_formal = args.base_dim is not None
     has_split = args.pm is not None or args.twists is not None
     if has_formal == has_split:
@@ -107,7 +112,7 @@ def _model_json(model: BundleModel) -> dict[str, object]:
     return {"type": "split", "base_dim": model.base_dim, "twists": list(model.twists)}
 
 
-def cmd_pushforward(args: argparse.Namespace) -> int:
+def cmd_pushforward(args: SimpleNamespace) -> int:
     if args.N < 0:
         raise UsageError(f"--N must be nonnegative, got {args.N}")
     if not 1 <= args.d <= args.r:
@@ -136,7 +141,7 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_degree(args: argparse.Namespace) -> int:
+def cmd_degree(args: SimpleNamespace) -> int:
     twists = _parse_twists(args.twists)
     if not 1 <= args.d <= len(twists):
         raise UsageError(f"need 1 <= d <= r, got d={args.d} with {len(twists)} twists")
@@ -165,14 +170,14 @@ def cmd_degree(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_degree_classical(args: argparse.Namespace) -> int:
+def cmd_degree_classical(args: SimpleNamespace) -> int:
     if not 1 <= args.d <= args.r:
         raise UsageError(f"need 1 <= d <= r, got d={args.d}, r={args.r}")
     print(degree_grassmannian_classical(args.d, args.r))
     return EXIT_OK
 
 
-def cmd_syt(args: argparse.Namespace) -> int:
+def cmd_syt(args: SimpleNamespace) -> int:
     if args.method != "product" and (args.d is not None or args.r is not None):
         raise UsageError(f"--d and --r go only with --method product, not --method {args.method}")
     try:
@@ -191,7 +196,7 @@ def cmd_syt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     kwargs: dict[str, object] = {} if args.seed is None else {"seed": args.seed}
     for flag, value, least, keyword in (
         ("--trials", args.trials, 1, "trials"),
@@ -262,6 +267,61 @@ _COMMANDS = {
 }
 
 
+#: argparse's ``_negative_number_matcher``: a token after a flag that starts
+#: with "-" is that flag's value, not a flag, only when it matches this.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read_command(name: str, tokens: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of ``tokens`` after the command ``name``,
+    read off its ``_COMMANDS`` row; None when a token is not plainly well
+    formed, and argparse must decide.
+
+    Plainly well formed: every flag spelled in full, as ``--flag value`` or
+    ``--flag=value``, a store_true flag bare; a value in a token of its own
+    starts with "-" only as a negative number; every value passes the row's
+    type and choices; every required flag is given.  A repeated flag keeps
+    its last value, and the rest take their defaults, as in argparse.
+    """
+    handler, _, arguments = _COMMANDS[name]
+    rows = dict(arguments)
+    given: dict[str, object] = {}
+    rest = iter(tokens)
+    for token in rest:
+        flag, equals, text = token.partition("=")
+        options = rows.get(flag)
+        if options is None:
+            return None
+        if options.get("action") == "store_true":
+            if equals:
+                return None
+            given[flag] = True
+            continue
+        if not equals:
+            text = next(rest, None)
+            if text is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+                return None
+        try:
+            value = options.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=name, func=handler)
+    for flag, options in arguments:
+        if flag in given:
+            value = given[flag]
+        elif options.get("required"):
+            return None
+        else:
+            value = options.get("default", False if options.get("action") == "store_true" else None)
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    return args
+
+
+# argparse loads gettext and costs about 2 ms to import, so it is imported
+# only where a parser is built; the annotations name it unevaluated.
 def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     handler, _, arguments = _COMMANDS[name]
     for flag, options in arguments:
@@ -271,6 +331,8 @@ def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pluckerpush",
         description="Exact push-forwards of Pluecker-class powers on Grassmann "
@@ -282,18 +344,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, by one parser when argv[0] names a subcommand.
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace of ``build_parser().parse_args(argv)``, by the cheapest of three paths.
 
-    ``add_parser`` makes that same parser and hands it every string after the
-    name, so its help and errors are unchanged; extras take the full tree.
+    When argv[0] names a subcommand and every later token is plainly well
+    formed (see ``_read_command``), the namespace is read off the command's
+    ``_COMMANDS`` row and no parser is built.  Any other argv
+    after a subcommand goes to that subcommand's parser alone: ``add_parser``
+    makes the same parser and hands it every string after the name, so help
+    and errors are unchanged.  Extras, and argv that names no subcommand,
+    take the full tree.
     """
     if argv and argv[0] in _COMMANDS:
+        args = _read_command(argv[0], argv[1:])
+        if args is not None:
+            return args
+        import argparse
+
         parser = _fill(argparse.ArgumentParser(prog=f"pluckerpush {argv[0]}"), argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
+        args, extras = parser.parse_known_args(argv[1:], SimpleNamespace())
         if not extras:
             return args
-    return build_parser().parse_args(argv)
+    return build_parser().parse_args(argv, SimpleNamespace())
 
 
 def main(argv: list[str] | None = None) -> int:

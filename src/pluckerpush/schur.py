@@ -79,10 +79,11 @@ def complete_homogeneous_values(roots: Sequence[Fraction | int], top: int) -> li
     Multiplying the truncated series by 1/(1 - y t) one root at a time gives
     the recurrence h_k += y * h_{k-1} with k ascending.  The values keep the
     type of the arithmetic: integer roots give ints, and a rational root makes
-    h_1..h_top Fractions; h_0 is always the integer 1.  Any other root raises
-    TypeError.
+    h_1..h_top Fractions; h_0 is always the integer 1.  Any other root, and a
+    ``top`` that is not an int, raises TypeError.
     """
     require_exact(roots, "roots")
+    require_exact((top,), "top", (int,))
     if top < 0:
         raise ValueError(f"top must be nonnegative, got {top}")
     h: list[int | Fraction] = [1] + [0] * top

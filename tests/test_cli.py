@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pluckerpush
@@ -23,7 +23,7 @@ from pluckerpush import (
     syt_count_hook,
 )
 from pluckerpush.chowring import render_terms
-from pluckerpush.cli import build_parser, main, parse_args, render_schur_terms, to_json
+from pluckerpush.cli import _COMMANDS, build_parser, main, parse_args, render_schur_terms, to_json
 
 
 def run_cli(capsys, *argv):
@@ -600,6 +600,7 @@ class TestOneCountPassPerPushforward:
 
 
 DEGREE = ["degree", "--d", "1", "--pm", "1", "--twists", "1,2"]
+PUSH_FORMAL = ["pushforward", "--d", "1", "--r", "2", "--base-dim", "1"]
 VALID_ARGVS = [
     ["pushforward", "--N", "3", "--d", "2", "--r", "3", "--base-dim", "1", "--json"],
     DEGREE,
@@ -628,6 +629,22 @@ PARSE_CORPUS = VALID_ARGVS + [
     ["--help", "degree"],
     ["degree-classical", "-h", "stray"],
     *([name, "-h"] for name in ("pushforward", "degree", "degree-classical", "syt", "verify")),
+    # values that start with "-" or need the type to read them
+    ["degree", "--d", "1", "--pm", "1", "--twists=--json"],
+    ["degree", "--d", "1", "--pm", "1", "--twists", "-"],
+    ["degree", "--d", "1", "--pm", "1", "--twists", "-1, 2"],
+    [*PUSH_FORMAL, "--N", "-3"],
+    [*PUSH_FORMAL, "--N", " 3"],
+    [*PUSH_FORMAL, "--N", "1_0"],
+    [*PUSH_FORMAL, "--N", ""],
+    [*PUSH_FORMAL, "--N", "-3.5"],
+    [*PUSH_FORMAL, "--N", "9" * 5000],  # past the int/str digit limit
+    ["degree", "--d=", "--pm", "1", "--twists", "1"],
+    [*DEGREE, "--json=1"],
+    [*DEGREE, "--d", "2"],
+    ["verify", "--suite", "bogus"],
+    ["verify", "--suite=all", "--seed", "-5", "--seed", "7"],
+    ["syt", "--shape", "(2,1)", "--method", "enumerate"],
 ]
 
 
@@ -667,8 +684,27 @@ class TestParsing:
         assert _parsed(capsys, parse_args, argv) == full
 
     @pytest.mark.parametrize("argv", VALID_ARGVS, ids=[argv[0] for argv in VALID_ARGVS])
-    def test_a_known_command_builds_one_parser(self, monkeypatch, argv):
-        assert _parsers_built(monkeypatch, parse_args, argv) == 1
+    def test_a_known_command_builds_no_parser(self, monkeypatch, argv):
+        assert _parsers_built(monkeypatch, parse_args, argv) == 0
+
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [
+            ([*PUSH_FORMAL, "--N", "-3"], 0),
+            ([*PUSH_FORMAL, "--N=3", "--json"], 0),
+            (["degree", "--d", "1", "--pm", "1", "--twists=-1,2"], 0),
+            ([*DEGREE, "--d", "2", "--pm", "0"], 0),
+            (["degree", "--d", "1", "--pm", "1", "--twists", "-1,2"], 1),
+            ([*PUSH_FORMAL, "--N", "x"], 1),
+            ([*DEGREE, "--json=1"], 1),
+            (["degree", "--d", "1", "--pm", "1", "--tw", "1,2"], 1),
+            (["degree", "--d", "1", "--pm", "1"], 1),
+            (["verify", "--suite", "bogus"], 1),
+            (["degree", "-h"], 1),
+        ],
+    )
+    def test_only_a_plainly_well_formed_argv_skips_the_parser(self, monkeypatch, argv, parsers):
+        assert _parsers_built(monkeypatch, parse_args, argv) == parsers
 
     def test_extras_and_unknown_commands_take_the_full_tree(self, monkeypatch):
         tree = _parsers_built(monkeypatch, lambda argv: build_parser(), [])
@@ -676,6 +712,17 @@ class TestParsing:
         assert _parsers_built(monkeypatch, parse_args, [*DEGREE, "stray"]) == 1 + tree
         assert _parsers_built(monkeypatch, parse_args, ["bogus"]) == tree
         assert _parsers_built(monkeypatch, parse_args, []) == tree
+
+    def test_every_row_uses_only_options_the_fast_reading_knows(self):
+        # cli._read_command reads type, choices, required and default, and
+        # tells store_true flags from valued ones; any other option (nargs,
+        # dest, another action) would need it taught first
+        known = {"type", "choices", "required", "default", "help", "action"}
+        for _, _, arguments in _COMMANDS.values():
+            for flag, options in arguments:
+                assert flag.startswith("--"), flag
+                assert set(options) <= known, flag
+                assert options.get("action", "store_true") == "store_true", flag
 
 
 HELP_TEXTS = [
@@ -940,6 +987,15 @@ def test_every_grammar_argv_exits_0_or_2(argv):
         assert json.loads(out.getvalue())["schema"] == 1
 
 
+@settings(
+    max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(grammar_argvs())
+def test_every_grammar_argv_parses_as_by_the_full_tree(capsys, argv):
+    full = _parsed(capsys, build_parser().parse_args, argv)
+    assert _parsed(capsys, parse_args, argv) == full
+
+
 class TestEntryPoints:
     def test_missing_subcommand_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -967,6 +1023,18 @@ class TestEntryPoints:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
+
+    def test_a_working_command_imports_no_argparse(self):
+        code = (
+            "import pluckerpush.cli, sys; "
+            "pluckerpush.cli.main(['degree-classical', '--d', '3', '--r', '6']); "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "42\n[]\n"
 
     def test_closed_stdout_exits_141_without_a_traceback(self):
         # about 128 kB of rows, twice a pipe buffer: the writes after the

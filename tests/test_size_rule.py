@@ -16,9 +16,11 @@ from pluckerpush import (
     Partition,
     SplitBundle,
     box_pieri_degree,
+    complete_homogeneous_values,
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
     degree_grassmannian_factorial,
+    integrate_over_pm,
     localization_pushforward,
     pushforward_plucker_power,
     pushforward_rational_form,
@@ -147,6 +149,26 @@ def test_a_model_of_the_wrong_class_is_refused(name, model):
     with pytest.raises(TypeError, match=f"^model must be {kinds}, got {model!r}$"):
         call(model)
     call(SplitBundle(base_dim=1, twists=(1, 2)))
+
+
+# A degree is an int too: a bool top once gave the classes up to degree 1,
+# and a bool or float m the integral over P^1.
+P1 = ring_of(SplitBundle(base_dim=1, twists=(1, 2)))
+DEGREE_ENTRIES = {
+    "complete_homogeneous_values": (lambda top: complete_homogeneous_values([1, 2], top), "top"),
+    "segre_classes formal": (lambda top: segre_classes(FormalBundle(2, 3), top), "top"),
+    "segre_classes split": (lambda top: segre_classes(SplitBundle(1, (1, 2)), top), "top"),
+    "integrate_over_pm": (lambda m: integrate_over_pm(3 * P1.generator(0), m), "m"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_ENTRIES))
+@pytest.mark.parametrize("degree", [True, 1.0, 2.0], ids=repr)
+def test_a_degree_that_is_not_an_int_is_refused(name, degree):
+    call, what = DEGREE_ENTRIES[name]
+    with pytest.raises(TypeError, match=f"^{what} must be int, got {degree!r}$"):
+        call(degree)
+    call(1)
 
 
 def test_the_degree_refuses_a_formal_model():
