@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a caller's
 mistake, caught here before any computation), 3 internal error (a broken
-invariant, or a ValueError raised inside the engine), 141 (128 + SIGPIPE)
-when the reader closes stdout before the output is written, with nothing on
-stderr.  All stdout is deterministic for a given invocation and seed; timing
-goes to stderr only.
+invariant, or a ValueError or RecursionError raised inside the engine), 141
+(128 + SIGPIPE) when the reader closes stdout before the output is written,
+with nothing on stderr.  All stdout is deterministic for a given invocation
+and seed; timing goes to stderr only.
 
 A well-formed command line is read straight off ``_COMMANDS``, the one
-statement of the grammar; ``argparse`` is imported, and parsers filled from
-the same table, only for help, errors and any other argv (``parse_args``).
+statement of the grammar; ``argparse`` is imported, and the full parser tree
+filled from the same table, only for help, errors and any other argv
+(``parse_args``).
 """
 
 from __future__ import annotations
@@ -80,11 +81,15 @@ def render_schur_terms(terms: list[tuple[str, str]]) -> str:
     return render_terms([(f"Delta{shape}", coeff) for shape, coeff in terms])
 
 
-def _parse_twists(text: str) -> tuple[int, ...]:
+def _split_model(pm: int, twists: str) -> SplitBundle:
+    """The split model of ``--pm`` and ``--twists``; the caller checks its rank."""
+    if pm < 0:
+        raise UsageError("--pm must be nonnegative")
     try:
-        return tuple(int(t.strip()) for t in text.split(","))
+        values = tuple(int(t.strip()) for t in twists.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad twists {text!r}: {exc}") from None
+        raise UsageError(f"bad twists {twists!r}: {exc}") from None
+    return SplitBundle(base_dim=pm, twists=values)
 
 
 def _build_model(args: SimpleNamespace) -> BundleModel:
@@ -98,12 +103,10 @@ def _build_model(args: SimpleNamespace) -> BundleModel:
         return FormalBundle(base_dim=args.base_dim, rank=args.r)
     if args.pm is None or args.twists is None:
         raise UsageError("the split model needs both --pm and --twists")
-    if args.pm < 0:
-        raise UsageError("--pm must be nonnegative")
-    twists = _parse_twists(args.twists)
-    if len(twists) != args.r:
-        raise UsageError(f"--twists lists {len(twists)} values, expected r={args.r}")
-    return SplitBundle(base_dim=args.pm, twists=twists)
+    model = _split_model(args.pm, args.twists)
+    if model.rank != args.r:
+        raise UsageError(f"--twists lists {model.rank} values, expected r={args.r}")
+    return model
 
 
 def _model_json(model: BundleModel) -> dict[str, object]:
@@ -142,12 +145,9 @@ def cmd_pushforward(args: SimpleNamespace) -> int:
 
 
 def cmd_degree(args: SimpleNamespace) -> int:
-    twists = _parse_twists(args.twists)
-    if not 1 <= args.d <= len(twists):
-        raise UsageError(f"need 1 <= d <= r, got d={args.d} with {len(twists)} twists")
-    if args.pm < 0:
-        raise UsageError("--pm must be nonnegative")
-    model = SplitBundle(base_dim=args.pm, twists=twists)
+    model = _split_model(args.pm, args.twists)
+    if not 1 <= args.d <= model.rank:
+        raise UsageError(f"need 1 <= d <= r, got d={args.d} with {model.rank} twists")
     rows = degree_grassmann_bundle_terms(args.d, model)
     degree = sum(count * integral for _, count, integral in rows)
     if args.json:
@@ -229,7 +229,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-#: Each subcommand once: handler, help line, and the (flag, options) pairs _fill adds.
+#: Each subcommand once: handler, help line, and the (flag, options) pairs
+#: that ``_read_command`` reads and ``build_parser`` adds.
 _COMMANDS = {
     "pushforward": (cmd_pushforward, "push a power of the Pluecker class to the base", (
         ("--N", dict(type=int, required=True, help="power of the Pluecker class")),
@@ -321,15 +322,7 @@ def _read_command(name: str, tokens: list[str]) -> SimpleNamespace | None:
 
 
 # argparse loads gettext and costs about 2 ms to import, so it is imported
-# only where a parser is built; the annotations name it unevaluated.
-def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    handler, _, arguments = _COMMANDS[name]
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(command=name, func=handler)
-    return parser
-
-
+# only where the parser is built; the annotation names it unevaluated.
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -339,31 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
         "bundles, degree formulas, and their brute-force verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, _) in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_line), name)
+    for name, (handler, help_line, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(command=name, func=handler)
     return parser
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """The namespace of ``build_parser().parse_args(argv)``, by the cheapest of three paths.
+    """The namespace of ``build_parser().parse_args(argv)``.
 
     When argv[0] names a subcommand and every later token is plainly well
     formed (see ``_read_command``), the namespace is read off the command's
-    ``_COMMANDS`` row and no parser is built.  Any other argv
-    after a subcommand goes to that subcommand's parser alone: ``add_parser``
-    makes the same parser and hands it every string after the name, so help
-    and errors are unchanged.  Extras, and argv that names no subcommand,
-    take the full tree.
+    ``_COMMANDS`` row and no parser is built.  Any other argv takes the
+    full tree, so help, abbreviations and errors are argparse's own.
     """
     if argv and argv[0] in _COMMANDS:
         args = _read_command(argv[0], argv[1:])
         if args is not None:
-            return args
-        import argparse
-
-        parser = _fill(argparse.ArgumentParser(prog=f"pluckerpush {argv[0]}"), argv[0])
-        args, extras = parser.parse_known_args(argv[1:], SimpleNamespace())
-        if not extras:
             return args
     return build_parser().parse_args(argv, SimpleNamespace())
 
@@ -388,8 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        # every caller mistake is a UsageError by now, so this is the engine's
+    except (ValueError, RecursionError) as exc:
+        # every caller mistake is a UsageError by now, so this is the engine's;
+        # a walk deeper than the interpreter's recursion limit is one too
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except AssertionError as exc:

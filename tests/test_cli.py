@@ -694,24 +694,30 @@ class TestParsing:
             ([*PUSH_FORMAL, "--N=3", "--json"], 0),
             (["degree", "--d", "1", "--pm", "1", "--twists=-1,2"], 0),
             ([*DEGREE, "--d", "2", "--pm", "0"], 0),
-            (["degree", "--d", "1", "--pm", "1", "--twists", "-1,2"], 1),
-            ([*PUSH_FORMAL, "--N", "x"], 1),
-            ([*DEGREE, "--json=1"], 1),
-            (["degree", "--d", "1", "--pm", "1", "--tw", "1,2"], 1),
-            (["degree", "--d", "1", "--pm", "1"], 1),
-            (["verify", "--suite", "bogus"], 1),
-            (["degree", "-h"], 1),
         ],
     )
     def test_only_a_plainly_well_formed_argv_skips_the_parser(self, monkeypatch, argv, parsers):
         assert _parsers_built(monkeypatch, parse_args, argv) == parsers
 
-    def test_extras_and_unknown_commands_take_the_full_tree(self, monkeypatch):
-        tree = _parsers_built(monkeypatch, lambda argv: build_parser(), [])
-        assert tree == 6  # the top level and its five subcommands
-        assert _parsers_built(monkeypatch, parse_args, [*DEGREE, "stray"]) == 1 + tree
-        assert _parsers_built(monkeypatch, parse_args, ["bogus"]) == tree
-        assert _parsers_built(monkeypatch, parse_args, []) == tree
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degree", "--d", "1", "--pm", "1", "--twists", "-1,2"],
+            [*PUSH_FORMAL, "--N", "x"],
+            [*DEGREE, "--json=1"],
+            ["degree", "--d", "1", "--pm", "1", "--tw", "1,2"],
+            ["degree", "--d", "1", "--pm", "1"],
+            ["verify", "--suite", "bogus"],
+            ["degree", "-h"],
+            [*DEGREE, "stray"],
+            ["bogus"],
+            [],
+        ],
+        ids=" ".join,
+    )
+    def test_every_refused_argv_builds_the_full_tree_once(self, monkeypatch, argv):
+        # the top level and its five subcommands, and no other parser
+        assert _parsers_built(monkeypatch, parse_args, argv) == 6
 
     def test_every_row_uses_only_options_the_fast_reading_knows(self):
         # cli._read_command reads type, choices, required and default, and
@@ -868,6 +874,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: planted engine fault\n"
+
+    def test_a_walk_past_the_recursion_limit_exits_3(self, capsys, monkeypatch):
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("pluckerpush.cli.pushforward_terms", too_deep)
+        assert main(list(PUSH + ("--base-dim", "1"))) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: maximum recursion depth exceeded\n"
 
 
 def required(*option):
