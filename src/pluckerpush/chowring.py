@@ -17,12 +17,14 @@ instances cover everything the package computes with:
 Ring elements are the container of the oracle side.  The production
 push-forward hands out a plain {exponent vector: coefficient} table, valid
 by construction, and ``table_terms`` renders it as ``GradedPoly.terms``
-renders an element, without re-checking each monomial.
+renders an element, without re-checking each monomial.  ``render_int``
+prints a whole int, in subquadratic time when it is big.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -204,6 +206,55 @@ def render_terms(terms: list[tuple[str, str]]) -> str:
         else:
             rendered.append(f" - {body}" if negative else f" + {body}")
     return "".join(rendered)
+
+
+#: Ints of at most this many bits are rendered by ``int.__repr__``.  Its
+#: time grows with the square of the length, but ``Decimal`` multiplies
+#: mid-sized operands slowly, so up to about here it is the faster: with
+#: CPython 3.11 on one core of a shared Xeon VM, 1.39 ms against the split's
+#: 1.51 ms at 31,000 bits, and 1.56 ms against 1.28 ms at 32,768.
+_REPR_BITS = 32768
+#: The bit width of the leaves of that split, each converted by ``Decimal``.
+_LEAF_BITS = 1024
+
+
+def render_int(n: int) -> str:
+    """``str(n)``, in subquadratic time when n is big.
+
+    Up to ``_REPR_BITS`` bits this is ``int.__repr__``.  Above, |n| is split
+    at the bit widths w = ``_LEAF_BITS`` * 2^k, from the top: with lo its low
+    w bits and hi the rest, D(|n|) = D(lo) + D(hi) * 2^w in ``Decimal``,
+    whose ``str`` is linear, and each part is split at the next width down.
+    The powers 2^w are built by squaring.  The context holds every digit and
+    traps ``Inexact``, so a rounding raises instead of passing; CPython 3.12's
+    ``_pylong.int_to_decimal_string`` converts the same way.  The split obeys
+    no int/str digit limit, but ``int.__repr__`` does, and ``_REPR_BITS``
+    bits run to 9,865 digits.
+    """
+    if n.bit_length() <= _REPR_BITS:
+        return int.__repr__(n)
+    magnitude = abs(n)
+    with localcontext() as context:
+        context.prec = MAX_PREC
+        context.Emax = MAX_EMAX
+        context.Emin = MIN_EMIN
+        context.traps[Inexact] = True
+        powers = [Decimal(2) ** _LEAF_BITS]  # powers[k] = 2^(_LEAF_BITS * 2^k)
+        while _LEAF_BITS << len(powers) < magnitude.bit_length():
+            powers.append(powers[-1] * powers[-1])
+
+        def convert(m: int, k: int) -> Decimal:
+            # m < 2^(_LEAF_BITS * 2^(k + 1))
+            if k < 0:
+                return Decimal(m)
+            width = _LEAF_BITS << k
+            if m.bit_length() <= width:
+                return convert(m, k - 1)
+            hi = m >> width
+            return convert(m - (hi << width), k - 1) + convert(hi, k - 1) * powers[k]
+
+        text = str(convert(magnitude, len(powers) - 1))
+    return "-" + text if n < 0 else text
 
 
 class FormalBundle(FrozenRecord):

@@ -22,8 +22,8 @@ import time
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .chowring import BundleModel, FormalBundle, SplitBundle, render_terms, ring_of, table_terms
-from .oracles import run_suites
+from .chowring import BundleModel, FormalBundle, SplitBundle, render_int, render_terms, ring_of, table_terms
+from .oracles import SUITE_OPTIONS, run_suites
 from .partitions import parse_partition
 from .pushforward import (
     degree_grassmann_bundle_terms,
@@ -50,13 +50,13 @@ def to_json(value: object, indent: str = "") -> str:
 
     Covers str, int, bool, None, list and dict with str keys; anything else,
     a float or a tuple included, raises TypeError.  Strings go through the
-    json module's C escaper and ints through ``int.__repr__``, as there.
+    json module's C escaper, as there, and ints through ``render_int``.
     """
     kind = value.__class__
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
-        return int.__repr__(value)
+        return render_int(value)
     if kind is bool:
         return "true" if value else "false"
     if value is None:
@@ -122,7 +122,7 @@ def cmd_pushforward(args: SimpleNamespace) -> int:
         raise UsageError(f"need 1 <= d <= r, got d={args.d}, r={args.r}")
     model = _build_model(args)
     schur_pairs, table = pushforward_terms(args.N, args.d, model)
-    schur_terms = [(str(lam), str(coeff)) for lam, coeff in schur_pairs]
+    schur_terms = [(str(lam), render_int(coeff)) for lam, coeff in schur_pairs]
     class_terms = table_terms(ring_of(model), table)
     class_text = render_terms(class_terms)
     if args.json:
@@ -156,24 +156,24 @@ def cmd_degree(args: SimpleNamespace) -> int:
             "command": "degree",
             "d": args.d,
             "model": _model_json(model),
-            "degree": str(degree),
+            "degree": render_int(degree),
             "table": [
-                {"shape": str(lam), "syt_count": str(count), "integral": str(integral)}
+                {"shape": str(lam), "syt_count": render_int(count), "integral": render_int(integral)}
                 for lam, count, integral in rows
             ],
         }
         print(to_json(data))
     else:
-        print(f"degree: {degree}")
+        print(f"degree: {render_int(degree)}")
         for lam, count, integral in rows:
-            print(f"{lam}: f={count} integral={integral}")
+            print(f"{lam}: f={render_int(count)} integral={render_int(integral)}")
     return EXIT_OK
 
 
 def cmd_degree_classical(args: SimpleNamespace) -> int:
     if not 1 <= args.d <= args.r:
         raise UsageError(f"need 1 <= d <= r, got d={args.d}, r={args.r}")
-    print(degree_grassmannian_classical(args.d, args.r))
+    print(render_int(degree_grassmannian_classical(args.d, args.r)))
     return EXIT_OK
 
 
@@ -192,22 +192,30 @@ def cmd_syt(args: SimpleNamespace) -> int:
             count = syt_count_product(shape, args.d, args.r)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    print(count)
+    print(render_int(count))
     return EXIT_OK
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
-    kwargs: dict[str, object] = {} if args.seed is None else {"seed": args.seed}
-    for flag, value, least, keyword in (
-        ("--trials", args.trials, 1, "trials"),
-        ("--max-d", args.max_d, 1, "max_d"),
-        ("--max-r", args.max_r, 1, "max_r"),
-        ("--extra-N", args.extra_N, 0, "extra_powers"),
+    kwargs: dict[str, object] = {}
+    ignored = []
+    for flag, keyword, least in (
+        ("--seed", "seed", None),
+        ("--trials", "trials", 1),
+        ("--max-d", "max_d", 1),
+        ("--max-r", "max_r", 1),
+        ("--extra-N", "extra_powers", 0),
     ):
-        if value is not None:
-            if value < least:
-                raise UsageError(f"{flag} must be at least {least}, got {value}")
-            kwargs[keyword] = value
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is None:
+            continue
+        if least is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
+        kwargs[keyword] = value
+        if args.suite != "all" and keyword not in SUITE_OPTIONS[args.suite]:
+            ignored.append(flag)
+    if ignored:
+        print(f"note: --suite {args.suite} ignores {', '.join(ignored)}", file=sys.stderr)
     started = time.monotonic()
     reports = run_suites(args.suite, verbose=args.verbose, **kwargs)
     failures = sum(rep.failures for rep in reports)
@@ -357,8 +365,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    # Exact answers can run past the interpreter's int/str digit limit; lift
-    # it for this call and give in-process callers their own setting back.
+    # Exact answers can run past the interpreter's int/str digit limit:
+    # render_int hands ints of up to 9,865 digits to int.__repr__, and
+    # verify's verbose lines print Fractions through str().  Lift it for this
+    # call and give in-process callers their own setting back.
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

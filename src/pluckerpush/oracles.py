@@ -515,24 +515,36 @@ def suite_degrees(max_r: int = 8) -> SuiteReport:
     )
 
 
+#: The options each suite reads, by keyword; ``run_suites`` passes a suite
+#: only these, and ``verify`` names on stderr those it is given and ignores.
+SUITE_OPTIONS = {
+    "theorem": ("max_d", "max_r", "extra_powers", "trials", "seed"),
+    "remark": ("max_d", "max_r", "extra_powers"),
+    "degrees": ("max_r",),
+}
+
+
 def run_suites(suite: str, verbose: bool = True, **options: int) -> list[SuiteReport]:
     """Run one named suite, or all three.
 
     ``options`` holds the options the caller gave: the grid bounds (max_d,
     max_r, extra_powers) and the theorem suite's trials and seed.  Each
-    suite keeps its own defaults for the rest; the remark suite takes the
-    bounds, and the degrees suite only max_r.  ``verbose`` False lets the
-    theorem suite skip formatting its per-trial lines, which a report
-    rendered without them never reads.
+    suite is passed those it reads (``SUITE_OPTIONS``) and keeps its own
+    defaults for the rest.  ``verbose`` False lets the theorem suite skip
+    formatting its per-trial lines, which a report rendered without them
+    never reads.
     """
-    bounds = {name: value for name, value in options.items() if name not in ("trials", "seed")}
+
+    def read(name: str) -> dict[str, int]:
+        return {key: value for key, value in options.items() if key in SUITE_OPTIONS[name]}
+
     reports = []
     if suite in ("theorem", "all"):
         reports.append(suite_theorem(verbose=verbose, **options))
     if suite in ("remark", "all"):
-        reports.append(suite_remark(**bounds))
+        reports.append(suite_remark(**read("remark")))
     if suite in ("degrees", "all"):
-        reports.append(suite_degrees(max_r=bounds["max_r"]) if "max_r" in bounds else suite_degrees())
+        reports.append(suite_degrees(**read("degrees")))
     if not reports:
         raise ValueError(f"unknown suite {suite!r}")
     return reports

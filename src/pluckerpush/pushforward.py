@@ -47,18 +47,23 @@ The factorial rational form read at the twists is the split model's reference.
 
 Over a point the degree is the tableau count of the rectangle eps,
 (d(r-d))! over its hook product.  ``degree_grassmannian_classical`` builds it
-from prime exponents, Legendre's for the factorial less those of the hooks,
-multiplied up a balanced product tree; it forms no factorial and divides
-nothing.  The factorial quotient is its oracle,
+from prime exponents: Legendre's for the factorial less those of the hooks
+for the primes below r, which the hooks can reach, and floor(d(r-d) / p) for
+the rest.  It groups the primes by exponent and squares its way down from
+the top bit of the exponents, multiplying in at each bit the balanced
+product of the primes whose exponent has it; it forms no factorial and
+divides nothing.  The factorial quotient is its oracle,
 ``oracles.degree_grassmannian_factorial``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, product
 from math import factorial, isqrt, prod
+from operator import mul
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
 from .partitions import Partition, enumerate_partitions
@@ -316,8 +321,11 @@ def _balanced_product(factors: list[int]) -> int:
     """The product of the factors, multiplied in pairs up a balanced tree, so
     that the large multiplications meet operands of similar size."""
     while len(factors) > 1:
-        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
-        factors = paired + factors[-1:] if len(factors) % 2 else paired
+        pairs = iter(factors)
+        paired = list(map(mul, pairs, pairs))
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
     return factors[0] if factors else 1
 
 
@@ -325,18 +333,25 @@ def degree_grassmannian_classical(d: int, r: int) -> int:
     """Degree of the Grassmannian of corank-d subspaces in its Pluecker embedding.
 
     The tableau count of the d x (r-d) rectangle: n! over the rectangle's hook
-    product, n = d(r-d), computed from its prime factorization.  Each prime
-    p <= n gets its Legendre exponent sum_k floor(n / p^k) in n!, less its
+    product, n = d(r-d), computed from its prime factorization.  A prime
+    p < r gets its Legendre exponent sum_k floor(n / p^k) in n!, less its
     exponent in the hook product, the sum over the prime powers p^k < r of the
-    multiplicities of the hooks that p^k divides.  Every exponent is asserted
-    nonnegative, and the powers p^e are multiplied by a balanced product tree,
-    so no factorial and no quotient is formed.
+    multiplicities of the hooks that p^k divides; each such exponent is
+    asserted nonnegative.  A prime p >= r divides no hook, all being below r,
+    and p^2 >= r^2 >= 4n > n, so its exponent is floor(n / p): the primes
+    from r to n fall in runs of one exponent.  The primes are grouped by
+    exponent e, and the product is built over the bits of e from the top:
+    at bit k the running product is squared and multiplied by the balanced
+    product of the primes whose e has bit k set.  No factorial and no
+    quotient is formed.
     """
     require_sizes(d, r)
     n = d * (r - d)
     hooks = _rectangle_hooks(d, r)
-    powers = []
-    for p in _primes_upto(n):
+    primes = _primes_upto(n)
+    below_r = bisect_left(primes, r)
+    groups: dict[int, list[int]] = {}
+    for p in primes[:below_r]:
         exponent = 0
         q = p
         while q <= n:
@@ -346,8 +361,23 @@ def degree_grassmannian_classical(d: int, r: int) -> int:
             q *= p
         assert exponent >= 0, f"degree formula exponent of {p} negative for d={d}, r={r}"
         if exponent:
-            powers.append(p**exponent)
-    return _balanced_product(powers)
+            groups.setdefault(exponent, []).append(p)
+    end = len(primes)
+    while end > below_r:
+        # the run of the largest prime left: floor(n / p) equals its exponent
+        # exactly when n // (exponent + 1) < p <= n // exponent
+        exponent = n // primes[end - 1]
+        start = max(below_r, bisect_right(primes, n // (exponent + 1), 0, end))
+        groups.setdefault(exponent, []).extend(primes[start:end])
+        end = start
+    degree = 1
+    for bit in range(max(groups, default=0).bit_length() - 1, -1, -1):
+        factors = []
+        for exponent, group in groups.items():
+            if exponent >> bit & 1:
+                factors += group
+        degree = degree * degree * _balanced_product(factors)
+    return degree
 
 
 def _denominator_table(denominator: DenominatorVariant, top: int) -> list[int]:

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pluckerpush
@@ -22,7 +23,8 @@ from pluckerpush import (
     rectangle,
     syt_count_hook,
 )
-from pluckerpush.chowring import render_terms
+from pluckerpush import chowring
+from pluckerpush.chowring import render_int, render_terms
 from pluckerpush.cli import _COMMANDS, build_parser, main, parse_args, render_schur_terms, to_json
 
 
@@ -308,22 +310,34 @@ class TestVerifyCommand:
         assert data["reports"][0]["suite"] == "degrees"
 
     @pytest.mark.parametrize(
-        "ignored",
+        "ignored,note",
         [
-            "--suite degrees --max-r 3 --max-d 2 --seed 5 --trials 3 --extra-N 1",
-            "--suite remark --max-r 5 --seed 9 --trials 2",
+            (
+                "--suite degrees --max-r 3 --max-d 2 --seed 5 --trials 3 --extra-N 1",
+                "note: --suite degrees ignores --seed, --trials, --max-d, --extra-N\n",
+            ),
+            ("--suite remark --max-r 5 --seed 9 --trials 2", "note: --suite remark ignores --seed, --trials\n"),
         ],
         ids=["degrees", "remark"],
     )
-    def test_options_a_suite_does_not_read_change_nothing(self, capsys, ignored):
-        # the README's claim: such options are accepted and ignored without a word
+    def test_options_a_suite_does_not_read_change_nothing(self, capsys, ignored, note):
+        # the README's claim: such options are accepted, named in one note on
+        # stderr, and leave stdout as it is without them
         outputs = []
-        for argv in (ignored.split(), ignored.split()[:4]):  # then only --suite and --max-r
+        for argv, expected_note in ((ignored.split(), note), (ignored.split()[:4], "")):  # then only --suite and --max-r
             code = main(["verify", *argv])
             captured = capsys.readouterr()
-            assert code == 0 and captured.err.startswith("elapsed: ")
+            assert code == 0
+            assert captured.err.startswith(expected_note + "elapsed: ")
+            assert captured.err.count("\n") == (2 if expected_note else 1)
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("suite", ["theorem", "all"])
+    def test_a_suite_that_reads_every_option_prints_no_note(self, capsys, suite):
+        argv = ["verify", "--suite", suite, "--max-d", "1", "--max-r", "2", "--seed", "3", "--trials", "1", "--extra-N", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.startswith("elapsed: ")
 
     def test_seed_and_trials_default_to_the_theorem_suite_defaults(self, capsys):
         code, out = run_cli(
@@ -527,6 +541,45 @@ class TestJsonWriter:
     def test_other_types_are_refused(self, value):
         with pytest.raises(TypeError):
             to_json(value)
+
+
+SPLIT_BITS = chowring._REPR_BITS  # above it render_int converts through Decimal
+RENDERED_MAGNITUDES = st.one_of(
+    st.just(0),
+    # powers of ten and their neighbours, where a dropped or carried digit shows
+    st.builds(lambda k, step: 10**k + step, st.integers(0, 50_000), st.sampled_from([-1, 0, 1])),
+    # either side of the threshold
+    st.builds(
+        lambda bits, seed: Random(seed).getrandbits(bits) | 1 << bits - 1,
+        st.integers(SPLIT_BITS - 64, SPLIT_BITS + 64),
+        st.integers(0, 2**32),
+    ),
+    # any length up to 50,000 digits
+    st.builds(
+        lambda digits, seed: Random(seed).randrange(10 ** (digits - 1), 10**digits),
+        st.integers(1, 50_000),
+        st.integers(0, 2**32),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RENDERED_MAGNITUDES, st.sampled_from([1, -1]))
+@example(2**SPLIT_BITS - 1, 1)
+@example(2**SPLIT_BITS, -1)
+def _render_int_matches_str(magnitude, sign):
+    assert render_int(sign * magnitude) == str(sign * magnitude)
+
+
+class TestRenderInt:
+    def test_matches_str(self):
+        # with the digit limit lifted, so that str() can print the reference
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            _render_int_matches_str()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _table_refused(*args):

@@ -570,6 +570,10 @@ def _hook_two_overcounted(real, d, r):
     return hooks
 
 
+def _last_factor_dropped(real, factors):
+    return real(factors[:-1])
+
+
 def _first_hook_doubled(real, lam):
     hooks = real(lam)
     return [2 * hooks[0], *hooks[1:]] if hooks else hooks
@@ -607,6 +611,7 @@ FAULTS = [
     Row(pushforward, "_rectangle_hooks", _largest_hook_dropped, "degrees", 1),
     Row(pushforward, "_primes_upto", _largest_prime_dropped, "degrees", 1),
     Row(pushforward, "_rectangle_hooks", _hook_two_overcounted, "degrees", 3),
+    Row(pushforward, "_balanced_product", _last_factor_dropped, "degrees", 1),
     Row(tableaux, "hook_lengths", _first_hook_doubled, "degrees", 3),
 ]
 ROW = {row.fault: row for row in FAULTS}
@@ -837,6 +842,9 @@ def _classical_mismatches(expected):
 class TestClassicalDegree:
     def test_production_equals_the_factorial_form_and_the_hook_count(self, classical_oracle):
         assert _classical_mismatches(classical_oracle) == []
+        # the bench's largest pairs, (64, 130), (97, 196) and (98, 198) among
+        # them, give the primes from r exponents floor(n / p) of 6 bits
+        assert max((d * (r - d) // r).bit_length() for d, r in CLASSICAL_GRID) == 6
 
     def test_edges(self):
         for r in range(1, 120):
@@ -861,7 +869,19 @@ class TestClassicalDegree:
         monkeypatch.setattr(pushforward, "factorial", refused)
         assert degree_grassmannian_classical(96, 194) == degree_grassmannian_factorial(96, 194)
 
-    @pytest.mark.parametrize("row", rows_of(_largest_hook_dropped, _largest_prime_dropped))
+    def test_primes_from_r_take_exponent_n_over_p(self):
+        # the shortcut of degree_grassmannian_classical: a prime p >= r divides
+        # no hook and p^2 > n, so its exponent is Legendre's first term alone
+        for d, r in CLASSICAL_GRID:
+            n = d * (r - d)
+            hooks = pushforward._rectangle_hooks(d, r)
+            for p in pushforward._primes_upto(n):
+                if p >= r:
+                    powers = [p**k for k in range(1, n.bit_length() + 1) if p**k <= n]
+                    legendre = sum(n // q for q in powers)
+                    assert legendre - sum(sum(hooks[q::q]) for q in powers if q < r) == n // p, (d, r, p)
+
+    @pytest.mark.parametrize("row", rows_of(_largest_hook_dropped, _largest_prime_dropped, _last_factor_dropped))
     def test_fault_fails_the_grid(self, monkeypatch, classical_oracle, row):
         plant(monkeypatch, row)
         assert _classical_mismatches(classical_oracle) != []
