@@ -35,7 +35,6 @@ from .pushforward import (
 )
 from .oracles import (
     box_pieri_degree,
-    degree_grassmannian_factorial,
     localization_pushforward,
     pieri_walk,
     run_suites,
@@ -79,7 +78,6 @@ __all__ = [
     "schur_coefficients",
     "schur_form_terms",
     "box_pieri_degree",
-    "degree_grassmannian_factorial",
     "localization_pushforward",
     "pieri_walk",
     "run_suites",

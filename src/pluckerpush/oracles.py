@@ -18,7 +18,7 @@ Four oracles, none of which shares code with the production formula it checks:
     evaluated for all the root sets of a theorem-suite cell at once.
   * ``schur_form_pushforward``: the Schur-form sum in a model's graded ring,
     one Jacobi-Trudi determinant of Segre classes per shape; the oracle of the
-    class ``pushforward_plucker_power`` builds from the walk's keys, and of
+    monomial table ``pushforward_terms`` builds from the walk's keys, and of
     the rational form, which enumerates its vectors apart from that walk.
     Over formal bundles a determinant depends on (d, shape) and not on the
     rank, so the remark suite computes each one once for all the ranks of
@@ -27,10 +27,10 @@ Four oracles, none of which shares code with the production formula it checks:
     steps, whose counts are the hook-length tableau counts the production
     formulas read; ``box_pieri_degree`` truncates it to the d x (r-d) box and
     computes Grassmannian degrees without factorials or determinants.
-  * ``degree_grassmannian_factorial``: the classical degree as one exact
-    quotient of factorial products, checking the prime-exponent product of
-    ``degree_grassmannian_classical`` beside the box Pieri walk and the hook
-    count of the rectangle.
+  * ``tableaux.syt_count_product``: the product formula of the tableau
+    counts; at the empty shape it checks the prime-exponent product of
+    ``degree_grassmannian_classical``, the base of every production count,
+    beside the box Pieri walk and the hook count of the rectangle.
 
 The suite drivers compare these against the production code over seeded random
 grids and return reports that are byte-reproducible from the seed.
@@ -42,13 +42,13 @@ import itertools
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 from .partitions import Partition, rectangle
 from .pushforward import (
     _class_of_table,
     degree_grassmannian_classical,
-    pushforward_plucker_power,
+    pushforward_terms,
     rational_form_coefficients,
     schur_coefficients,
     schur_form_terms,
@@ -57,7 +57,7 @@ from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_o
 from .records import Record, require_exact, require_sizes
 from .rng import SplitMix64
 from .schur import jacobi_trudi_det
-from .tableaux import syt_count_hook
+from .tableaux import syt_count_hook, syt_count_product
 
 
 @lru_cache(maxsize=1)
@@ -203,18 +203,6 @@ def box_pieri_degree(d: int, r: int) -> int:
     require_sizes(d, r)
     width = r - d
     return pieri_walk(d * width, d, width).get(tuple([width] * d) if width else (), 0)
-
-
-def degree_grassmannian_factorial(d: int, r: int) -> int:
-    """Grassmannian degree by the factorial closed form
-    (d(r-d))! * prod_{l<d} l! / prod_{l<=d} (r-l)!, with the division
-    asserted exact."""
-    require_sizes(d, r)
-    numerator = factorial(d * (r - d)) * prod(factorial(l) for l in range(1, d))
-    denominator = prod(factorial(r - l) for l in range(1, d + 1))
-    degree, rem = divmod(numerator, denominator)
-    assert rem == 0, f"degree formula division not exact for d={d}, r={r}"
-    return degree
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +402,9 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
     rank r of the grid.  Passes only if exactly one variant matches on every
     instance; also records whether the matching variant's coefficients were
     integers throughout.  ``comparisons`` counts these variant checks, two
-    per instance.  The production class, ``pushforward_plucker_power`` from
-    the monomial table, is checked against the same sum too; each mismatch
-    adds only a failure and a verbose line.
+    per instance.  The sum is built from the pairs of one production pass,
+    ``pushforward_terms``, whose table is checked against it too; each
+    mismatch adds only a failure and a verbose line.
     """
     variants = ("linear", "factorial")
     matches = {v: 0 for v in variants}
@@ -433,8 +421,9 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
             for N in range(fiber_dim, fiber_dim + extra_powers + 1):
                 instances += 1
                 model = FormalBundle(base_dim=N - fiber_dim, rank=r)
-                expected = _schur_sum(schur_coefficients(N, d, r), d, model, deltas)
-                if pushforward_plucker_power(N, d, model) != expected:
+                pairs, table = pushforward_terms(N, d, model)
+                expected = _schur_sum(pairs, d, model, deltas)
+                if GradedPoly(ring_of(model), table) != expected:
                     table_mismatches += 1
                     verbose_lines.append(f"d={d} r={r} N={N} table: mismatch")
                 for variant in variants:
@@ -485,9 +474,9 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
 def suite_degrees(max_r: int = 8) -> SuiteReport:
     """Independent computations of every Grassmannian degree up to max_r.
 
-    The production prime-exponent product, the factorial closed form, the box
-    Pieri walk and the hook-length count of the rectangle must agree exactly;
-    the verbose line shows the production value as ``closed``.
+    The production prime-exponent product, the product formula at the empty
+    shape, the box Pieri walk and the rectangle's hook-length count must
+    agree exactly; the verbose line shows the production value as ``closed``.
     """
     comparisons = 0
     failures = 0
@@ -498,7 +487,7 @@ def suite_degrees(max_r: int = 8) -> SuiteReport:
             walked = box_pieri_degree(d, r)
             hooked = syt_count_hook(rectangle(d, r - d))
             comparisons += 1
-            agree = closed == degree_grassmannian_factorial(d, r) == walked == hooked
+            agree = closed == syt_count_product(Partition(), d, r) == walked == hooked
             if not agree:
                 failures += 1
             verbose_lines.append(

@@ -25,35 +25,29 @@ once and returns the signed table of its suffixes, which its parent adds
 in with the key moved and the sign flipped as the placed part requires.
 The walk carries no product; the digits of a key are the exponents of a
 monomial, and each vector adds its set's count, read from the Schur-form
-pairs, with its sign, and nothing is divided.  The
-rational form of either denominator variant, a reference, enumerates the
-vectors on its own and ``_class_of_table`` reads it as a class; the
-Jacobi-Trudi sum in the graded ring is the oracle of both,
-``oracles.schur_form_pushforward``.
+pairs, with its sign, and nothing is divided.  The rational form of either
+denominator variant, a reference, enumerates the vectors on its own and
+``_class_of_table`` reads it as a class; the Jacobi-Trudi sum in the graded
+ring is the oracle of both, ``oracles.schur_form_pushforward``.
 
 At explicit Chern roots each Delta_lam is a scalar determinant of complete
 homogeneous values (``schur_form_terms``, which takes a list of root sets and
 computes the tableau counts once for all of them); at the twists of a split
 bundle over P^m these are the per-shape integrals of the Grassmann bundle's
-degree.  Each count f(lam + eps) is the composition term at k = lam.  Since
-s_k(E) = h_k(twists) * h^k, the push-forward over P^m is the sum of these
-rows times h^w, w = N - d(r-d): the split model reads the scalar Schur rows,
-and only the formal model reads the monomial table.  On either model
-``pushforward_terms`` returns the pairs of its one count pass with the class
-as a plain {exponent vector: coefficient} table, which the command line
+degree.  Since s_k(E) = h_k(twists) * h^k, the push-forward over P^m is
+the sum of these rows times h^w, w = N - d(r-d): the split model reads the
+scalar Schur rows, and only the formal model reads the monomial table.  On
+either model ``pushforward_terms`` returns the pairs of its one count pass
+with the class as a plain {exponent vector: coefficient} table, which the command line
 renders without building a ring element; ``pushforward_plucker_power``
 wraps that table in a ``GradedPoly``, the container of the oracle side.
 The factorial rational form read at the twists is the split model's reference.
 
-Over a point the degree is the tableau count of the rectangle eps,
-(d(r-d))! over its hook product.  ``degree_grassmannian_classical`` builds it
-from prime exponents: Legendre's for the factorial less those of the hooks
-for the primes below r, which the hooks can reach, and floor(d(r-d) / p) for
-the rest.  It groups the primes by exponent and squares its way down from
-the top bit of the exponents, multiplying in at each bit the balanced
-product of the primes whose exponent has it; it forms no factorial and
-divides nothing.  The factorial quotient is its oracle,
-``oracles.degree_grassmannian_factorial``.
+Over a point the degree is the count f(eps) of the rectangle, built from prime
+exponents with no factorial and no division (``degree_grassmannian_classical``).
+Each count f(lam + eps) is that degree, computed once per pass, times one exact
+ratio over the nonzero rows of lam (``_count_over_rectangle``); the product
+formula ``tableaux.syt_count_product`` is the oracle of both.
 """
 
 from __future__ import annotations
@@ -62,14 +56,13 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, product
-from math import factorial, isqrt, prod
+from math import factorial, isqrt, perm, prod
 from operator import mul
 
 from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
 from .partitions import Partition, enumerate_partitions
 from .records import require_exact, require_sizes
 from .schur import complete_homogeneous_values, jacobi_trudi_det
-from .tableaux import syt_count_product
 
 #: "linear" or "factorial", the denominator convention of the rational form.
 DenominatorVariant = str
@@ -83,15 +76,34 @@ def schur_coefficients(N: int, d: int, r: int) -> Pairs:
     """The Schur-form terms (lam, f(lam + eps)) of the push-forward of theta^N.
 
     One pair per partition lam of N - d(r-d) with at most d parts, in
-    reverse-lexicographic order; empty below the fiber dimension, where the
-    push-forward vanishes.  Each count is the composition term at k = lam,
-    ``syt_count_product``, so the shape lam + eps is never built.
+    reverse-lexicographic order, empty below the fiber dimension; each count
+    is the classical degree f(eps), computed once, times the ratio of lam.
     """
     require_sizes(d, r, N)
     fiber_dim = d * (r - d)
     if N < fiber_dim:
         return []
-    return [(lam, syt_count_product(lam, d, r)) for lam in enumerate_partitions(N - fiber_dim, d)]
+    rectangle = degree_grassmannian_classical(d, r)
+    lams = enumerate_partitions(N - fiber_dim, d)
+    return [(lam, _count_over_rectangle(lam, d, r, rectangle)) for lam in lams]
+
+
+def _count_over_rectangle(lam: Partition, d: int, r: int, rectangle: int) -> int:
+    """f(lam + eps) from ``rectangle`` = f(eps): in the product formula a zero
+    row gives the rectangle's own factors, so with rows i from 0, n = d(r-d)
+    and N = n + |lam| it is f(eps) * N!/n! times, over the nonzero rows i,
+    prod_{j>i} (lam_i - lam_j + j - i) / ((d-1-i)! (r-1-i+lam_i)!/(r-1-i)!),
+    the zero rows j in one ``perm``; the one division is asserted exact."""
+    numerator = rectangle * perm(d * (r - d) + lam.weight, lam.weight)
+    denominator = 1
+    for i, part in enumerate(lam):
+        numerator *= perm(part + d - 1 - i, d - len(lam))
+        for j in range(i + 1, len(lam)):
+            numerator *= part - lam[j] + j - i
+        denominator *= factorial(d - 1 - i) * perm(r - 1 - i + part, part)
+    count, rem = divmod(numerator, denominator)
+    assert rem == 0, f"rectangle ratio division not exact for {lam}, d={d}, r={r}"
+    return count
 
 
 def _suffix_table(

@@ -32,7 +32,7 @@ def syt_count_product(lam: Partition, d: int, r: int) -> int:
         N! * prod_{1<=i<j<=d} (lam_i - lam_j - i + j)
            / prod_{1<=i<=d} (r + lam_i - i)!
 
-    The rectangle shift never has to be materialized.
+    The shift is never built.  The oracle of the engine's counts f(lam + eps).
     """
     require_sizes(d, r)
     parts = lam.padded(d)

@@ -618,7 +618,8 @@ class TestSplitModelReadsSchurRows:
 class TestOneCountPassPerPushforward:
     """Both lines of ``pushforward`` read the pairs of one count pass: one
     enumeration of the partitions and one tableau count per partition, on
-    either model, with the weight inside or above the base dimension."""
+    either model, with the weight inside or above the base dimension; the
+    rectangle's count, the classical degree, is computed once for the pass."""
 
     PUSH = ("pushforward", "--N", "10", "--d", "4", "--r", "5")
 
@@ -630,26 +631,33 @@ class TestOneCountPassPerPushforward:
     )
     def test_each_count_is_computed_once(self, capsys, monkeypatch, model):
         # w = 6 at d = 4: nine partitions, (6) to (2,2,1,1)
-        shapes, enumerations = [], []
-        syt_count_product = pluckerpush.pushforward.syt_count_product
+        shapes, enumerations, rectangles = [], [], []
+        count_over_rectangle = pluckerpush.pushforward._count_over_rectangle
         enumerate_partitions = pluckerpush.pushforward.enumerate_partitions
+        degree_grassmannian_classical = pluckerpush.pushforward.degree_grassmannian_classical
 
-        def counted(lam, d, r):
+        def counted(lam, d, r, rectangle):
             shapes.append(lam)
-            return syt_count_product(lam, d, r)
+            return count_over_rectangle(lam, d, r, rectangle)
 
         def enumerated(weight, max_parts):
             enumerations.append((weight, max_parts))
             return enumerate_partitions(weight, max_parts)
 
-        monkeypatch.setattr(pluckerpush.pushforward, "syt_count_product", counted)
+        def classical(d, r):
+            rectangles.append((d, r))
+            return degree_grassmannian_classical(d, r)
+
+        monkeypatch.setattr(pluckerpush.pushforward, "_count_over_rectangle", counted)
         monkeypatch.setattr(pluckerpush.pushforward, "enumerate_partitions", enumerated)
+        monkeypatch.setattr(pluckerpush.pushforward, "degree_grassmannian_classical", classical)
         code, out = run_cli(capsys, *self.PUSH, *model)
         assert code == 0
         assert out.count("Delta") == 9
         assert shapes == enumerate_partitions(6, 4)
         assert len(shapes) == 9
         assert enumerations == [(6, 4)]
+        assert rectangles == [(4, 5)]
 
 
 DEGREE = ["degree", "--d", "1", "--pm", "1", "--twists", "1,2"]

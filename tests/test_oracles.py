@@ -2,7 +2,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from math import comb, prod
+from math import comb, factorial, perm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from pluckerpush import (
     SplitMix64,
     box_pieri_degree,
     degree_grassmannian_classical,
-    degree_grassmannian_factorial,
     localization_pushforward,
     rectangle,
     run_suites,
@@ -24,6 +23,7 @@ from pluckerpush import (
     suite_remark,
     suite_theorem,
     syt_count_hook,
+    syt_count_product,
     verify_pushforward,
 )
 from pluckerpush import oracles, pushforward, tableaux
@@ -380,8 +380,28 @@ def _odd_h_flipped(real, roots, top):
     return [-v if k % 2 else v for k, v in enumerate(real(roots, top))]
 
 
-def _rectangle_one_column_wider(real, lam, d, r):
-    return real(lam, d, r + 1)
+def _rectangle_one_column_wider(real, lam, d, r, rectangle):
+    return real(lam, d, r + 1, degree_grassmannian_classical(d, r + 1))
+
+
+def _vandermonde_over_nonzero_rows(_, lam, d, r, rectangle):
+    # the ratio over the rectangle's count with the Vandermonde row of each
+    # nonzero row i taken over the nonzero rows j < len(lam) alone, so the
+    # factors of the zero rows j >= len(lam) are left out; the quotient's
+    # assert trips first at lam=(1), d=2, r=2, where 1 is divided by 2
+    numerator = rectangle * perm(d * (r - d) + lam.weight, lam.weight)
+    denominator = 1
+    for i, part in enumerate(lam):
+        for j in range(i + 1, len(lam)):
+            numerator *= part - lam[j] + j - i
+        denominator *= factorial(d - 1 - i) * perm(r - 1 - i + part, part)
+    count, rem = divmod(numerator, denominator)
+    assert rem == 0, f"rectangle ratio division not exact for {lam}, d={d}, r={r}"
+    return count
+
+
+def _rectangle_one_row_taller(real, lam, d, r):
+    return real(lam, d + 1, r + 1)
 
 
 def _last_partition_dropped(real, weight, max_parts):
@@ -592,7 +612,8 @@ def plant(monkeypatch, row):
 FAULTS = [
     Row(pushforward, "schur_coefficients", _off_by_one_coefficient, "theorem", 1),
     Row(pushforward, "complete_homogeneous_values", _odd_h_flipped, "theorem", 1),
-    Row(pushforward, "syt_count_product", _rectangle_one_column_wider, "theorem", 1),
+    Row(pushforward, "_count_over_rectangle", _rectangle_one_column_wider, "theorem", 1),
+    Row(pushforward, "_count_over_rectangle", _vandermonde_over_nonzero_rows, "theorem", 3),
     Row(pushforward, "enumerate_partitions", _last_partition_dropped, "theorem", 1),
     Row(pushforward, "jacobi_trudi_det", _negated_from_two_rows, "theorem", 1),
     Row(oracles, "localization_pushforward", _roots_negated, "theorem", 1),
@@ -613,6 +634,7 @@ FAULTS = [
     Row(pushforward, "_rectangle_hooks", _hook_two_overcounted, "degrees", 3),
     Row(pushforward, "_balanced_product", _last_factor_dropped, "degrees", 1),
     Row(tableaux, "hook_lengths", _first_hook_doubled, "degrees", 3),
+    Row(oracles, "syt_count_product", _rectangle_one_row_taller, "degrees", 1),
 ]
 ROW = {row.fault: row for row in FAULTS}
 SUITES = {
@@ -639,7 +661,7 @@ COVERED = {
     "enumerate_partitions": (_last_partition_dropped, (4, 2)),
     "hook_lengths": (_first_hook_doubled, (Partition((2, 1)),)),
     "syt_count_hook": (_first_hook_doubled, (Partition((2, 1)),)),
-    "syt_count_product": (_rectangle_one_column_wider, (Partition((1,)), 2, 4)),
+    "syt_count_product": (_rectangle_one_row_taller, (Partition(), 2, 4)),
     "complete_homogeneous_values": (_odd_h_flipped, ([1, 2], 3)),
     "jacobi_trudi_det": (_negated_from_two_rows, ((1, 0), [1, 2, 3])),
     "segre_classes": (_odd_segre_negated, (FORMAL, 2)),
@@ -708,6 +730,17 @@ class TestTheoremSuiteCatchesPlantedFaults:
         assert report.failures == 0
         assert len(calls) == report.payload["cells"]
 
+    def test_vandermonde_slip_trips_the_ratio_assert(self, monkeypatch, capsys):
+        # without the zero rows' Vandermonde factors the ratio's one division
+        # is inexact, first at lam=(1) over the empty rectangle d = r = 2
+        plant(monkeypatch, ROW[_vandermonde_over_nonzero_rows])
+        assert main(SUITES["theorem"]) == 3
+        captured = capsys.readouterr()
+        message = "rectangle ratio division not exact for (1), d=2, r=2"
+        # pytest's assertion rewriting appends its own lines to the message
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal invariant violated: {message}\n")
+
     @pytest.mark.parametrize("row", rows_of(*SCHUR_SIDE))
     def test_schur_side_fault_changes_degree(self, monkeypatch, capsys, row):
         # the split push-forward sums the same Schur rows, so its class line
@@ -751,6 +784,20 @@ class TestRemarkSuiteCatchesPlantedFaults:
         ]
         assert sorted(calls) == sorted(set(grid))
         assert len(calls) < len(grid)
+
+    def test_one_count_pass_per_instance(self, monkeypatch):
+        # the Schur sum and the table check read the pairs of one
+        # pushforward_terms call, which counts once
+        calls, real = [], pushforward.schur_coefficients
+
+        def counted(N, d, r):
+            calls.append((N, d, r))
+            return real(N, d, r)
+
+        monkeypatch.setattr(pushforward, "schur_coefficients", counted)
+        report = suite_remark(max_d=3, max_r=6, extra_powers=3)
+        assert report.failures == 0
+        assert len(calls) == len(set(calls)) == report.payload["instances"]
 
     @pytest.mark.parametrize("row", rows_of(*WALK))
     def test_table_fault_fails_the_table_check(self, monkeypatch, row):
@@ -827,10 +874,11 @@ CLASSICAL_GRID = [(d, r) for r in range(1, 41) for d in range(1, r + 1)] + [
 
 @pytest.fixture(scope="module")
 def classical_oracle():
-    """The factorial closed form on the grid, checked against the hook count."""
+    """The product formula at the empty shape on the grid, checked against
+    the hook count."""
     values = {}
     for d, r in CLASSICAL_GRID:
-        values[d, r] = degree_grassmannian_factorial(d, r)
+        values[d, r] = syt_count_product(Partition(), d, r)
         assert values[d, r] == syt_count_hook(rectangle(d, r - d)), (d, r)
     return values
 
@@ -867,7 +915,7 @@ class TestClassicalDegree:
             raise AssertionError(f"factorial({n}) formed")
 
         monkeypatch.setattr(pushforward, "factorial", refused)
-        assert degree_grassmannian_classical(96, 194) == degree_grassmannian_factorial(96, 194)
+        assert degree_grassmannian_classical(96, 194) == syt_count_product(Partition(), 96, 194)
 
     def test_primes_from_r_take_exponent_n_over_p(self):
         # the shortcut of degree_grassmannian_classical: a prime p >= r divides

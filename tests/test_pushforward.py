@@ -32,6 +32,7 @@ from pluckerpush import (
     syt_count_hook,
     syt_count_product,
 )
+import pluckerpush
 import pluckerpush.pushforward as pushforward_module
 import pluckerpush.tableaux as tableaux_module
 from pluckerpush.cli import main
@@ -368,12 +369,13 @@ class TestMonomialTable:
     def test_one_count_per_partition(self, monkeypatch):
         # d=4, r=5, w=6: 9 counts, one per partition of 6 with at most 4 parts
         shapes = []
+        count_over_rectangle = pushforward_module._count_over_rectangle
 
-        def counted(lam, d, r):
+        def counted(lam, d, r, rectangle):
             shapes.append(lam)
-            return syt_count_product(lam, d, r)
+            return count_over_rectangle(lam, d, r, rectangle)
 
-        monkeypatch.setattr(pushforward_module, "syt_count_product", counted)
+        monkeypatch.setattr(pushforward_module, "_count_over_rectangle", counted)
         assert len(pushforward_plucker_power(10, 4, FormalBundle(base_dim=6, rank=5)).monomials) == 9
         assert shapes == enumerate_partitions(6, 4)
 
@@ -395,10 +397,10 @@ class TestMonomialTable:
 
     def test_inexact_division_names_the_partition(self, monkeypatch, capsys):
         # the table divides nothing: the counts it reads come from
-        # syt_count_product, whose own assert stops a denominator one too
-        # large at the first partition, lam=(2)
-        monkeypatch.setattr(tableaux_module, "prod", lambda factors: prod(factors) + 1)
-        message = "product formula division not exact for (2), d=2, r=4"
+        # _count_over_rectangle, whose own assert stops a denominator with a
+        # factorial one too large at the first partition, lam=(2)
+        monkeypatch.setattr(pushforward_module, "factorial", lambda n: factorial(n) + 1)
+        message = "rectangle ratio division not exact for (2), d=2, r=4"
         with pytest.raises(AssertionError, match=re.escape(message)):
             pushforward_plucker_power(6, 2, FormalBundle(base_dim=2, rank=4))
         assert main(["pushforward", "--N", "6", "--d", "2", "--r", "4", "--base-dim", "2"]) == 3
@@ -425,13 +427,40 @@ class TestMonomialTable:
         assert pushforward_plucker_power(3, 2, FormalBundle(base_dim=2, rank=4)) == 0
         assert schur_coefficients(3, 2, 4) == []
 
-    def test_schur_coefficients_are_shifted_tableau_counts(self):
-        for d in range(1, 4):
-            for r in range(d, 7):
-                for w in range(5):
-                    pairs = schur_coefficients(d * (r - d) + w, d, r)
-                    assert [lam for lam, _ in pairs] == enumerate_partitions(w, d)
-                    assert all(c == syt_count_product(lam, d, r) for lam, c in pairs)
+    def test_schur_coefficients_are_shifted_tableau_counts(self, capsys):
+        # the rectangle's count times the ratio over the nonzero rows is the
+        # product formula: with l(lam) = d, with r = d, where the rectangle is
+        # empty, and at d = 60, where all but at most three rows are zero
+        grid = [(d, r, w) for d in range(1, 7) for r in sorted({d, d + 1, 2 * d + 2}) for w in range(9)]
+        grid += [(60, r, w) for r in (60, 61, 62) for w in range(4)]
+        for d, r, w in grid:
+            pairs = schur_coefficients(d * (r - d) + w, d, r)
+            assert [lam for lam, _ in pairs] == enumerate_partitions(w, d)
+            assert all(c == syt_count_product(lam, d, r) for lam, c in pairs), (d, r, w)
+        # the empty shape over the empty 400-row rectangle: its one count is
+        # the classical degree, with no Vandermonde product over the rows
+        assert main(["pushforward", "--N", "0", "--d", "400", "--r", "400", "--base-dim", "0"]) == 0
+        assert capsys.readouterr().out == "schur form: Delta()\nclass: 1\n"
+
+    def test_empty_shape_reads_the_classical_degree_alone(self, monkeypatch):
+        # at lam = 0 the count is the classical degree times an empty ratio:
+        # no factorial is formed, where the product formula forms d + 1
+        def refused(n):
+            raise AssertionError(f"factorial({n}) formed")
+
+        monkeypatch.setattr(pushforward_module, "factorial", refused)
+        monkeypatch.setattr(tableaux_module, "factorial", refused)
+        for d, r in ((400, 400), (400, 401), (400, 402), (60, 120)):
+            expected = [(Partition(), degree_grassmannian_classical(d, r))]
+            assert schur_coefficients(d * (r - d), d, r) == expected
+
+    def test_no_engine_module_reads_the_product_formula(self):
+        # the product formula is the counts' oracle and the syt command's;
+        # every module of the engine, the push-forward first, does without it
+        engine = ("partitions", "records", "schur", "chowring", "pushforward", "rng")
+        for name in engine:
+            module = getattr(pluckerpush, name)
+            assert not {"syt_count_product", "tableaux"} & set(vars(module)), name
 
     def test_formal_grid_matches_jacobi_trudi_oracle(self):
         # the base dimension runs one below, at and one above the output degree

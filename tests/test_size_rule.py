@@ -19,7 +19,6 @@ from pluckerpush import (
     complete_homogeneous_values,
     degree_grassmann_bundle_terms,
     degree_grassmannian_classical,
-    degree_grassmannian_factorial,
     integrate_over_pm,
     localization_pushforward,
     pushforward_plucker_power,
@@ -72,12 +71,13 @@ ENTRIES = {
         "",
     ),
     "degree_grassmannian_classical": (lambda N, d, r: degree_grassmannian_classical(d, r), "r"),
+    # the product formula at the empty shape: the degrees suite's check of
+    # the classical degree
     "syt_count_product": (lambda N, d, r: syt_count_product(Partition(), d, r), "r"),
     "localization_pushforward": (lambda N, d, r: localization_pushforward(N, d, roots(r)), "N"),
     "schur_form_at_roots": (lambda N, d, r: schur_form_at_roots(N, d, [roots(r)]), "N"),
     "schur_form_pushforward": (lambda N, d, r: schur_form_pushforward(N, d, model(r)), "N r"),
     "box_pieri_degree": (lambda N, d, r: box_pieri_degree(d, r), "r"),
-    "degree_grassmannian_factorial": (lambda N, d, r: degree_grassmannian_factorial(d, r), "r"),
 }
 
 VALID = {"N": 5, "d": 2, "r": 3}
