@@ -34,18 +34,18 @@ At explicit Chern roots each Delta_lam is a scalar determinant of complete
 homogeneous values (``schur_form_terms``, which takes a list of root sets and
 computes the tableau counts once for all of them); at the twists of a split
 bundle over P^m these are the per-shape integrals of the Grassmann bundle's
-degree.  Since s_k(E) = h_k(twists) * h^k, the push-forward over P^m is
-the sum of these rows times h^w, w = N - d(r-d): the split model reads the
-scalar Schur rows, and only the formal model reads the monomial table.  On
-either model ``pushforward_terms`` returns the pairs of its one count pass
-with the class as a plain {exponent vector: coefficient} table, which the command line
-renders without building a ring element; ``pushforward_plucker_power``
-wraps that table in a ``GradedPoly``, the container of the oracle side.
-The factorial rational form read at the twists is the split model's reference.
+degree.  Since s_k(E) = h_k(twists) * h^k, the push-forward over P^m is the
+sum of these rows times h^w, w = N - d(r-d): the split model reads the scalar
+Schur rows, and only the formal model reads the monomial table.  On either
+model ``pushforward_terms`` returns the pairs of its one count pass with the
+class as a plain {exponent vector: coefficient} table, which the command
+line renders without building a ring element; ``pushforward_plucker_power``
+wraps that table in a ``GradedPoly``, the container of the oracle side.  The
+factorial rational form read at the twists is the split model's reference.
 
-Over a point the degree is the count f(eps) of the rectangle, built from prime
-exponents with no factorial and no division (``degree_grassmannian_classical``).
-Each count f(lam + eps) is that degree, computed once per pass, times one exact
+Over a point the degree is the rectangle's count f(eps), built from prime
+exponents (``degree_grassmannian_classical``) with no factorial or division.
+Each f(lam + eps) is that count, computed once per pass, times one exact
 ratio over the nonzero rows of lam (``_count_over_rectangle``); the product
 formula ``tableaux.syt_count_product`` is the oracle of both.
 """

@@ -888,7 +888,7 @@ def _classical_mismatches(expected):
 
 
 class TestClassicalDegree:
-    def test_production_equals_the_factorial_form_and_the_hook_count(self, classical_oracle):
+    def test_production_equals_the_product_formula_and_the_hook_count(self, classical_oracle):
         assert _classical_mismatches(classical_oracle) == []
         # the bench's largest pairs, (64, 130), (97, 196) and (98, 198) among
         # them, give the primes from r exponents floor(n / p) of 6 bits
