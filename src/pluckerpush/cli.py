@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a caller's
 mistake, caught here before any computation), 3 internal error (a broken
-invariant, or a ValueError or RecursionError raised inside the engine), 141
+invariant, or any other exception raised inside the engine), 141
 (128 + SIGPIPE) when the reader closes stdout before the output is written,
 with nothing on stderr.  All stdout is deterministic for a given invocation
 and seed; timing goes to stderr only.
@@ -121,6 +121,10 @@ def cmd_pushforward(args: SimpleNamespace) -> int:
     if not 1 <= args.d <= args.r:
         raise UsageError(f"need 1 <= d <= r, got d={args.d}, r={args.r}")
     model = _build_model(args)
+    echo = _model_json(model)
+    if isinstance(model, FormalBundle):
+        # a class of degree w = N - d(r-d) reads only s_1..s_w
+        model = FormalBundle(min(model.base_dim, max(args.N - args.d * (args.r - args.d), 0)), args.r)
     schur_pairs, table = pushforward_terms(args.N, args.d, model)
     schur_terms = [(str(lam), render_int(coeff)) for lam, coeff in schur_pairs]
     class_terms = table_terms(ring_of(model), table)
@@ -132,7 +136,7 @@ def cmd_pushforward(args: SimpleNamespace) -> int:
             "N": args.N,
             "d": args.d,
             "r": args.r,
-            "model": _model_json(model),
+            "model": echo,
             "schur_terms": [{"shape": s, "coefficient": c} for s, c in schur_terms],
             "class_terms": [{"monomial": m, "coefficient": c} for m, c in class_terms],
             "class_text": class_text,
@@ -196,16 +200,19 @@ def cmd_syt(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+#: verify's int flags once: (flag, ``run_suites`` keyword, least value or None).
+_VERIFY_FLAGS = (
+    ("--seed", "seed", None), ("--trials", "trials", 1), ("--max-d", "max_d", 1),
+    ("--max-r", "max_r", 1), ("--extra-N", "extra_powers", 0),
+)
+
+
 def cmd_verify(args: SimpleNamespace) -> int:
+    """Run ``--suite`` with the ``_VERIFY_FLAGS`` given; a note on stderr names
+    those it does not read (``SUITE_OPTIONS``).  Exit 1 on any failure."""
     kwargs: dict[str, object] = {}
     ignored = []
-    for flag, keyword, least in (
-        ("--seed", "seed", None),
-        ("--trials", "trials", 1),
-        ("--max-d", "max_d", 1),
-        ("--max-r", "max_r", 1),
-        ("--extra-N", "extra_powers", 0),
-    ):
+    for flag, keyword, least in _VERIFY_FLAGS:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is None:
             continue
@@ -264,12 +271,8 @@ _COMMANDS = {
         ("--r", dict(type=int, default=None, help="bundle rank, for --method product")),
     )),
     "verify": (cmd_verify, "run the oracle cross-check suites", (
-        ("--suite", dict(choices=("theorem", "remark", "degrees", "all"), required=True)),
-        ("--seed", dict(type=int, default=None)),
-        ("--trials", dict(type=int, default=None)),
-        ("--max-d", dict(type=int, default=None)),
-        ("--max-r", dict(type=int, default=None)),
-        ("--extra-N", dict(type=int, default=None)),
+        ("--suite", dict(choices=(*SUITE_OPTIONS, "all"), required=True)),
+        *((flag, dict(type=int, default=None)) for flag, _, _ in _VERIFY_FLAGS),
         ("--verbose", dict(action="store_true", help="include per-trial lines")),
         ("--json", dict(action="store_true")),
     )),
@@ -385,13 +388,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RecursionError) as exc:
-        # every caller mistake is a UsageError by now, so this is the engine's;
-        # a walk deeper than the interpreter's recursion limit is one too
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # every caller mistake is a UsageError by now, so this is the engine's,
+        # as is a walk past the recursion limit; other kinds name their class
+        plain = isinstance(exc, (ValueError, RecursionError))
+        print(f"internal error: {exc if plain else repr(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         sys.set_int_max_str_digits(digit_limit)

@@ -504,36 +504,32 @@ def suite_degrees(max_r: int = 8) -> SuiteReport:
     )
 
 
-#: The options each suite reads, by keyword; ``run_suites`` passes a suite
-#: only these, and ``verify`` names on stderr those it is given and ignores.
+#: Every suite, in ``--suite all`` order, with the keywords it reads; this is
+#: the one list of suites.  ``verify`` notes the options a suite ignores.
 SUITE_OPTIONS = {
-    "theorem": ("max_d", "max_r", "extra_powers", "trials", "seed"),
+    "theorem": ("max_d", "max_r", "extra_powers", "trials", "seed", "verbose"),
     "remark": ("max_d", "max_r", "extra_powers"),
     "degrees": ("max_r",),
 }
 
 
 def run_suites(suite: str, verbose: bool = True, **options: int) -> list[SuiteReport]:
-    """Run one named suite, or all three.
+    """Run one suite of ``SUITE_OPTIONS``, or all of them in its order.
 
-    ``options`` holds the options the caller gave: the grid bounds (max_d,
-    max_r, extra_powers) and the theorem suite's trials and seed.  Each
-    suite is passed those it reads (``SUITE_OPTIONS``) and keeps its own
-    defaults for the rest.  ``verbose`` False lets the theorem suite skip
-    formatting its per-trial lines, which a report rendered without them
-    never reads.
+    Each suite, looked up by name as this module's ``suite_<name>`` at call
+    time, is passed the ``options`` and ``verbose`` it reads and keeps its own
+    defaults for the rest; a keyword no suite reads is a TypeError.
+    ``verbose`` False lets the theorem suite skip formatting its per-trial
+    lines, which a report rendered without them never reads.
     """
-
-    def read(name: str) -> dict[str, int]:
-        return {key: value for key, value in options.items() if key in SUITE_OPTIONS[name]}
-
-    reports = []
-    if suite in ("theorem", "all"):
-        reports.append(suite_theorem(verbose=verbose, **options))
-    if suite in ("remark", "all"):
-        reports.append(suite_remark(**read("remark")))
-    if suite in ("degrees", "all"):
-        reports.append(suite_degrees(**read("degrees")))
-    if not reports:
+    if suite != "all" and suite not in SUITE_OPTIONS:
         raise ValueError(f"unknown suite {suite!r}")
-    return reports
+    options["verbose"] = verbose
+    unread = options.keys() - {key for keys in SUITE_OPTIONS.values() for key in keys}
+    if unread:
+        raise TypeError(f"no suite reads {', '.join(sorted(unread))}")
+    return [
+        globals()[f"suite_{name}"](**{key: options[key] for key in keys if key in options})
+        for name, keys in SUITE_OPTIONS.items()
+        if suite in (name, "all")
+    ]

@@ -113,6 +113,19 @@ class TestPushforwardCommand:
         assert text_out == f"schur form: {schur_line}\nclass: {class_line}\n"
         assert data["class_text"] == class_line
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_a_base_dimension_above_the_weight_changes_only_the_echo(self, capsys, json_flag):
+        # w = 3 - 1*(2-1) = 2, so only s1 and s2 can appear; the echo keeps the given base_dim
+        huge = "100000000000000000000"
+        argv = ("pushforward", "--N", "3", "--d", "1", "--r", "2", "--base-dim")
+        code, out = run_cli(capsys, *argv, huge, *json_flag)
+        assert code == 0
+        _, small = run_cli(capsys, *argv, "2", *json_flag)
+        if json_flag:
+            assert json.loads(out)["model"]["base_dim"] == int(huge)
+            out = out.replace(huge, "2")
+        assert out == small
+
 
 class TestDegreeCommand:
     def test_cubic_scroll(self, capsys):
@@ -935,6 +948,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: planted engine fault\n"
+
+    def test_any_other_engine_exception_exits_3_naming_its_class(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("planted engine fault")
+
+        monkeypatch.setattr("pluckerpush.cli.pushforward_terms", out_of_memory)
+        assert main(list(PUSH + ("--base-dim", "1"))) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: MemoryError('planted engine fault')\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("syt", "--shape", "(100000000000000000000)", "--method", "product",
+              "--d", "1", "--r", "1"), "factorial() argument should not exceed"),
+            (("degree", "--d", "1", "--pm", "100000000000000000000", "--twists", "1"),
+             "k must not exceed"),
+        ],
+        ids=["factorial", "perm"],
+    )
+    def test_an_int_too_large_for_the_math_module_exits_3(self, capsys, argv, message):
+        assert main(list(argv)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal error: OverflowError('{message} ")
+        assert captured.err.count("\n") == 1
 
     def test_a_walk_past_the_recursion_limit_exits_3(self, capsys, monkeypatch):
         def too_deep(*args, **kwargs):

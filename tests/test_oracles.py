@@ -324,6 +324,30 @@ class TestVerifyDrivers:
         with pytest.raises(ValueError):
             run_suites("nonsense")
 
+    SMALL = dict(seed=4, max_d=1, max_r=2, extra_powers=0, trials=1)
+
+    @pytest.mark.parametrize("suite", list(oracles.SUITE_OPTIONS))
+    def test_each_listed_suite_runs_alone_under_its_name(self, suite):
+        assert [rep.suite for rep in run_suites(suite, **self.SMALL)] == [suite]
+
+    @pytest.mark.parametrize("suite", [*oracles.SUITE_OPTIONS, "all"])
+    def test_a_keyword_no_suite_reads_is_refused_by_every_suite(self, suite):
+        with pytest.raises(TypeError, match="^no suite reads trial$"):
+            run_suites(suite, trial=1)
+
+    def test_suites_are_looked_up_by_name_at_call_time(self, monkeypatch):
+        # the benchmark's tracer wraps oracles.suite_<name> in place
+        calls = []
+
+        def stub(**options):
+            calls.append(options)
+            return SuiteReport("remark", {}, 0, 0)
+
+        monkeypatch.setattr("pluckerpush.oracles.suite_remark", stub)
+        assert [rep.suite for rep in run_suites("remark", max_r=2, trials=1)] == ["remark"]
+        assert [rep.suite for rep in run_suites("all", **self.SMALL)] == list(oracles.SUITE_OPTIONS)
+        assert calls == [{"max_r": 2}, {"max_d": 1, "max_r": 2, "extra_powers": 0}]
+
 
 class TestReportRecords:
     def test_suite_report_defaults_are_fresh(self):
