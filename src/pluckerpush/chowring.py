@@ -140,6 +140,9 @@ class GradedPoly(FrozenRecord):
         return self + (-rhs)
 
     def __mul__(self, other: object) -> "GradedPoly":
+        if other.__class__ in EXACT_TYPES:
+            # an exact scalar scales each coefficient; a zero one drops them all
+            return GradedPoly(self.ring, {e: c * other for e, c in self.monomials.items()})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented

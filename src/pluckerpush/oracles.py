@@ -53,7 +53,7 @@ from .pushforward import (
     schur_coefficients,
     schur_form_terms,
 )
-from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of, segre_classes
+from .chowring import BundleModel, FormalBundle, GradedPoly, GradedRing, SplitBundle, ring_of, segre_classes
 from .records import Record, require_exact, require_sizes
 from .rng import SplitMix64
 from .schur import jacobi_trudi_det
@@ -87,7 +87,8 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
     The roots must be ints or Fractions, and N, d and their number r pass
     the size rule ``require_sizes``; so no float or bool d reaches the
     memoized plan under the key of an equal int.  The roots are scaled to
-    integers z = q*y, q the lcm of their denominators.  Every subset term
+    integers z = q*y, q the lcm of their denominators; integer roots are
+    used as they are, with q = 1 and no powers of q.  Every subset term
     then shares the Vandermonde denominator
     V = prod_{i<j} (z_i - z_j): the subset's own denominator D_I is, up to
     sign, the part of V that pairs I with its complement, so V / D_I is an
@@ -105,8 +106,10 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
     require_sizes(d, r, N)
     if len(set(values)) != len(values):
         raise ValueError("roots must be pairwise distinct")
-    q = lcm(*(y.denominator for y in values))
-    z = [y.numerator * (q // y.denominator) for y in values]
+    q, z = 1, values
+    if not all(y.__class__ is int for y in values):
+        q = lcm(*(y.denominator for y in values))
+        z = [y.numerator * (q // y.denominator) for y in values]
     pairs, subsets = _subset_plan(r, d)
     difference = [a - b for a in z for b in z].__getitem__
     root = z.__getitem__
@@ -116,6 +119,8 @@ def localization_pushforward(N: int, d: int, roots: Sequence[Fraction | int]) ->
         quotient, rem = divmod(vandermonde, prod(map(difference, cross)))
         assert rem == 0, f"subset denominator does not divide the Vandermonde product at {subset}"
         total += sum(map(root, subset)) ** N * quotient
+    if q == 1:
+        return Fraction(total, vandermonde)
     return Fraction(total * q ** (d * (r - d)), vandermonde * q**N)
 
 
@@ -144,23 +149,25 @@ def schur_form_pushforward(N: int, d: int, model: BundleModel) -> GradedPoly:
     path is checked against this sum.
     """
     require_exact((model,), "model", (FormalBundle, SplitBundle))
-    return _schur_sum(schur_coefficients(N, d, model.rank), d, model, {})
+    return _schur_sum(schur_coefficients(N, d, model.rank), d, model, ring_of(model), {})
 
 
 def _schur_sum(
     terms: list[tuple[Partition, int]],
     d: int,
     model: BundleModel,
+    ring: GradedRing,
     deltas: dict[Partition, GradedPoly],
 ) -> GradedPoly:
-    """Sum of count * Delta_lam over the (lam, count) terms, in the model's ring.
+    """Sum of count * Delta_lam over the (lam, count) terms, in ``ring``, the
+    model's ring.
 
     Delta_lam, the d-row Jacobi-Trudi determinant of the model's Segre
     classes, is read from ``deltas`` and computed into it when missing.  A
     dict may serve several calls only while d and the Segre classes of the
     shapes stay the same.
     """
-    total = ring_of(model).zero()
+    total = ring.zero()
     segre = None
     for lam, count in terms:
         if lam not in deltas:
@@ -421,9 +428,10 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
             for N in range(fiber_dim, fiber_dim + extra_powers + 1):
                 instances += 1
                 model = FormalBundle(base_dim=N - fiber_dim, rank=r)
+                ring = ring_of(model)
                 pairs, table = pushforward_terms(N, d, model)
-                expected = _schur_sum(pairs, d, model, deltas)
-                if GradedPoly(ring_of(model), table) != expected:
+                expected = _schur_sum(pairs, d, model, ring, deltas)
+                if GradedPoly(ring, table) != expected:
                     table_mismatches += 1
                     verbose_lines.append(f"d={d} r={r} N={N} table: mismatch")
                 for variant in variants:
@@ -435,7 +443,7 @@ def suite_remark(max_d: int = 3, max_r: int = 6, extra_powers: int = 3) -> Suite
                     if any(c.denominator != 1 for _, c in coeffs):
                         integral[variant] = False
                     # the class pushforward_rational_form builds, from the same read
-                    candidate = _class_of_table(coeffs, N - fiber_dim, model)
+                    candidate = _class_of_table(coeffs, N - fiber_dim, model, ring)
                     if candidate == expected:
                         matches[variant] += 1
                         verbose_lines.append(f"d={d} r={r} N={N} {variant}: match")

@@ -59,7 +59,7 @@ from itertools import compress, product
 from math import factorial, isqrt, perm, prod
 from operator import mul
 
-from .chowring import BundleModel, FormalBundle, GradedPoly, SplitBundle, ring_of
+from .chowring import BundleModel, FormalBundle, GradedPoly, GradedRing, SplitBundle, ring_of
 from .partitions import Partition, enumerate_partitions
 from .records import require_exact, require_sizes
 from .schur import complete_homogeneous_values, jacobi_trudi_det
@@ -205,9 +205,10 @@ def _monomial_table(N: int, d: int, r: int, pairs: Pairs, width: int) -> Table:
 
 
 def _class_of_table(
-    table: list[tuple[Sequence[int], int | Fraction]], weight: int, model: BundleModel
+    table: list[tuple[Sequence[int], int | Fraction]], weight: int, model: BundleModel, ring: GradedRing
 ) -> GradedPoly:
-    """The class of degree ``weight`` that a rational-form table stands for in the model.
+    """The class of degree ``weight`` that a rational-form table stands for in
+    the model, as an element of ``ring``, which is ``ring_of(model)``.
 
     Each entry (k, c) is a vector k of nonnegative parts, whose zero parts
     are skipped.  Over a formal base it is the monomial
@@ -218,7 +219,6 @@ def _class_of_table(
     the same monomial add up.  The zero class when the weight is negative or
     exceeds the base dimension.
     """
-    ring = ring_of(model)
     if not 0 <= weight <= model.base_dim:
         return ring.zero()
     if isinstance(model, FormalBundle):
@@ -295,10 +295,11 @@ def schur_form_terms(
     if not terms:
         return [[] for _ in root_sets]
     top = N - d * (r - d) + d
+    padded = [(lam, count, lam.padded(d)) for lam, count in terms]
     rows = []
     for roots in root_sets:
         h = complete_homogeneous_values(roots, top)
-        rows.append([(lam, count, jacobi_trudi_det(lam.padded(d), h)) for lam, count in terms])
+        rows.append([(lam, count, jacobi_trudi_det(parts, h)) for lam, count, parts in padded])
     return rows
 
 
@@ -454,5 +455,5 @@ def pushforward_rational_form(
     require_exact((model,), "model", (FormalBundle, SplitBundle))
     r = model.rank
     coefficients = rational_form_coefficients(N, d, r, denominator)
-    return _class_of_table(coefficients, N - d * (r - d), model)
+    return _class_of_table(coefficients, N - d * (r - d), model, ring_of(model))
 

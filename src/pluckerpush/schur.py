@@ -19,27 +19,35 @@ def det(matrix: list[list[object]]) -> object:
     """Exact determinant over any commutative ring.
 
     Minor expansion cached over column subsets: minors[mask] is the
-    determinant of the first popcount(mask) rows on the columns in mask,
-    grown one row at a time, about n * 2^(n-1) products in all.  Division-free,
-    which matters because the truncated ring has zero divisors.
+    determinant of the first popcount(mask) rows on the columns in mask.  It
+    starts from the 2 x 2 minors of the first two rows and grows one row at a
+    time, about n * 2^(n-1) products in all; a 1 x 1 matrix is its entry.
+    Division-free, which matters because the truncated ring has zero divisors.
     """
     if not matrix:
         raise ValueError("empty matrix has no well-defined element type; handle size 0 upstream")
     n = len(matrix)
-    minors: dict[int, object] = {1 << j: value for j, value in enumerate(matrix[0])}
-    for row in range(1, n):
+    if n == 1:
+        return matrix[0][0]
+    first, second = matrix[0], matrix[1]
+    minors: dict[int, object] = {
+        1 << i | 1 << j: second[j] * first[i] - second[i] * first[j]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    for row in range(2, n):
+        entries = matrix[row]
         grown: dict[int, object] = {}
         for mask, value in minors.items():
             for j in range(n):
                 bit = 1 << j
                 if mask & bit:
                     continue
-                position = (mask & (bit - 1)).bit_count()
-                term = matrix[row][j] * value
-                if (row + position) % 2:
+                term = entries[j] * value
+                if (row + (mask & bit - 1).bit_count()) & 1:
                     term = -term
                 key = mask | bit
-                grown[key] = term if key not in grown else grown[key] + term
+                grown[key] = grown[key] + term if key in grown else term
         minors = grown
     return minors[(1 << n) - 1]
 

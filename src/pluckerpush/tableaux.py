@@ -16,10 +16,11 @@ def syt_count_hook(lam: Partition) -> int:
     """Number of standard Young tableaux of the given shape, by hook lengths.
 
     Computes |lam|! / (product of hook lengths); the division is exact and
-    asserted to be so.
+    asserted to be so.  The factorial comes first, so a shape of more than
+    ``sys.maxsize`` cells raises OverflowError before any cell is visited.
     """
-    hooks = hook_lengths(lam)
-    count, rem = divmod(factorial(lam.weight), prod(hooks))
+    total = factorial(lam.weight)
+    count, rem = divmod(total, prod(hook_lengths(lam)))
     assert rem == 0, f"hook product does not divide {lam.weight}! for {lam}"
     return count
 

@@ -150,6 +150,26 @@ class TestRingStructure:
             RING.one() * 0.5
         assert (RING.one() == 1.0) is False
 
+    @pytest.mark.parametrize("s", [0, -3, Fraction(-2, 3)], ids=["zero", "negative-int", "fraction"])
+    def test_a_scalar_product_is_the_product_with_the_scalar_element(self, s):
+        p = GradedPoly(RING, {(0, 0, 0): 2, (1, 0, 0): Fraction(1, 2), (0, 1, 1): -4})
+        expected = p * RING.scalar(s)
+        for product in (s * p, p * s):
+            assert product == expected
+            assert product.ring is RING
+            coefficients = [(e, c, type(c)) for e, c in product.monomials.items()]
+            assert coefficients == [(e, c, type(c)) for e, c in expected.monomials.items()]
+        if s == 0:
+            assert (s * p).monomials == {}
+
+    def test_a_bool_or_float_scalar_is_a_type_error(self):
+        p = RING.generator(0) + 2
+        for bad in (True, False, 0.5, 2.0):
+            with pytest.raises(TypeError):
+                bad * p
+            with pytest.raises(TypeError):
+                p * bad
+
     def test_refuses_bad_exponent_vectors(self):
         ring = GradedRing(("a", "b"), (1, 1), 2)
         for exps in ((1,), (1, 0, 0), (1, -1)):

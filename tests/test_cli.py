@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -975,6 +976,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"internal error: OverflowError('{message} ")
         assert captured.err.count("\n") == 1
+
+    def test_a_hook_count_too_large_for_the_math_module_exits_3(self):
+        # in a child with a timeout and 1 GiB of address space: the hook
+        # lengths of 10^20 cells, if built before the factorial refuses, would
+        # run and grow without bound
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "pluckerpush", "syt", "--shape", "(100000000000000000000)"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        message = "factorial() argument should not exceed"
+        assert result.stderr.startswith(f"internal error: OverflowError('{message} ")
+        assert result.stderr.count("\n") == 1
 
     def test_a_walk_past_the_recursion_limit_exits_3(self, capsys, monkeypatch):
         def too_deep(*args, **kwargs):

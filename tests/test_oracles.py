@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import pluckerpush
 from pluckerpush import (
     FormalBundle,
+    GradedPoly,
     Partition,
     SplitMix64,
     box_pieri_degree,
@@ -26,7 +27,7 @@ from pluckerpush import (
     syt_count_product,
     verify_pushforward,
 )
-from pluckerpush import oracles, pushforward, tableaux
+from pluckerpush import oracles, pushforward, schur, tableaux
 from pluckerpush.cli import main
 from pluckerpush.oracles import CellReport, SuiteReport, TrialRecord
 
@@ -437,6 +438,12 @@ def _negated_from_two_rows(real, indices, values):
     return -det if len(indices) >= 2 else det
 
 
+def _first_two_rows_minor_flipped(real, matrix):
+    # the first two rows swapped flip the sign of each of their 2 x 2 minors,
+    # which the expansion starts from; a 1 x 1 matrix has none
+    return real([matrix[1], matrix[0], *matrix[2:]] if len(matrix) >= 2 else matrix)
+
+
 def _roots_negated(real, N, d, roots):
     return real(N, d, [-y for y in roots])
 
@@ -580,12 +587,21 @@ def _odd_segre_negated(real, model, top):
     return [-s if k % 2 else s for k, s in enumerate(real(model, top))]
 
 
-def _class_of_table_overwriting(real, table, weight, model):
+def _class_of_table_overwriting(real, table, weight, model, ring):
     # entries that name the same monomial overwrite each other instead of
     # adding up (factorial matches 18/21, no variant wins); production builds
     # no class through here
     last = {tuple(sorted((part for part in k if part), reverse=True)): (k, c) for k, c in table}
-    return real(list(last.values()), weight, model)
+    return real(list(last.values()), weight, model, ring)
+
+
+def _scalar_sign_flipped(real, element, scalar):
+    # an exact scalar scales with its sign flipped.  The remark suite's
+    # scalars are its tableau counts, all positive, so it could not see a
+    # fault that dropped the sign by taking |scalar|
+    if scalar.__class__ in (int, Fraction):
+        scalar = -scalar
+    return real(element, scalar)
 
 
 def _wrong_shape_for_one_lam(real, indices, values):
@@ -630,7 +646,13 @@ Row = namedtuple("Row", "namespace name fault suite code")
 
 def plant(monkeypatch, row):
     real = getattr(row.namespace, row.name)
-    monkeypatch.setattr(row.namespace, row.name, partial(row.fault, real))
+    if isinstance(row.namespace, type):
+        # a partial on a class binds no self; a plain function does
+        def fault(self, *args):
+            return row.fault(real, self, *args)
+    else:
+        fault = partial(row.fault, real)
+    monkeypatch.setattr(row.namespace, row.name, fault)
 
 
 FAULTS = [
@@ -640,6 +662,7 @@ FAULTS = [
     Row(pushforward, "_count_over_rectangle", _vandermonde_over_nonzero_rows, "theorem", 3),
     Row(pushforward, "enumerate_partitions", _last_partition_dropped, "theorem", 1),
     Row(pushforward, "jacobi_trudi_det", _negated_from_two_rows, "theorem", 1),
+    Row(schur, "det", _first_two_rows_minor_flipped, "theorem", 1),
     Row(oracles, "localization_pushforward", _roots_negated, "theorem", 1),
     Row(oracles, "_subset_plan", _first_subset_missing_a_cross_pair, "theorem", 1),
     Row(pushforward, "_suffix_table", _last_vector_dropped, "remark", 1),
@@ -653,6 +676,8 @@ FAULTS = [
     Row(oracles, "segre_classes", _odd_segre_negated, "remark", 1),
     Row(oracles, "_class_of_table", _class_of_table_overwriting, "remark", 1),
     Row(oracles, "jacobi_trudi_det", _wrong_shape_for_one_lam, "remark", 1),
+    # count * Delta_lam reaches the ring's scalar branch through __rmul__
+    Row(GradedPoly, "__rmul__", _scalar_sign_flipped, "remark", 1),
     Row(pushforward, "_rectangle_hooks", _largest_hook_dropped, "degrees", 1),
     Row(pushforward, "_primes_upto", _largest_prime_dropped, "degrees", 1),
     Row(pushforward, "_rectangle_hooks", _hook_two_overcounted, "degrees", 3),
@@ -699,7 +724,8 @@ COVERED = {
 }
 # The production callables that no row corrupts, and why.
 UNFAULTED = {
-    # containers and parsing, which the refusal tests and stdout goldens guard
+    # containers and parsing, which the refusal tests and stdout goldens guard;
+    # the scalar product of GradedPoly, a method, has a row of its own above
     *("Partition", "parse_partition", "rectangle", "FormalBundle", "SplitBundle"),
     *("GradedRing", "GradedPoly", "ring_of"),
     # the oracle of the tableau counts
@@ -753,6 +779,19 @@ class TestTheoremSuiteCatchesPlantedFaults:
         report = suite_theorem(max_d=2, max_r=4, trials=3)
         assert report.failures == 0
         assert len(calls) == report.payload["cells"]
+
+    def test_localization_is_called_once_per_comparison(self, monkeypatch):
+        # one call per root set: the tracer counts C(r, d) subsets a call
+        calls, real = [], oracles.localization_pushforward
+
+        def counted(N, d, roots):
+            calls.append((N, d))
+            return real(N, d, roots)
+
+        monkeypatch.setattr(oracles, "localization_pushforward", counted)
+        report = suite_theorem(max_d=2, max_r=4, trials=3)
+        assert report.failures == 0
+        assert len(calls) == report.comparisons == 3 * report.payload["cells"]
 
     def test_vandermonde_slip_trips_the_ratio_assert(self, monkeypatch, capsys):
         # without the zero rows' Vandermonde factors the ratio's one division
@@ -822,6 +861,20 @@ class TestRemarkSuiteCatchesPlantedFaults:
         report = suite_remark(max_d=3, max_r=6, extra_powers=3)
         assert report.failures == 0
         assert len(calls) == len(set(calls)) == report.payload["instances"]
+
+    def test_one_ring_per_instance(self, monkeypatch):
+        # the Schur sum, the table check and both variants' classes share the
+        # instance's ring; _class_of_table, in pushforward, builds none
+        calls = []
+        for module in (oracles, pushforward):
+            def counted(model, name=module.__name__, real=module.ring_of):
+                calls.append(name)
+                return real(model)
+
+            monkeypatch.setattr(module, "ring_of", counted)
+        report = suite_remark(max_d=2, max_r=4, extra_powers=2)
+        assert report.failures == 0
+        assert calls == ["pluckerpush.oracles"] * report.payload["instances"]
 
     @pytest.mark.parametrize("row", rows_of(*WALK))
     def test_table_fault_fails_the_table_check(self, monkeypatch, row):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluckerpush import (
+    GradedPoly,
+    GradedRing,
     Partition,
     complete_homogeneous_values,
     enumerate_partitions,
@@ -36,6 +39,31 @@ def field_det(matrix):
             for j in range(col, n):
                 m[i][j] -= factor * m[col][j]
     return result
+
+
+def leibniz_det(matrix, one):
+    """Independent oracle: the signed sum over permutations, division-free."""
+    total = one - one
+    for sigma in permutations(range(len(matrix))):
+        term = one
+        for i, j in enumerate(sigma):
+            term = term * matrix[i][j]
+        inversions = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1 :])
+        total = total - term if inversions & 1 else total + term
+    return total
+
+
+#: a, b of weight 1 truncated above weight 2: a^3 = a^2 b = 0, zero divisors
+TRUNCATED = GradedRing(names=("a", "b"), weights=(1, 1), top_degree=2)
+
+
+@st.composite
+def truncated_elements(draw):
+    monomials = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exps = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        monomials[exps] = draw(st.integers(-3, 3))
+    return GradedPoly(TRUNCATED, monomials)
 
 
 def bialternant(lam: Partition, roots: list[Fraction]) -> Fraction:
@@ -169,6 +197,28 @@ class TestDeterminants:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             det([])
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 4), st.data())
+    def test_truncated_ring_det_matches_the_leibniz_sum(self, n, data):
+        matrix = [[data.draw(truncated_elements()) for _ in range(n)] for _ in range(n)]
+        assert det(matrix) == leibniz_det(matrix, TRUNCATED.one())
+
+    def test_truncated_ring_det_with_zero_divisors(self):
+        # every product of weight 3 or more vanishes, so only a * (-b) of the
+        # first row's expansion survives; untruncated, a^4 and b^3 would too
+        one, a, b = TRUNCATED.one(), TRUNCATED.generator(0), TRUNCATED.generator(1)
+        matrix = [[a, b, one + a], [a * b, a, b], [b, one - b, a * a]]
+        value = det(matrix)
+        assert value == leibniz_det(matrix, one)
+        assert value == -(a * b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_an_int_matrix_gives_an_int(self, n):
+        matrix = [[(3 * i + 5 * j) % 7 - 3 + (i == j) for j in range(n)] for i in range(n)]
+        value = det(matrix)
+        assert type(value) is int
+        assert value == leibniz_det(matrix, 1) == field_det(matrix)
 
 
 class TestCompleteHomogeneous:
